@@ -4,17 +4,17 @@ DLBench-style scenario: 200 tables arrive one at a time while users keep
 querying the lake (keyword search every 5 ingests, join discovery every
 10).  Three maintenance strategies answer the same workload:
 
-- **inline full-rebuild** — the seed behavior: every ingest invalidates
-  the discovery and keyword indexes, every query rebuilds from scratch;
+- **inline full-rebuild** — the baseline: every query point builds a
+  fresh ``Aurum`` and ``KeywordSearch`` from ``lake.tables()``;
 - **incremental (sync, default)** — persistent indexes, per-table deltas
-  applied inline at ingest;
+  applied by the next query;
 - **async** — maintenance enqueued on the background job runtime,
   ``drain()`` as the final barrier.
 
 The claim to reproduce: dirty-set deltas turn the quadratic
 rebuild-per-query cost into near-linear upkeep — incremental maintenance
-must be >= 5x faster than inline full-rebuild end to end.  Results land
-in ``BENCH_runtime.json`` together with the async job-latency p95.
+must be >= 5x faster than inline full-rebuild end to end, with identical
+answers.  Results land in ``BENCH_runtime.json`` with the async job p95.
 """
 
 import json
@@ -24,6 +24,8 @@ import time
 from repro import DataLake
 from repro.bench.reporting import render_table, report_experiment
 from repro.bench.results import envelope, write_bench_json
+from repro.discovery.aurum import Aurum
+from repro.exploration.keyword import KeywordSearch
 from repro.obs import get_registry
 
 from conftest import add_report
@@ -46,32 +48,57 @@ def payload(i):
     }
 
 
-def run_workload(lake):
-    """Interleave ingest with keyword + join-discovery queries; return seconds."""
+def rebuilt_keyword(lake, keywords, k):
+    """Baseline keyword query: a fresh index over every table."""
+    searcher = KeywordSearch()
+    for table in lake.tables():
+        searcher.add_table(table)
+    return searcher.search(keywords, k=k)
+
+
+def rebuilt_joinable(lake, table, column, k):
+    """Baseline join discovery: a fresh Aurum engine over every table."""
+    engine = Aurum()
+    for indexed in lake.tables():
+        engine.add_table(indexed)
+    engine.build()
+    return engine.joinable(table, column, k=k)
+
+
+def run_workload(lake, keyword=DataLake.keyword_search,
+                 joinable=DataLake.discover_joinable):
+    """Interleave ingest with keyword + join-discovery queries.
+
+    Returns (seconds, answers) so strategies can be checked for equality.
+    """
+    answers = []
     started = time.perf_counter()
     for i in range(TABLES):
         lake.ingest_table(f"table_{i}", payload(i), source=f"feed-{i}")
         if i % KEYWORD_EVERY == KEYWORD_EVERY - 1:
-            lake.keyword_search("berlin", k=5)
+            answers.append(keyword(lake, "berlin", k=5))
         if i % DISCOVERY_EVERY == DISCOVERY_EVERY - 1:
-            lake.discover_joinable(f"table_{i}", "customer_id", k=3)
+            answers.append(joinable(lake, f"table_{i}", "customer_id", k=3))
     lake.drain()
     lake.close()
-    return time.perf_counter() - started
+    return time.perf_counter() - started, answers
 
 
 def run_all_modes():
-    timings = {}
-    timings["inline_full_rebuild"] = run_workload(
-        DataLake(incremental_maintenance=False))
-    timings["incremental_sync"] = run_workload(DataLake())
-    timings["async_runtime"] = run_workload(DataLake(async_maintenance=True))
+    runs = {
+        "inline_full_rebuild": run_workload(
+            DataLake(), keyword=rebuilt_keyword, joinable=rebuilt_joinable),
+        "incremental_sync": run_workload(DataLake()),
+        "async_runtime": run_workload(DataLake(async_maintenance=True)),
+    }
     job_latency = get_registry().histogram("runtime.job_ms").summary()
-    return timings, job_latency
+    return runs, job_latency
 
 
 def test_bench_runtime_incremental_vs_full_rebuild(benchmark):
-    timings, job_latency = benchmark.pedantic(run_all_modes, iterations=1, rounds=1)
+    runs, job_latency = benchmark.pedantic(run_all_modes, iterations=1, rounds=1)
+    timings = {mode: seconds for mode, (seconds, _) in runs.items()}
+    answers = {mode: answers for mode, (_, answers) in runs.items()}
 
     inline = timings["inline_full_rebuild"]
     speedups = {mode: inline / seconds for mode, seconds in timings.items()}
@@ -113,7 +140,10 @@ def test_bench_runtime_incremental_vs_full_rebuild(benchmark):
         },
     ))
 
-    # acceptance: incremental maintenance is at least 5x the inline path
+    # acceptance: incremental maintenance is at least 5x the inline path,
+    # and every strategy answers every query identically
     assert speedups["incremental_sync"] >= 5.0
+    assert answers["incremental_sync"] == answers["inline_full_rebuild"]
+    assert answers["async_runtime"] == answers["inline_full_rebuild"]
     # async keeps the query path correct (drain happened) and jobs flowed
     assert job_latency["count"] > TABLES  # metadata + catalog + refresh jobs

@@ -7,7 +7,7 @@ answers two questions the per-file rules cannot:
    tracked lock (``threading.Lock``/``RLock``/``Condition`` attributes,
    module-level locks, the runtime :class:`ReadWriteLock` via
    ``.reading()``/``.writing()``, and guard-returning helpers like
-   ``DataLake._index_read``) is collected with the set of locks already
+   ``maintainer.reading()``) is collected with the set of locks already
    held at that point.  Acquisition effects propagate transitively along
    the call graph, producing a directed *lock-order graph*: an edge
    ``A → B`` means B is (possibly transitively) acquired while A is

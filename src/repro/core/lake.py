@@ -31,15 +31,14 @@ from repro.obs import (Observability, check_deadline, emit, ensure_profiler,
 class DataLake:
     """A complete data lake: storage + ingestion + maintenance + exploration.
 
-    Maintenance runs in one of three modes (see docs/RUNTIME.md):
+    The Aurum and keyword indexes are persistent structures kept current
+    with per-table deltas by :attr:`maintainer`.  Maintenance runs in one
+    of two modes (see docs/RUNTIME.md):
 
-    - **sync incremental** (the default): maintenance work happens inline
-      during ``ingest`` exactly as before, but discovery indexes are kept
-      as persistent structures updated with per-table deltas instead of
-      being thrown away and rebuilt;
-    - **sync full** (``incremental_maintenance=False``): the seed
-      behavior — every ingest invalidates the indexes, every index access
-      rebuilds from scratch (kept as the benchmark baseline);
+    - **sync** (the default): metadata extraction and catalog
+      registration run inline during ``ingest``, which only marks the
+      table dirty in the index maintainer; the next discovery or keyword
+      query applies the pending deltas before it answers;
     - **async** (``async_maintenance=True``): ingest enqueues metadata
       extraction, catalog registration and index-delta jobs on a
       :class:`~repro.runtime.scheduler.JobScheduler` and returns
@@ -71,7 +70,6 @@ class DataLake:
         registry: Optional[SystemRegistry] = None,
         *,
         async_maintenance: bool = False,
-        incremental_maintenance: bool = True,
         maintenance_workers: int = 4,
         maintenance_queue_size: int = 256,
         polystore: Optional["Polystore"] = None,
@@ -88,14 +86,11 @@ class DataLake:
         self.polystore = polystore if polystore is not None else Polystore()
         self.registry = registry or default_registry()
         self.async_maintenance = async_maintenance
-        self.incremental_maintenance = incremental_maintenance
         self._maintenance_workers = maintenance_workers
         self._maintenance_queue_size = maintenance_queue_size
         self._datasets: Dict[str, Dataset] = {}
         self._catalog = None
         self._provenance = None
-        self._discovery_index = None
-        self._keyword_index = None
         self._metadata_repository = None
         self._runtime = None
         self._maintainer = None
@@ -265,18 +260,6 @@ class DataLake:
             self.provenance.record_ingest(dataset.name, source=dataset.source)
 
     def _note_index_change(self, dataset: Dataset) -> None:
-        if not self.incremental_maintenance:
-            # seed behavior: throw the indexes away, rebuild lazily on access
-            self._discovery_index = None
-            self._keyword_index = None
-            try:
-                dataset.as_table()
-            except SchemaError:
-                get_registry().counter("lake.index.skipped_nontabular").inc()
-                return
-            # tabular content changed: cached answers must stop matching
-            self._bump_engine_epochs(dataset.name)
-            return
         try:
             table = dataset.as_table()
         except SchemaError:
@@ -304,8 +287,7 @@ class DataLake:
             tags={"dataset": dataset.name},
         )
         self._note_index_change(dataset)  # the dirty mark itself is cheap
-        if self.incremental_maintenance:
-            self._submit_index_refresh()
+        self._submit_index_refresh()
 
     def _submit_index_refresh(self) -> None:
         """Enqueue one index-delta job; pending refreshes coalesce."""
@@ -416,27 +398,10 @@ class DataLake:
 
     @property
     def discovery(self):
-        """The Aurum discovery engine, current as of this access.
-
-        Incremental mode returns the maintainer's persistent engine with
-        pending deltas applied; full mode lazily rebuilds from scratch
-        after every invalidating ingest (the seed behavior).
-        """
-        if self.incremental_maintenance:
-            self._quiesce()
-            return self.maintainer.engine()
-        if self._discovery_index is None:
-            from repro.discovery.aurum import Aurum
-
-            with get_recorder().span("maintenance.discovery.index_build",
-                                     tier="maintenance", system="Aurum",
-                                     function="related_dataset_discovery"):
-                engine = Aurum()
-                for table in self.tables():
-                    engine.add_table(table)
-                engine.build()
-            self._discovery_index = engine
-        return self._discovery_index
+        """The Aurum discovery engine, current as of this access: the
+        maintainer's persistent engine with pending deltas applied."""
+        self._quiesce()
+        return self.maintainer.engine()
 
     def _union_search(self):
         """The lake's union-search index, rebuilt only when its epoch moves.
@@ -484,18 +449,10 @@ class DataLake:
         return cache.fetch(query.engine, query.key(),
                            self._epochs.epoch(query.engine), compute)
 
-    def _index_read(self):
-        """Shared-side index guard for the duration of one engine query."""
-        from contextlib import nullcontext
-
-        if self.incremental_maintenance:
-            return self.maintainer.reading()
-        return nullcontext()
-
     def _run_discovery_uncached(self, query):
         if query.kind == "joinable":
             engine = self.discovery
-            with self._index_read():
+            with self.maintainer.reading():
                 return engine.joinable(query.table, query.column, k=query.k)
         if query.kind == "related":
             return self._related_uncached(query)
@@ -507,7 +464,7 @@ class DataLake:
         engine = self.discovery
         candidates = [name for name in engine.table_names()
                       if name != query.table]
-        with self._index_read():
+        with self.maintainer.reading():
             if self.parallelism <= 1 or len(candidates) <= 1:
                 return engine.related_tables(query.table, k=query.k)
             engine.build()  # no-op unless the lake is brand new
@@ -525,7 +482,7 @@ class DataLake:
         from repro.exploration.keyword import KeywordSearch
 
         searcher = self._keyword_searcher()
-        with self._index_read():
+        with self.maintainer.reading():
             names = searcher.table_names()
             if self.parallelism <= 1 or len(names) <= 1:
                 return searcher.search(query.keywords, k=query.k)
@@ -648,22 +605,10 @@ class DataLake:
         return self._cached(query, lambda: self._run_discovery_uncached(query))
 
     def _keyword_searcher(self):
-        """The lake's keyword index — persistent, never rebuilt per query.
-
-        Incremental mode shares the maintainer's delta-maintained index;
-        full mode caches a searcher that ingest invalidates.
-        """
-        if self.incremental_maintenance:
-            self._quiesce()
-            return self.maintainer.searcher()
-        if self._keyword_index is None:
-            from repro.exploration.keyword import KeywordSearch
-
-            searcher = KeywordSearch()
-            for table in self.tables():
-                searcher.add_table(table)
-            self._keyword_index = searcher
-        return self._keyword_index
+        """The lake's keyword index: the maintainer's persistent,
+        delta-maintained searcher, never rebuilt per query."""
+        self._quiesce()
+        return self.maintainer.searcher()
 
     # -- reporting ---------------------------------------------------------------------
 

@@ -113,9 +113,9 @@ class Aurum:
         """Materialize all EKG edges from the staged profiles.
 
         Content edges come from LSH candidates only (the linear-complexity
-        path); schema edges from TF-IDF cosine over attribute names; PK-FK
-        edges from key candidates whose values are contained in another
-        column.
+        path); schema edges from cosine over attribute-name token counts;
+        PK-FK edges from key candidates whose values are contained in
+        another column.
         """
         if self._built:
             return self.ekg
@@ -238,15 +238,17 @@ class Aurum:
     # -- incremental maintenance --------------------------------------------------
 
     def update_table(self, table: Table) -> bool:
-        """Refresh a changed table; returns True when a rebuild happened.
+        """Refresh a changed table; returns True when the table was re-indexed.
 
         Honors Aurum's change threshold: when every column's new value set
         is within ``change_threshold`` Jaccard distance of the old one, the
-        existing signatures are kept and no work is done.
+        existing signatures are kept and no work is done.  Otherwise the
+        table's columns are restaged and :meth:`build_delta` re-derives
+        only the edges touching them (fresh x indexed, not all x all).
         """
         if table.name not in self._tables:
             self.add_table(table)
-            self.build()
+            self.build_delta()
             return True
         significant = False
         for column in table.columns:
@@ -270,9 +272,7 @@ class Aurum:
             self.ekg.remove_column(*ref)
         self._tables.pop(table.name)
         self.add_table(table)
-        # a rebuild refreshes all edges touching the table
-        self._built = False
-        self.build()
+        self.build_delta()
         return True
 
     # -- queries ----------------------------------------------------------------------

@@ -77,9 +77,15 @@ class EnterpriseKnowledgeGraph:
         return hyperedge
 
     def group_table(self, table: str) -> HyperEdge:
-        """Hyperedge connecting all attributes of *table* (table granularity)."""
+        """Hyperedge connecting all attributes of *table* (table granularity).
+
+        Replaces any earlier hyperedge for the same table, so rebuilding
+        or re-grouping a table never accumulates duplicates.
+        """
+        label = f"table:{table}"
+        self._hyperedges = [h for h in self._hyperedges if h.label != label]
         members = [node for node in self._graph.nodes if node[0] == table]
-        return self.add_hyperedge(f"table:{table}", members)
+        return self.add_hyperedge(label, members)
 
     # -- structure access -----------------------------------------------------------
 

@@ -1,9 +1,7 @@
 """Incremental index upkeep: dirty-set tracking and delta application.
 
-The seed lake maintained its discovery indexes destructively — every
-ingest threw the whole Aurum index away and every keyword query rebuilt
-its searcher from all tables, so an interleaved ingest+query workload
-degraded quadratically.  This module replaces both with *deltas*:
+The lake keeps its discovery indexes current with *deltas*, never by
+rebuilding them from all tables:
 
 - :class:`DirtySet` — a thread-safe set of changed tables awaiting index
   application (the latest payload wins when a table is marked twice);
@@ -13,7 +11,7 @@ degraded quadratically.  This module replaces both with *deltas*:
   the dirty set as deltas: new tables are staged with ``add_table`` and
   edged with ``build_delta`` (O(fresh x indexed), not O(indexed²));
   changed tables go through Aurum's change-threshold ``update_table``
-  and a keyword remove+re-add.
+  (itself a ``build_delta``) and a keyword remove+re-add.
 
 ``refresh()`` is idempotent and cheap when clean, so callers (the
 ``DataLake`` facade, scheduler jobs) can invoke it before every query.
@@ -26,7 +24,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.dataset import Table
-from repro.obs import annotate, get_registry, traced
+from repro.obs import annotate, check_deadline, get_registry, traced
 
 
 class ReadWriteLock:
@@ -210,30 +208,30 @@ class IncrementalIndexMaintainer:
         """
         return self._rw.reading()
 
-    def engine(self):
-        """The maintained Aurum engine, current as of this call.
+    def _refresh_for_query(self) -> None:
+        """Apply pending deltas before a query reads; caller holds the lock.
 
-        Clean accesses skip the (traced) refresh machinery entirely — the
-        dirty check is one locked length read — so repeated queries on an
-        unchanged lake do no maintenance work at all.
+        Clean accesses skip the (traced) refresh machinery entirely, so
+        repeated queries on an unchanged lake do no maintenance work.  A
+        request that expired while it waited for the lock fails with
+        ``DeadlineExceeded`` and leaves the dirty set to the next caller.
         """
+        if len(self._dirty):
+            check_deadline("maintenance.refresh")
+            self.refresh()
+        else:
+            self._m_clean.inc()
+
+    def engine(self):
+        """The maintained Aurum engine, current as of this call."""
         with self._lock:
-            if len(self._dirty):
-                self.refresh()
-            else:
-                self._m_clean.inc()
+            self._refresh_for_query()
             return self._aurum
 
     def searcher(self):
-        """The maintained keyword index, current as of this call.
-
-        Same clean fast path as :meth:`engine`.
-        """
+        """The maintained keyword index, current as of this call."""
         with self._lock:
-            if len(self._dirty):
-                self.refresh()
-            else:
-                self._m_clean.inc()
+            self._refresh_for_query()
             return self._keyword
 
     def __len__(self) -> int:

@@ -36,6 +36,16 @@ class TestBuild:
     def test_table_hyperedges(self, aurum):
         assert len(aurum.ekg.hyperedges("table:")) == 3
 
+    def test_one_table_hyperedge_per_table(self, small_lake):
+        engine = Aurum()
+        for table in small_lake:  # a full build after every add
+            engine.add_table(table)
+            engine.build()
+        for i in range(3):  # changed re-ingests of one table
+            engine.update_table(Table.from_columns("orders", {
+                "order_id": [f"v{i}-{r}" for r in range(20)]}))
+        assert len(engine.ekg.hyperedges("table:")) == len(small_lake)
+
     def test_build_idempotent(self, aurum):
         edges_before = aurum.ekg.num_edges
         aurum.build()
@@ -155,4 +165,19 @@ class TestDeltaPartitionInvariance:
         for table in small_lake:
             engine.add_table(table)
             engine.build_delta()
+        assert _edge_map(engine) == _edge_map(full)
+
+    def test_changed_table_update_matches_full_build(self, small_lake, customers):
+        changed = Table.from_columns("orders", {
+            "order_id": [f"ord-{i:04d}" for i in range(500, 560)],
+            "customer_id": customers["customer_id"].values[:60],
+            "city": customers["city"].values[:60],
+        })
+        engine, full = Aurum(), Aurum()
+        for table in small_lake:
+            engine.add_table(table)
+            full.add_table(changed if table.name == "orders" else table)
+        engine.build()
+        full.build()
+        assert engine.update_table(changed) is True
         assert _edge_map(engine) == _edge_map(full)

@@ -149,17 +149,6 @@ def test_single_table_lake(workers):
     assert parallel.keyword_search("city")[0].table == "solo"
 
 
-def test_full_rebuild_mode_equivalent(module_workload):
-    """incremental_maintenance=False (the seed baseline) also matches."""
-    serial = _ingest_workload(
-        DataLake(parallelism=1, cache=False, incremental_maintenance=False),
-        module_workload)
-    parallel = _ingest_workload(
-        DataLake(parallelism=8, cache=True, incremental_maintenance=False),
-        module_workload)
-    _assert_equivalent(serial, parallel, module_workload)
-
-
 def test_async_mode_equivalent(module_workload):
     serial, _ = _build_lakes(module_workload, 1)
     parallel = _ingest_workload(

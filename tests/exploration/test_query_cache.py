@@ -221,9 +221,8 @@ class TestLakeCoherence:
         lake.ingest_table("other", {"id": [4, 5], "tag": ["beta", "beta"]})
         return lake
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_reingest_invalidates_cached_answer(self, incremental):
-        lake = self._lake(incremental_maintenance=incremental)
+    def test_reingest_invalidates_cached_answer(self):
+        lake = self._lake()
         pre = lake.keyword_search("gamma")
         assert pre == []  # and this empty answer is now cached
         assert lake.keyword_search("gamma") == []

@@ -1,9 +1,9 @@
 """Regression: index accessors must not pay maintenance costs when clean.
 
 Before the fast path existed, every ``DataLake.discovery`` /
-``_keyword_searcher()`` access ran the traced ``refresh()`` (and, in
-full-rebuild mode, a from-scratch index build) even when nothing was
-dirty — so a read-heavy workload burned maintenance spans per query.
+``_keyword_searcher()`` access ran the traced ``refresh()`` even when
+nothing was dirty — so a read-heavy workload burned maintenance spans
+per query.
 These tests pin the fixed behavior through the observability layer:
 span counts for the maintenance paths stay flat across repeated clean
 queries while the ``runtime.index.clean_accesses`` counter grows.
@@ -44,15 +44,6 @@ def test_clean_incremental_access_skips_refresh():
     lake.ingest_table("late", {"id": [9], "city": ["z"]})
     lake.discover_related("late")
     assert _span_count("maintenance.runtime.refresh") == refreshes + 1
-
-
-def test_clean_full_mode_access_builds_once():
-    reset()
-    lake = _populate(DataLake(cache=False, incremental_maintenance=False))
-    for _ in range(5):
-        lake.discover_related("orders")
-    assert _span_count("maintenance.discovery.index_build") == 1, (
-        "full-rebuild mode rebuilt the Aurum index on a clean repeat query")
 
 
 def test_idle_async_queries_do_not_drain():

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.dataset import Table
+from repro.core.errors import DeadlineExceeded
 from repro.discovery.aurum import Aurum
+from repro.obs import request_context
 from repro.runtime import DirtySet, IncrementalIndexMaintainer
 
 
@@ -70,6 +72,11 @@ class TestIncrementalMaintainer:
         maintainer.refresh()
         hits = maintainer.engine().related_tables("products", k=3)
         assert {name for name, _ in hits} >= {"customers", "orders"}
+        # a changed re-ingest of an indexed table goes through update_table
+        maintainer.note(make_table("orders", key_prefix="z"))
+        maintainer.refresh()
+        hits = maintainer.engine().joinable("orders", "customer_id", k=3)
+        assert ("customers", "customer_id") not in [ref for ref, _ in hits]
 
     def test_refresh_is_idempotent_when_clean(self):
         maintainer = IncrementalIndexMaintainer()
@@ -97,6 +104,22 @@ class TestIncrementalMaintainer:
         searcher = maintainer.searcher()
         assert searcher.search("berlin") == []
         assert {h.table for h in searcher.search("tokyo")} == {"events"}
+
+
+class TestQueryRefreshDeadline:
+    def test_expired_deadline_leaves_the_delta_for_the_next_caller(self):
+        maintainer = IncrementalIndexMaintainer()
+        maintainer.note(make_table("customers"))
+        maintainer.refresh()
+        maintainer.note(make_table("orders"))
+        with request_context(timeout=0.0):
+            with pytest.raises(DeadlineExceeded, match="maintenance.refresh"):
+                maintainer.engine()
+            with pytest.raises(DeadlineExceeded, match="maintenance.refresh"):
+                maintainer.searcher()
+        assert maintainer.dirty() == ["orders"]
+        assert "orders" in maintainer.engine().table_names()
+        assert {h.table for h in maintainer.searcher().search("orders")} == {"orders"}
 
 
 class TestDeltaEquivalence:

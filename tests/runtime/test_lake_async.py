@@ -1,4 +1,4 @@
-"""Tests for the DataLake's maintenance modes: sync, incremental, async."""
+"""Tests for the DataLake's maintenance modes: sync and async."""
 
 import pytest
 
@@ -124,26 +124,6 @@ class TestSyncIncrementalMode:
         lake = fill(DataLake.in_memory(), count=1)
         assert lake.drain() == {}
         lake.close()  # also a no-op
-
-
-class TestFullRebuildMode:
-    def test_legacy_mode_still_works(self):
-        lake = fill(DataLake(incremental_maintenance=False), count=3)
-        assert len(lake.keyword_search("berlin")) == 3
-        hits = lake.discover_joinable("table_0", "customer_id", k=3)
-        assert hits
-        # ingest invalidates; next access rebuilds with the new table
-        lake.ingest_table("fresh", {"customer_id": [f"c{r}" for r in range(20)]})
-        assert lake._discovery_index is None and lake._keyword_index is None
-        assert "fresh" in {name for name, _ in lake.discovery.related_tables("table_0", k=10)}
-
-    def test_legacy_keyword_cache_survives_queries(self):
-        lake = fill(DataLake(incremental_maintenance=False), count=2)
-        lake.keyword_search("berlin")
-        cached = lake._keyword_index
-        assert cached is not None
-        lake.keyword_search("paris")
-        assert lake._keyword_index is cached  # per-query rebuild is gone
 
 
 class TestTablesErrorNarrowing:
