@@ -49,11 +49,12 @@ def test_bench_macro_matrix(benchmark):
         rows,
     )
     chaos = scenarios["chaos_faults"]["stats"]
+    chaos_rate = scenarios["chaos_faults"]["scenario"]["fault_rate"]
     rendered += "\n" + report_experiment(
         "macro",
         "one regression-gated trajectory over every lake function at once",
         f"{len(scenarios)} scenarios all gates green; chaos availability "
-        f"{chaos['availability']:.4f} at 15% injected faults",
+        f"{chaos['availability']:.4f} at {chaos_rate:.0%} injected faults",
     )
     add_report("BENCH_macro", rendered)
     write_bench_json("macro", doc)

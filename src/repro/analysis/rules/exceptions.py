@@ -1,9 +1,9 @@
 """Exception-handling hygiene rules.
 
-- :class:`BareExceptRule` — the strict src-tree rule migrated from
-  ``tools/check_bare_except.py``: a handler that catches everything and
-  does not re-raise swallows real bugs, full stop.  Sanctioned broad
-  catches are budgeted per file via the allowlist.
+- :class:`BareExceptRule` — the strict src-tree rule: a handler that
+  catches everything and does not re-raise swallows real bugs, full
+  stop.  Sanctioned broad catches are budgeted per file via the
+  allowlist.
 - :class:`ExceptionHygieneRule` — the v2 rule for the whole scanned tree
   (benchmarks and tools included): a broad handler is tolerable only when
   the failure stays *observable* — the body re-raises, logs, or counts

@@ -1,6 +1,6 @@
-"""Tracing-coverage rules migrated from ``tools/check_instrumentation.py``.
+"""Tracing-coverage rules.
 
-Two rules keep the observability contract of PR 1/2 enforceable:
+Two rules keep the observability contract enforceable:
 
 - :class:`TracedManifestRule` — every ``(file, class, method)`` triple in
   ``repro.obs.instrument.INSTRUMENTATION_MANIFEST`` must exist and carry

@@ -1,10 +1,8 @@
 """Shared AST plumbing: parsed modules, pragmas, and node helpers.
 
-This is the deduplicated walking boilerplate that used to be copied
-between ``tools/check_instrumentation.py`` and
-``tools/check_bare_except.py``: every file is read and parsed exactly
-once into a :class:`Module`, and all rules share the same decorator /
-dotted-name / class-iteration helpers.
+Every file is read and parsed exactly once into a :class:`Module`, and
+all rules share the same decorator / dotted-name / class-iteration
+helpers.
 
 Suppression pragmas are comments of the form::
 

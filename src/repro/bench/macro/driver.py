@@ -605,6 +605,21 @@ def _evaluate_gates(scenario: Scenario, stats: Dict[str, Any]) -> Dict[str, Any]
         }
         if spec.require_abuser_shed:
             gates["abuser_shed"] = {"pass": bool(serving.get("abuser_shed"))}
+    faults = stats["faults"]
+    if scenario.fault_rate > 0:
+        # a chaos run whose injector never fired proves nothing
+        gates["faults_fired"] = {"pass": bool(faults["injected"]),
+                                 "injected": faults["injected"]}
+    else:
+        # without injected faults the resilience machinery stays idle
+        gates["clean_health"] = {
+            "pass": not (faults["injected"] or faults["breaker_transitions"]
+                         or faults["degraded_placements"]),
+            **faults,
+        }
+    if scenario.parallelism > 1:
+        fanouts = stats["executor"]["fanouts"]
+        gates["fanned_out"] = {"pass": fanouts > 0, "fanouts": fanouts}
     return gates
 
 
@@ -677,6 +692,12 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
         if scenario.serving is not None:
             stats["serving"] = run_serving(lake, scenario.serving,
                                            scenario.seed)
+        stats["faults"] = {
+            "injected": polystore.relational.injected_counts(),
+            "breaker_transitions": len(polystore.health.transitions()),
+            "degraded_placements": len(polystore.degraded_placements()),
+        }
+        stats["executor"] = lake.executor.stats()
     finally:
         lake.close()
 

@@ -108,7 +108,7 @@ MATRIX: Sequence[Scenario] = (
                     "hold availability at three nines.",
         seed=SEED + 7,
         ops=80,
-        fault_rate=0.15,
+        fault_rate=0.20,
         op_mix=OpMix(ingest=1, discover=3, sql=2, fetch=4, federation=2),
         gates=Gates(min_availability=0.99, min_discovery_answers=1),
     ),

@@ -24,8 +24,7 @@ asserts:
 Latencies are measured client-side with ``perf_counter`` around each
 ``serve`` round trip, so queueing (the resource abuse actually
 contends for) is inside the measurement.  Used by
-``benchmarks/test_bench_serving.py`` (writes ``BENCH_serving.json``)
-and the ``serving-bench`` task (``tools/serving_bench.py``).
+``benchmarks/test_bench_serving.py``, which writes ``BENCH_serving.json``.
 """
 
 from __future__ import annotations

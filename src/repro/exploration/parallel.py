@@ -48,6 +48,10 @@ from repro.obs import (check_deadline, emit, get_recorder, get_registry,
 #: the engines the cache and epoch clock know about, one epoch stream each
 ENGINES: Tuple[str, ...] = ("aurum", "keyword", "union")
 
+#: the per-executor run counts, each also an ``exploration.parallel.*`` counter
+EXECUTOR_COUNTS: Tuple[str, ...] = ("fanouts", "serial_runs",
+                                    "degraded_serial", "breaker_serial")
+
 #: query kind -> the engine whose index epoch guards its cached results
 ENGINE_OF_KIND: Dict[str, str] = {
     "joinable": "aurum",
@@ -310,11 +314,20 @@ class ParallelDiscoveryExecutor:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._slots = threading.Semaphore(workers)
+        # exact per-instance counts for stats(); the registry counters are
+        # process-wide, so every lake in the process feeds the same ones
+        self._counts = dict.fromkeys(EXECUTOR_COUNTS, 0)
         registry = get_registry()
-        self._m_fanouts = registry.counter("exploration.parallel.fanouts")
-        self._m_serial = registry.counter("exploration.parallel.serial_runs")
-        self._m_degraded = registry.counter("exploration.parallel.degraded_serial")
-        self._m_breaker = registry.counter("exploration.parallel.breaker_serial")
+        self._metrics = {
+            count: registry.counter(f"exploration.parallel.{count}")
+            for count in EXECUTOR_COUNTS}
+
+    def _count(self, *names: str) -> None:
+        with self._lock:
+            for name in names:
+                self._counts[name] += 1
+        for name in names:
+            self._metrics[name].inc()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -348,7 +361,6 @@ class ParallelDiscoveryExecutor:
         try:
             return bool(health.degraded())
         except Exception:  # lakelint: disable=bare-except,exception-hygiene — a broken health probe must never take queries down; gate open, count below
-            self._m_breaker.inc()
             return True
 
     def _acquire_slots(self, wanted: int) -> int:
@@ -375,17 +387,15 @@ class ParallelDiscoveryExecutor:
             return []
         check_deadline("exploration.parallel.run_sharded")
         if self.workers <= 1 or len(items) <= 1:
-            self._m_serial.inc()
+            self._count("serial_runs")
             return list(compute_chunk(items))
         if self._breaker_open():
-            self._m_breaker.inc()
-            self._m_serial.inc()
+            self._count("breaker_serial", "serial_runs")
             return list(compute_chunk(items))
         granted = self._acquire_slots(min(self.workers, len(items)))
         if granted < 2:
             self._release_slots(granted)
-            self._m_degraded.inc()
-            self._m_serial.inc()
+            self._count("degraded_serial", "serial_runs")
             return list(compute_chunk(items))
         try:
             shards = split_shards(items, granted)
@@ -394,7 +404,7 @@ class ParallelDiscoveryExecutor:
                     "exploration.parallel.fanout", tier="exploration",
                     system="parallel", function="query_driven_discovery",
                     label=label, shards=len(shards), items=len(items)):
-                self._m_fanouts.inc()
+                self._count("fanouts")
                 # capture once, rebind on every pool thread: shard spans
                 # must carry the submitting request's id
                 runner = with_context(compute_chunk)
@@ -415,13 +425,9 @@ class ParallelDiscoveryExecutor:
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        return {
-            "workers": self.workers,
-            "fanouts": self._m_fanouts.value,
-            "serial_runs": self._m_serial.value,
-            "degraded_serial": self._m_degraded.value,
-            "breaker_serial": self._m_breaker.value,
-        }
+        """Exact counts for this executor (the obs counters are process-wide)."""
+        with self._lock:
+            return {"workers": self.workers, **self._counts}
 
     def __repr__(self) -> str:
         return f"ParallelDiscoveryExecutor(workers={self.workers})"

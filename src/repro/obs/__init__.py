@@ -12,7 +12,7 @@ measurement substrate that makes them observable in the running lake:
   the tier → function → system aggregation mirroring Table 1;
 - :mod:`repro.obs.instrument` — the ``@traced`` decorator, the global
   recorder/registry wiring and the instrumentation manifest enforced by
-  ``tools/check_instrumentation.py``;
+  the ``traced-manifest`` lakelint rule;
 - :mod:`repro.obs.context` — per-request identity (:class:`RequestContext`)
   propagated across every thread boundary in the repo;
 - :mod:`repro.obs.events` — the bounded structured event log ("flight

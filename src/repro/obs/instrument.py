@@ -7,8 +7,9 @@ attribute read plus an identity check before calling through — the
 overhead budget asserted by ``benchmarks/test_bench_obs_overhead.py``.
 
 :data:`INSTRUMENTATION_MANIFEST` is the contract between the code and
-``tools/check_instrumentation.py``: every public hot-path entry point
-listed here must carry a ``@traced`` decorator, enforced by a tier-1 test.
+the ``traced-manifest`` lakelint rule: every public hot-path entry point
+listed here must carry a ``@traced`` decorator, enforced in tier 1 by
+``tests/test_lakelint.py``.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ The sampler meters that work itself: every tick is timed, and the
 snapshot reports the **duty cycle** (time inside ticks as a share of
 the wall time sampled).  On a single core that ratio *is* the
 wall-clock fraction stolen from the workload, so the "cheap enough to
-leave on" claim is asserted directly against it in ``BENCH_slo.json``
-(≤ 5% budget) instead of against off-vs-on wall-clock differences,
-which on a noisy shared host cannot resolve a sub-1% effect.
+leave on" claim is asserted directly against it in
+``BENCH_primitives.json`` (≤ 5% budget) instead of against off-vs-on
+wall-clock differences, which on a noisy shared host cannot resolve a
+sub-1% effect.
 
 Attribution rides the context layer's thread-id → request-id map
 (:func:`repro.obs.context.thread_request_id`): the sampler cannot read

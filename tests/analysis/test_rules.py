@@ -331,6 +331,29 @@ class TestBareExcept:
         findings = _run(BareExceptRule(allowlist={}), tmp_path)
         assert len(findings) == 1 and findings[0].rule == "bare-except"
 
+    def test_broad_member_of_a_tuple_fires(self, tmp_path):
+        _tree(tmp_path, {"repro/mod.py": """
+            try:
+                work()
+            except (ValueError, BaseException):
+                pass
+        """})
+        findings = _run(BareExceptRule(allowlist={}), tmp_path)
+        assert [f.line for f in findings] == [4]
+
+    def test_reraising_broad_handler_is_sanctioned(self, tmp_path):
+        _tree(tmp_path, {"repro/mod.py": """
+            try:
+                work()
+            except Exception as exc:
+                log(exc)
+                raise
+        """})
+        assert _run(BareExceptRule(allowlist={}), tmp_path) == []
+
+    def test_scheduler_worker_loop_is_allowlisted(self):
+        assert "repro/runtime/scheduler.py" in BareExceptRule.DEFAULT_ALLOWLIST
+
 
 class TestBreakerGuarded:
     def _findings(self, tmp_path, body):
@@ -527,6 +550,20 @@ class TestTracedRules:
         findings = _run(rule, tmp_path)
         assert len(findings) == 1 and "stale manifest entry" in findings[0].message
 
+    def test_missing_class_and_method_fire(self, tmp_path):
+        _tree(tmp_path, {"repro/engine.py": self.TRACED})
+        rule = TracedManifestRule(manifest=[("repro/engine.py", "Gone", "run"),
+                                            ("repro/engine.py", "Engine", "gone")])
+        messages = sorted(f.message for f in _run(rule, tmp_path))
+        assert messages == ["Engine.gone not found", "class Gone not found"]
+
+    def test_manifest_covers_lake_and_polystore_entry_points(self):
+        from repro.obs import INSTRUMENTATION_MANIFEST
+
+        methods = {(cls, method) for _, cls, method in INSTRUMENTATION_MANIFEST}
+        assert {("DataLake", "ingest"), ("Polystore", "store"),
+                ("Polystore", "fetch")} <= methods
+
     def test_runtime_entry_point_without_traced_fires(self, tmp_path):
         _tree(tmp_path, {"repro/runtime/worker.py": """
             class Worker:
@@ -538,10 +575,18 @@ class TestTracedRules:
 
                 def helper(self):
                     pass
+
+                def drain_all(self):
+                    pass
+
+            class _Internal:
+                def submit(self, job):
+                    pass
         """})
         findings = _run(RuntimeTracedRule(), tmp_path)
-        assert len(findings) == 1
+        assert len(findings) == 2
         assert "Worker.submit" in findings[0].message
+        assert "Worker.drain_all" in findings[1].message
 
     def test_missing_runtime_package_reported(self, tmp_path):
         _tree(tmp_path, {"repro/other.py": "x = 1\n"})

@@ -9,10 +9,14 @@ fresh serial reference, SQL oracles, crash-restart visibility, and
 abusive-tenant shedding.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.bench.macro import (MATRIX, get_scenario, run_matrix, run_scenario,
-                               scenario_names, smoke_matrix)
+from repro.bench.macro import (MATRIX, Gates, Scenario, get_scenario,
+                               run_matrix, run_scenario, scenario_names,
+                               smoke_matrix)
+from repro.bench.macro.driver import _evaluate_gates
 from repro.bench.results import validate_envelope
 
 SMOKE = {scenario.name: scenario for scenario in smoke_matrix()}
@@ -67,9 +71,11 @@ def test_serving_abuse_sheds_the_abuser_not_the_compliant():
 
 
 def test_chaos_scenario_holds_availability_under_faults():
-    stats = _report("chaos_faults")["stats"]
-    assert stats["availability"] >= 0.99
-    assert stats["unhandled_errors"] == []
+    report = _report("chaos_faults")
+    assert report["stats"]["availability"] >= 0.99
+    assert report["stats"]["unhandled_errors"] == []
+    assert report["gates"]["faults_fired"]["pass"]
+    assert "clean_health" not in report["gates"]
 
 
 def test_crash_restart_keeps_committed_data_visible():
@@ -88,6 +94,8 @@ def test_reports_carry_the_measured_surface():
         assert summary["p95"] >= summary["p50"] >= 0.0
     assert stats["verification"]["match"]
     assert report["scenario"]["name"] == "baseline_mixed"
+    assert report["gates"]["clean_health"]["pass"]
+    assert report["gates"]["fanned_out"]["fanouts"] > 0
 
 
 def test_run_matrix_wraps_reports_in_the_shared_envelope():
@@ -95,3 +103,34 @@ def test_run_matrix_wraps_reports_in_the_shared_envelope():
     assert validate_envelope(doc) == []
     assert set(doc["results"]["scenarios"]) == {"baseline_mixed"}
     assert doc["gates"]["baseline_mixed"]["pass"] is True
+
+
+def _derived(scenario, injected=None, transitions=0, degraded=0, fanouts=1):
+    """Gate verdicts for synthetic stats (discovery/SQL gates switched off)."""
+    stats = {"availability": 1.0, "unhandled_errors": [],
+             "faults": {"injected": injected or {},
+                        "breaker_transitions": transitions,
+                        "degraded_placements": degraded},
+             "executor": {"fanouts": fanouts}}
+    return {name: gate["pass"]
+            for name, gate in _evaluate_gates(scenario, stats).items()}
+
+
+def test_derived_gates_fail_when_they_should():
+    clean = Scenario(name="synthetic", parallelism=2,
+                     gates=Gates(require_discovery_match=False,
+                                 require_sql_oracle=False))
+    chaos = dataclasses.replace(clean, fault_rate=0.2)
+    serial = dataclasses.replace(clean, parallelism=1)
+
+    assert _derived(clean) == {"availability": True, "unhandled": True,
+                               "clean_health": True, "fanned_out": True}
+    for noise in ({"injected": {"table": 1}}, {"transitions": 2},
+                  {"degraded": 1}):
+        assert _derived(clean, **noise)["clean_health"] is False, noise
+    assert _derived(clean, fanouts=0)["fanned_out"] is False
+    assert "fanned_out" not in _derived(serial, fanouts=0)
+
+    assert _derived(chaos)["faults_fired"] is False
+    fired = _derived(chaos, injected={"table": 5}, transitions=3, degraded=1)
+    assert fired["faults_fired"] is True and "clean_health" not in fired

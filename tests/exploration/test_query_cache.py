@@ -194,7 +194,18 @@ class TestExecutor:
         executor = ParallelDiscoveryExecutor(workers=4,
                                              health=_FakeHealth(boom=True))
         assert executor.run_sharded([1, 2, 3], lambda c: list(c)) == [1, 2, 3]
+        assert executor.stats()["breaker_serial"] == 1
         executor.close()
+
+    def test_stats_count_this_executor_only(self):
+        with ParallelDiscoveryExecutor(workers=4) as busy, \
+                ParallelDiscoveryExecutor(workers=4) as idle:
+            busy.run_sharded([1, 2, 3, 4], lambda c: list(c))
+            busy.run_sharded([1], lambda c: list(c))
+            assert busy.stats() == {"workers": 4, "fanouts": 1,
+                                    "serial_runs": 1, "degraded_serial": 0,
+                                    "breaker_serial": 0}
+            assert idle.stats()["fanouts"] == idle.stats()["serial_runs"] == 0
 
     def test_chunk_exception_propagates(self):
         def explode(chunk):
