@@ -19,7 +19,7 @@ and free of cycles.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dataset import Dataset, Table
 from repro.core.errors import DatasetNotFound, SchemaError
@@ -108,8 +108,10 @@ class DataLake:
             self._query_cache = QueryCache(max_entries=cache)
         else:
             self._query_cache = None
-        self._union_index = None
-        self._union_epoch = -1
+        # (epoch, index): published as one value so no reader pairs an
+        # index with another build's epoch
+        self._union: Tuple[int, Any] = (-1, None)
+        self._union_lock = threading.Lock()
         self._slo_engine = None
         if slos:
             from repro.obs.slo import SLOEngine
@@ -406,24 +408,30 @@ class DataLake:
     def _union_search(self):
         """The lake's union-search index, rebuilt only when its epoch moves.
 
-        Unlike the Aurum/keyword indexes the union profiles are cheap to
-        rebuild and immutable once built, so maintenance here is
-        build-and-swap: readers of the previous index are unaffected.
+        A rebuild profiles every column of every table again, embedding
+        each one's values, so it runs only after a tabular change.  The
+        index is immutable once built, so maintenance is build-and-swap:
+        readers of the previous index are unaffected.  The build runs
+        outside any lock; publishing takes ``_union_lock`` and never
+        replaces the index of a newer epoch with an older build.
         """
         self._quiesce()
         epoch = self._epochs.epoch("union")
-        if self._union_index is None or self._union_epoch != epoch:
-            from repro.discovery.table_union import TableUnionSearch
+        published_epoch, index = self._union
+        if published_epoch >= epoch:
+            return index
+        from repro.discovery.table_union import TableUnionSearch
 
-            with get_recorder().span("maintenance.union.index_build",
-                                     tier="maintenance", system="TableUnionSearch",
-                                     function="related_dataset_discovery"):
-                index = TableUnionSearch()
-                for table in self.tables():
-                    index.add_table(table)
-            self._union_index = index
-            self._union_epoch = epoch
-        return self._union_index
+        with get_recorder().span("maintenance.union.index_build",
+                                 tier="maintenance", system="TableUnionSearch",
+                                 function="related_dataset_discovery"):
+            index = TableUnionSearch()
+            for table in self.tables():
+                index.add_table(table)
+        with self._union_lock:
+            if self._union[0] < epoch:
+                self._union = (epoch, index)
+            return self._union[1]
 
     # -- the cache funnel ------------------------------------------------------
     #

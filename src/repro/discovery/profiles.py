@@ -7,12 +7,17 @@ constraints), semantics, and descriptive metadata".  :class:`TableProfiler`
 extracts those signals once per column into a :class:`ColumnProfile`, which
 the individual systems (Aurum, JOSIE, D3L, Juneau, ...) then index in their
 own ways.  Aurum calls these per-column summaries *signatures*.
+
+Every signal but one is extracted when the column is profiled.  The value
+embedding, which of the profiling engines only D3L reads, is computed on
+the first read of :attr:`ColumnProfile.embedding` and then kept on the
+profile.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -33,6 +38,11 @@ class ColumnProfile:
     ``name_qgrams``), semantics (``embedding``), value representation
     pattern (``patterns``), numeric distribution (``numeric``), plus key
     signals (``uniqueness``) and null statistics.
+
+    ``embedding`` is computed on first read, by ``embedder``, from the
+    column name plus the first ``embed_sample`` sorted ``distinct`` values,
+    and kept from then on.  Two threads racing on the first read compute
+    the same deterministic vector, so no lock guards it.
     """
 
     table: str
@@ -48,7 +58,18 @@ class ColumnProfile:
     name_qgrams: Set[str]
     patterns: Counter
     numeric: List[float]
-    embedding: np.ndarray
+    embedder: HashedEmbedder = field(repr=False, compare=False)
+    embed_sample: int = field(repr=False, compare=False)
+    _embedding: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def embedding(self) -> np.ndarray:
+        """The semantic signal: a unit-norm centroid of name and sample."""
+        if self._embedding is None:
+            sample = sorted(self.distinct)[: self.embed_sample]
+            self._embedding = self.embedder.embed_set([self.column] + sample)
+        return self._embedding
 
     @property
     def ref(self) -> Tuple[str, str]:
@@ -85,6 +106,10 @@ class TableProfiler:
     embedder:
         The text embedder used for the semantic signal; defaults to a
         shared :class:`~repro.ml.embeddings.HashedEmbedder`.
+    embed_sample:
+        How many sorted distinct values join the column name in the
+        semantic signal.  Profiling does not embed: each profile computes
+        its embedding on first read.
     """
 
     def __init__(
@@ -100,7 +125,8 @@ class TableProfiler:
         self.embed_sample = embed_sample
 
     def profile_column(self, table_name: str, column: Column) -> ColumnProfile:
-        """Extract all signals for one column."""
+        """Extract all signals for one column; the embedding waits for its
+        first read."""
         distinct_all = column.distinct()
         minhash = self.hasher.signature(distinct_all)
         distinct = distinct_all
@@ -111,9 +137,6 @@ class TableProfiler:
             value_pattern(v) for v in column.values if v is not None
         )
         patterns.pop("", None)
-        sample = sorted(distinct)[: self.embed_sample]
-        name_and_values = [column.name] + [str(v) for v in sample]
-        embedding = self.embedder.embed_set(name_and_values)
         return ColumnProfile(
             table=table_name,
             column=column.name,
@@ -128,7 +151,8 @@ class TableProfiler:
             name_qgrams=qgrams(column.name),
             patterns=patterns,
             numeric=numeric_values(column.values),
-            embedding=embedding,
+            embedder=self.embedder,
+            embed_sample=self.embed_sample,
         )
 
     def profile_table(self, table: Table) -> List[ColumnProfile]:

@@ -52,13 +52,22 @@ class _AttributeProfile:
     technique="Ensemble of unionability goodness signals",
 ))
 class TableUnionSearch:
-    """Top-k unionable-table search over a set of lake tables."""
+    """Top-k unionable-table search over a set of lake tables.
+
+    A query that is the very :class:`Table` object passed to
+    :meth:`add_table` is scored from the stored profiles, so it is not
+    profiled (its values embedded) again.  That is sound because a table
+    is immutable once built, and a re-ingest yields a new object.  Any
+    other query is profiled on each ``table_unionability`` or
+    ``alignment`` call.
+    """
 
     def __init__(self, embedder: Optional[HashedEmbedder] = None,
                  sample_values: int = 40):
         self.embedder = embedder or HashedEmbedder()
         self.sample_values = sample_values
         self._tables: Dict[str, List[_AttributeProfile]] = {}
+        self._sources: Dict[str, Table] = {}  # the objects profiled
 
     # -- profiling ------------------------------------------------------------------
 
@@ -78,6 +87,13 @@ class TableUnionSearch:
 
     def add_table(self, table: Table) -> None:
         self._tables[table.name] = self._profile(table)
+        self._sources[table.name] = table
+
+    def _query_profiles(self, query: Table) -> List[_AttributeProfile]:
+        """The stored profiles of an indexed query, else fresh ones."""
+        if self._sources.get(query.name) is query:
+            return self._tables[query.name]
+        return self._profile(query)
 
     def tables(self) -> List[str]:
         return sorted(self._tables)
@@ -101,7 +117,7 @@ class TableUnionSearch:
         candidate = self._tables.get(candidate_name)
         if candidate is None:
             raise DatasetNotFound(f"table {candidate_name!r} is not indexed")
-        query_profiles = self._profile(query)
+        query_profiles = self._query_profiles(query)
         scored = []
         for qi, qp in enumerate(query_profiles):
             for ci, cp in enumerate(candidate):
@@ -123,7 +139,7 @@ class TableUnionSearch:
         candidate = self._tables.get(candidate_name)
         if candidate is None:
             raise DatasetNotFound(f"table {candidate_name!r} is not indexed")
-        query_profiles = self._profile(query)
+        query_profiles = self._query_profiles(query)
         scored = []
         for qp in query_profiles:
             for cp in candidate:

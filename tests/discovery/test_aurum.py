@@ -52,6 +52,28 @@ class TestBuild:
         assert aurum.ekg.num_edges == edges_before
 
 
+def test_aurum_never_embeds(monkeypatch, small_lake):
+    """Aurum reads no profile embedding, so it computes none."""
+    from repro.ml.embeddings import HashedEmbedder
+
+    calls = []
+    embed_set = HashedEmbedder.embed_set
+
+    def spy(self, texts):
+        calls.append(texts)
+        return embed_set(self, texts)
+
+    monkeypatch.setattr(HashedEmbedder, "embed_set", spy)
+    engine = Aurum()
+    for table in small_lake:
+        engine.add_table(table)
+    engine.build()
+    engine.related_tables("orders")
+    engine.update_table(Table.from_columns("orders", {
+        "order_id": [f"o{r}" for r in range(20)]}))
+    assert calls == []
+
+
 class TestQueries:
     def test_joinable(self, aurum):
         hits = aurum.joinable("orders", "customer_id", k=3)

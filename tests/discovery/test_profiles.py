@@ -57,6 +57,47 @@ class TestProfileColumn:
         assert np.linalg.norm(profile.embedding) == pytest.approx(1.0)
 
 
+class TestLazyEmbedding:
+    @pytest.fixture
+    def calls(self, monkeypatch, profiler):
+        calls = []
+        embed_set = profiler.embedder.embed_set
+
+        def spy(texts):
+            calls.append(list(texts))
+            return embed_set(texts)
+
+        monkeypatch.setattr(profiler.embedder, "embed_set", spy)
+        return calls
+
+    def test_profiling_does_not_embed(self, profiler, calls, customers):
+        profiler.profile_table(customers)
+        assert calls == []
+
+    @pytest.mark.parametrize("max_distinct, column", [
+        (10_000, Column("city", ["berlin", "paris", None, "berlin"])),
+        (10, Column("v", [f"x{i}" for i in range(100)])),
+        (10_000, Column("empty", [None, None])),
+        (10_000, Column("", [None, None])),  # no name tokens: the zero vector
+    ])
+    def test_first_read_embeds_name_and_sample(self, profiler, calls,
+                                               max_distinct, column):
+        import numpy as np
+
+        profiler.max_distinct = max_distinct
+        profile = profiler.profile_column("t", column)
+        texts = [column.name] + sorted(profile.distinct)[: profiler.embed_sample]
+        expected = profiler.embedder.embed_set(texts)
+        del calls[:]
+        first = profile.embedding
+        assert calls == [texts]
+        assert np.array_equal(first, expected)
+        if not column.name:
+            assert not first.any()
+        assert profile.embedding is first  # kept: no second embed
+        assert len(calls) == 1
+
+
 class TestProfileTable:
     def test_profiles_every_column(self, profiler, customers):
         profiles = profiler.profile_table(customers)

@@ -80,16 +80,56 @@ class TestTopK:
         hits = search.top_k(table, k=5, min_score=0.0)
         assert all(name != "eu_sales" for name, _ in hits)
 
-    def test_unionable_workload_ground_truth(self):
-        from repro.datagen import LakeGenerator
-
-        workload = LakeGenerator(seed=13).generate_unionable(
-            num_groups=2, tables_per_group=3, rows_per_table=30,
-        )
-        search = TableUnionSearch()
-        for table in workload.tables:
-            search.add_table(table)
+    def test_unionable_workload_ground_truth(self, unionable):
+        workload, search = unionable
         for group in workload.unionable_groups:
             query = workload.table(group[0])
             hits = [name for name, _ in search.top_k(query, k=2, min_score=0.3)]
             assert set(hits) == set(group[1:])
+
+
+@pytest.fixture
+def unionable():
+    from repro.datagen import LakeGenerator
+
+    workload = LakeGenerator(seed=13).generate_unionable(
+        num_groups=2, tables_per_group=3, rows_per_table=30,
+    )
+    search = TableUnionSearch()
+    for table in workload.tables:
+        search.add_table(table)
+    return workload, search
+
+
+def _count_embeds(monkeypatch, search):
+    calls = []
+    embed_set = search.embedder.embed_set
+
+    def spy(texts):
+        calls.append(texts)
+        return embed_set(texts)
+
+    monkeypatch.setattr(search.embedder, "embed_set", spy)
+    return calls
+
+
+class TestQueryProfileReuse:
+    def test_indexed_query_is_not_embedded(self, monkeypatch, unionable):
+        workload, search = unionable
+        calls = _count_embeds(monkeypatch, search)
+        for table in workload.tables:  # the very objects add_table profiled
+            search.top_k(table, k=3, min_score=0.0)
+            search.alignment(table, search.tables()[0])
+        assert calls == []
+
+    def test_indexed_and_copied_queries_score_alike(self, unionable):
+        workload, search = unionable
+        for table in workload.tables:
+            copy = Table(table.name, table.columns)  # equal content, new object
+            assert search.top_k(table, k=4, min_score=0.0) == \
+                search.top_k(copy, k=4, min_score=0.0)
+            for candidate in search.tables():
+                assert search.table_unionability(table, candidate) == \
+                    search.table_unionability(copy, candidate)
+                assert search.alignment(table, candidate) == \
+                    search.alignment(copy, candidate)

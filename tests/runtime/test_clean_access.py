@@ -12,7 +12,10 @@ Note: ``obs.reset()`` replaces the metric objects held by existing
 lakes, so every test resets *first* and builds its lake after.
 """
 
+import threading
+
 from repro.core.lake import DataLake
+from repro.discovery.table_union import TableUnionSearch
 from repro.obs import get_recorder, get_registry, reset
 
 
@@ -73,3 +76,69 @@ def test_union_index_rebuilds_only_on_epoch_move():
     lake.discover_union("orders")
     lake.discover_union("users")
     assert _span_count("maintenance.union.index_build") == 2
+
+
+def test_older_union_build_never_replaces_a_newer_one(monkeypatch):
+    """A build that started before an ingest must not publish over the
+    index built after it: the lake would lose the ingested table and
+    rebuild again on the next query."""
+    reset()
+    lake = _populate(DataLake(cache=False))
+    parked, release = threading.Event(), threading.Event()
+    add_table = TableUnionSearch.add_table
+
+    def park_once(self, table):
+        if threading.current_thread().name == "stale-build" and not parked.is_set():
+            parked.set()
+            release.wait(10)
+        add_table(self, table)
+
+    monkeypatch.setattr(TableUnionSearch, "add_table", park_once)
+    stale = threading.Thread(target=lake.discover_union, args=("orders",),
+                             name="stale-build")
+    stale.start()
+    try:
+        assert parked.wait(10)
+        lake.ingest_table("late", {"id": [9], "city": ["z"]})
+        lake.discover_union("orders")  # builds and publishes the newer index
+    finally:
+        release.set()
+        stale.join(10)
+    assert not stale.is_alive()
+    builds = _span_count("maintenance.union.index_build")
+    assert "late" in lake._union_search().tables()
+    assert _span_count("maintenance.union.index_build") == builds, (
+        "the stale build replaced the newer index, so the query rebuilt it")
+
+
+def test_reader_of_an_older_epoch_takes_the_newer_index(monkeypatch):
+    """A reader that read epoch E, then saw E+1's index published, uses
+    that index: building E's would be thrown away unpublished."""
+    reset()
+    lake = _populate(DataLake(cache=False))
+    lake.discover_union("orders")
+    read, go = threading.Event(), threading.Event()
+    epoch = lake._epochs.epoch
+
+    def pause_after_read(engine):
+        value = epoch(engine)
+        if threading.current_thread().name == "late-reader":
+            read.set()
+            go.wait(10)
+        return value
+
+    monkeypatch.setattr(lake._epochs, "epoch", pause_after_read)
+    reader = threading.Thread(target=lake.discover_union, args=("orders",),
+                              name="late-reader")
+    reader.start()
+    try:
+        assert read.wait(10)
+        lake.ingest_table("late", {"id": [9], "city": ["z"]})
+        lake.discover_union("orders")  # builds and publishes the newer index
+        builds = _span_count("maintenance.union.index_build")
+    finally:
+        go.set()
+        reader.join(10)
+    assert not reader.is_alive()
+    assert _span_count("maintenance.union.index_build") == builds, (
+        "the late reader built an index for an epoch already superseded")
