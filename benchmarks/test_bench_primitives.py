@@ -8,7 +8,7 @@ Three primitives sit on hot paths, so their own cost is gated:
 - **the circuit breaker** — a fetch through the guarded polystore costs
   less than 1.25x the same fetch with resilience disabled;
 - **the sampling profiler** — its self-metered duty cycle over an
-  uncached parallel discovery stream stays at or below 5%.
+  uncached discovery stream stays at or below 5%.
 
 Cold-reload recovery time per commit of the lakehouse log is reported,
 not gated.  Results land in ``BENCH_primitives.json``.
@@ -39,7 +39,8 @@ ATOMIC_FILES, ATOMIC_PAYLOAD_BYTES, ATOMIC_ROUNDS = 150, 65536, 5
 LOG_LENGTHS, ROWS_PER_COMMIT = (5, 25, 100), 20
 BREAKER_DATASETS, BREAKER_FETCHES = 50, 2000
 # 60 uncached sweeps give the sampler well over the 50 samples its gate
-# needs (about 2 s on a 2-core VM); 0.01 s is the always-on default interval
+# needs (110-125 samples in about 1.2 s on a 2-core VM); 0.01 s is the
+# always-on default interval
 SAMPLER_SWEEPS, SAMPLER_INTERVAL_S = 60, 0.01
 
 MAX_ATOMIC_RATIO = 2.0
@@ -150,7 +151,7 @@ def measure_breaker():
 
 
 def measure_sampler():
-    """The sampler's duty cycle over an uncached parallel discovery stream.
+    """The sampler's duty cycle over an uncached discovery stream.
 
     The duty cycle is self-metered (tick time over wall time sampled),
     so it needs no off-run to compare against: on one core it is the
@@ -159,7 +160,7 @@ def measure_sampler():
     workload = LakeGenerator(seed=SEED).generate(
         num_pools=10, tables_per_pool=3, rows_per_table=30, pool_size=60)
     # cache off: every sweep recomputes real index work the sampler sees
-    lake = DataLake(parallelism=4, cache=False, profile=False)
+    lake = DataLake(cache=False, profile=False)
     try:
         for table in workload.tables:
             lake.ingest(Dataset(table.name, table, format="table"))

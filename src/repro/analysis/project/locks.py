@@ -24,9 +24,9 @@ answers two questions the per-file rules cannot:
 
 Deliberate non-findings, matching how the repo's concurrency is designed:
 
-- ``Semaphore``/``BoundedSemaphore`` are **not** tracked locks: the
-  parallel executor's slot semaphore is *meant* to be held across
-  ``pool.submit``/``future.result`` (it is the concurrency budget).
+- ``Semaphore``/``BoundedSemaphore`` are **not** tracked locks: a
+  slot semaphore is a concurrency budget, *meant* to be held across
+  ``pool.submit``/``future.result``.
 - Re-entrant kinds (``RLock``, default ``Condition``) do not self-edge:
   ``engine() → refresh()`` re-entering ``self._lock`` is the design.
   A plain ``Lock`` or ReadWriteLock self-edge *is* reported

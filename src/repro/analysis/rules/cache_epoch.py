@@ -10,9 +10,8 @@ the same query.  This rule makes the funnel checkable:
 
 - an *engine query call* is any method call whose name is one of the
   discovery/search entry points (``joinable`` / ``related_tables`` /
-  ``related_scores`` / ``search`` / ``score_tables`` / ``score_candidates``
-  / ``top_k``) — the receiver does not matter, because the engines are
-  routinely re-bound to locals (``engine = self.discovery``);
+  ``search`` / ``top_k``) — the receiver does not matter, because the
+  engines are routinely re-bound to locals (``engine = self.discovery``);
 - the call is compliant when it happens lexically inside an argument to
   ``self._cached(...)`` (the idiom is a lambda thunk) or inside a helper
   named ``*_uncached`` — the explicit convention marking the compute
@@ -38,10 +37,7 @@ from repro.analysis.walker import Module
 QUERY_METHODS = frozenset({
     "joinable",
     "related_tables",
-    "related_scores",
     "search",
-    "score_tables",
-    "score_candidates",
     "top_k",
 })
 

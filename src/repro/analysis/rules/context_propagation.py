@@ -12,14 +12,13 @@ is an explicit hand-off at every spawn site:
   internally);
 - re-bind on the receiving thread (:func:`~repro.obs.context.bind_context`).
 
-This rule makes the convention checkable: inside ``repro/runtime/`` and
-``repro/exploration/parallel.py``, any ``.submit(...)`` call (except
-``self.submit`` delegation, which bottoms out in a capturing leaf) and
-any ``Thread(...)`` construction must sit in a function that references
-one of the hand-off helpers.  Deliberately context-neutral spawns — the
-scheduler's worker loop, which re-binds per *job* instead of per thread
-— carry an inline ``# lakelint: disable=context-propagation`` pragma
-with a rationale.
+This rule makes the convention checkable: inside ``repro/runtime/``,
+any ``.submit(...)`` call (except ``self.submit`` delegation, which
+bottoms out in a capturing leaf) and any ``Thread(...)`` construction
+must sit in a function that references one of the hand-off helpers.
+Deliberately context-neutral spawns — the scheduler's worker loop,
+which re-binds per *job* instead of per thread — carry an inline
+``# lakelint: disable=context-propagation`` pragma with a rationale.
 """
 
 from __future__ import annotations
@@ -112,11 +111,10 @@ class ContextPropagationRule(Rule):
     """Thread-spawn sites must hand the active RequestContext across."""
 
     name = "context-propagation"
-    description = ("submit/thread-spawn call sites in runtime/ and "
-                   "exploration/parallel.py must capture-and-restore the "
-                   "active RequestContext (with_context / bind_context / "
-                   "capture_context)")
-    scope = ("/repro/runtime/", "/repro/exploration/parallel.py")
+    description = ("submit/thread-spawn call sites in runtime/ must "
+                   "capture-and-restore the active RequestContext "
+                   "(with_context / bind_context / capture_context)")
+    scope = ("/repro/runtime/",)
 
     def check_module(self, module: Module) -> List[Finding]:
         scanner = _SpawnScanner()

@@ -356,11 +356,11 @@ def _verify_against_reference(lake: DataLake, scenario: Scenario,
     """Replay a fixed query set on the lake and a fresh serial reference.
 
     The reference ingests an independently generated but seed-identical
-    corpus (plus the extras the run committed) with ``parallelism=1,
-    cache=False`` — the PR-5 ground truth path.  Discovery is
-    partition-invariant, so answers must match element for element.
+    corpus (plus the extras the run committed) with ``cache=False`` — the
+    uncached serial ground truth.  Discovery is partition-invariant, so
+    answers must match element for element.
     """
-    reference = DataLake(parallelism=1, cache=False, profile=False)
+    reference = DataLake(cache=False, profile=False)
     try:
         for dataset in build_corpus(scenario).datasets:
             reference.ingest(dataset)
@@ -617,9 +617,6 @@ def _evaluate_gates(scenario: Scenario, stats: Dict[str, Any]) -> Dict[str, Any]
                          or faults["degraded_placements"]),
             **faults,
         }
-    if scenario.parallelism > 1:
-        fanouts = stats["executor"]["fanouts"]
-        gates["fanned_out"] = {"pass": fanouts > 0, "fanouts": fanouts}
     return gates
 
 
@@ -629,7 +626,6 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     schedule = build_schedule(scenario, corpus)
     polystore = build_polystore(scenario.fault_rate, scenario.seed)
     lake = DataLake(polystore=polystore,
-                    parallelism=scenario.parallelism,
                     cache=scenario.cache,
                     async_maintenance=scenario.async_maintenance,
                     profile=False)
@@ -697,7 +693,6 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
             "breaker_transitions": len(polystore.health.transitions()),
             "degraded_placements": len(polystore.degraded_placements()),
         }
-        stats["executor"] = lake.executor.stats()
     finally:
         lake.close()
 

@@ -80,12 +80,11 @@ MATRIX: Sequence[Scenario] = (
     ),
     Scenario(
         name="discovery_storm",
-        description="Discovery-dominated repeated queries at higher "
-                    "fan-out — the query-cache and parallel-merge scenario.",
+        description="Discovery-dominated repeated queries from six "
+                    "clients — the query-cache scenario.",
         seed=SEED + 5,
         ops=100,
         clients=6,
-        parallelism=4,
         op_mix=OpMix(ingest=0, discover=6, sql=1, fetch=2, federation=1),
         gates=Gates(min_discovery_answers=3),
     ),

@@ -84,7 +84,7 @@ class Gates:
 
     min_availability: float = 0.99
     max_unhandled: int = 0
-    require_discovery_match: bool = True   # parallel answers == serial ref
+    require_discovery_match: bool = True   # answers == uncached serial ref
     require_sql_oracle: bool = True        # SQL row counts match the oracle
     min_discovery_answers: int = 0         # non-empty discovery results
     require_committed_visible: bool = False  # crash-restart recovery gate
@@ -103,7 +103,6 @@ class Scenario:
     ops: int = 60                  # scheduled client ops (pre-split)
     clients: int = 4               # concurrent client threads
     op_mix: OpMix = OpMix()
-    parallelism: int = 2           # lake discovery fan-out
     cache: bool = True
     async_maintenance: bool = False
     fault_rate: float = 0.0        # injected relational-fetch error rate

@@ -92,8 +92,8 @@ class DeadlineExceeded(DataLakeError):
     """The active :class:`~repro.obs.context.RequestContext` deadline passed.
 
     Raised by the deadline checkpoints (``DataLake._cached`` entry, the
-    parallel executor's fan-out loop) so a per-request timeout actually
-    cuts discovery work short instead of merely being carried along.
+    serving dispatcher) so a per-request timeout actually cuts discovery
+    work short instead of merely being carried along.
     """
 
 

@@ -45,18 +45,13 @@ class DataLake:
       immediately — built for bulk loads; call :meth:`drain` (or any
       exploration query, which quiesces first) to reach a consistent view.
 
-    Exploration runs through two orthogonal knobs (see docs/EXPLORATION.md):
-
-    - ``parallelism=`` — discovery fan-out width.  ``1`` (the default)
-      keeps every query strictly serial; higher values shard candidate
-      tables and batched queries across a bounded
-      :class:`~repro.exploration.parallel.ParallelDiscoveryExecutor`
-      whose merged output is element-for-element identical to serial;
-    - ``cache=`` — the lake-wide
-      :class:`~repro.exploration.parallel.QueryCache`.  ``True`` (the
-      default) memoizes discovery/keyword answers keyed by (engine,
-      normalized query, index epoch); an ``int`` bounds ``max_entries``;
-      ``False``/``None`` disables; a ``QueryCache`` instance is shared.
+    Discovery runs on the caller's thread (see docs/EXPLORATION.md).
+    ``cache=`` sets the lake-wide
+    :class:`~repro.exploration.parallel.QueryCache`: ``True`` (the
+    default) memoizes discovery/keyword answers keyed by (engine,
+    normalized query, index epoch); an ``int`` bounds ``max_entries``;
+    ``False``/``None`` disables; a ``QueryCache`` instance is shared.
+    Any other value raises :class:`TypeError`.
 
     Observability (see docs/OBSERVABILITY.md): ``slos=`` takes a sequence
     of :class:`~repro.obs.slo.SLO` objectives, evaluated over this lake's
@@ -73,14 +68,11 @@ class DataLake:
         maintenance_workers: int = 4,
         maintenance_queue_size: int = 256,
         polystore: Optional["Polystore"] = None,
-        parallelism: int = 1,
         cache: Any = True,
         slos: Optional[Sequence[Any]] = None,
         profile: bool = True,
     ):
-        from repro.exploration.parallel import (EpochClock,
-                                                ParallelDiscoveryExecutor,
-                                                QueryCache)
+        from repro.exploration.parallel import EpochClock, QueryCache
         from repro.storage.polystore import Polystore
 
         self.polystore = polystore if polystore is not None else Polystore()
@@ -96,18 +88,17 @@ class DataLake:
         self._maintainer = None
         self._index_refresh_pending = False  # coalesces async refresh jobs
         self._index_flag_lock = threading.Lock()
-        self.parallelism = max(1, parallelism)
         self._epochs = EpochClock()
-        self._executor = ParallelDiscoveryExecutor(
-            workers=self.parallelism, health=self.polystore.health)
         if isinstance(cache, QueryCache):
             self._query_cache: Optional[QueryCache] = cache
-        elif isinstance(cache, bool):
+        elif cache is None or isinstance(cache, bool):
             self._query_cache = QueryCache() if cache else None
         elif isinstance(cache, int):
             self._query_cache = QueryCache(max_entries=cache)
         else:
-            self._query_cache = None
+            raise TypeError(
+                f"cache= takes True, False, None, an int or a QueryCache, "
+                f"not {cache!r}")
         # (epoch, index): published as one value so no reader pairs an
         # index with another build's epoch
         self._union: Tuple[int, Any] = (-1, None)
@@ -212,11 +203,6 @@ class DataLake:
     def query_cache(self):
         """The lake-wide query cache, or ``None`` when disabled."""
         return self._query_cache
-
-    @property
-    def executor(self):
-        """The parallel discovery executor (serial degradation included)."""
-        return self._executor
 
     def _bump_engine_epochs(self, table_name: str) -> None:
         """A tabular change invalidates all three discovery engines."""
@@ -327,11 +313,10 @@ class DataLake:
         return self._runtime.drain(timeout)
 
     def close(self) -> None:
-        """Drain and stop the maintenance runtime and the discovery pool."""
+        """Drain and stop the maintenance runtime."""
         if self._runtime is not None:
             self._runtime.drain()
             self._runtime.close()
-        self._executor.close()
         if self._slo_engine is not None:
             self._slo_engine.detach()
 
@@ -439,9 +424,9 @@ class DataLake:
     # read first, then the compute runs against indexes at least that fresh,
     # so a cached entry can only ever be *newer* than its key promises.  The
     # cache-epoch lakelint rule enforces that no engine query method is
-    # called outside the *_uncached helpers below.
+    # called outside the _run_discovery_uncached helper below.
 
-    def _cached(self, query, compute):
+    def _cached(self, query):
         """Single epoch-checked entry point for every discovery answer.
 
         Also the lake-side deadline checkpoint: a request whose
@@ -453,87 +438,26 @@ class DataLake:
         check_deadline(f"exploration.{query.engine}")
         cache = self._query_cache
         if cache is None:
-            return compute()
+            return self._run_discovery_uncached(query)
         return cache.fetch(query.engine, query.key(),
-                           self._epochs.epoch(query.engine), compute)
+                           self._epochs.epoch(query.engine),
+                           lambda: self._run_discovery_uncached(query))
 
     def _run_discovery_uncached(self, query):
-        if query.kind == "joinable":
-            engine = self.discovery
-            with self.maintainer.reading():
-                return engine.joinable(query.table, query.column, k=query.k)
-        if query.kind == "related":
-            return self._related_uncached(query)
+        """The engine's answer to *query*, computed on the caller's thread."""
+        if query.kind == "union":
+            return self._union_search().top_k(
+                self.table(query.table), k=query.k, min_score=query.min_score)
         if query.kind == "keyword":
-            return self._keyword_uncached(query)
-        return self._union_uncached(query)
-
-    def _related_uncached(self, query):
-        engine = self.discovery
-        candidates = [name for name in engine.table_names()
-                      if name != query.table]
+            engine = self._keyword_searcher()
+        else:
+            engine = self.discovery
         with self.maintainer.reading():
-            if self.parallelism <= 1 or len(candidates) <= 1:
-                return engine.related_tables(query.table, k=query.k)
-            engine.build()  # no-op unless the lake is brand new
-            partials = self._executor.run_sharded(
-                candidates,
-                lambda names: [engine.related_scores(query.table, names)],
-                label="related")
-        scores: Dict[str, float] = {}
-        for partial in partials:
-            scores.update(partial)  # shards cover disjoint candidates
-        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ranked[:query.k]
-
-    def _keyword_uncached(self, query):
-        from repro.exploration.keyword import KeywordSearch
-
-        searcher = self._keyword_searcher()
-        with self.maintainer.reading():
-            names = searcher.table_names()
-            if self.parallelism <= 1 or len(names) <= 1:
-                return searcher.search(query.keywords, k=query.k)
-            partials = self._executor.run_sharded(
-                names,
-                lambda chunk: [searcher.score_tables(query.keywords, chunk)],
-                label="keyword")
-        scores: Dict[str, float] = {}
-        schema_matches: Dict[str, Any] = {}
-        value_matches: Dict[str, Any] = {}
-        for chunk_scores, chunk_schema, chunk_values in partials:
-            scores.update(chunk_scores)
-            schema_matches.update(chunk_schema)
-            value_matches.update(chunk_values)
-        return KeywordSearch.rank(scores, schema_matches, value_matches, query.k)
-
-    def _union_uncached(self, query):
-        index = self._union_search()
-        query_table = self.table(query.table)
-        names = index.tables()
-        if self.parallelism <= 1 or len(names) <= 1:
-            return index.top_k(query_table, k=query.k, min_score=query.min_score)
-        scored = self._executor.run_sharded(
-            names,
-            lambda chunk: index.score_candidates(query_table, chunk,
-                                                 min_score=query.min_score),
-            label="union")
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[:query.k]
-
-    def _warm_engines_uncached(self, queries) -> None:
-        """Materialize every needed index serially before a batch fan-out.
-
-        Index (re)builds are not safe to race from pool workers; warming on
-        the caller thread means workers only ever *read* current engines.
-        """
-        engines = {query.engine for query in queries}
-        if "aurum" in engines:
-            self.discovery.build()
-        if "keyword" in engines:
-            self._keyword_searcher()
-        if "union" in engines:
-            self._union_search()
+            if query.kind == "keyword":
+                return engine.search(query.keywords, k=query.k)
+            if query.kind == "joinable":
+                return engine.joinable(query.table, query.column, k=query.k)
+            return engine.related_tables(query.table, k=query.k)
 
     @traced("exploration.lake.discover_joinable", tier="exploration",
             function="query_driven_discovery")
@@ -543,7 +467,7 @@ class DataLake:
 
         query = DiscoveryQuery(kind="joinable", table=table_name,
                                column=column, k=k)
-        return self._cached(query, lambda: self._run_discovery_uncached(query))
+        return self._cached(query)
 
     @traced("exploration.lake.discover_related", tier="exploration",
             function="query_driven_discovery")
@@ -552,7 +476,7 @@ class DataLake:
         from repro.exploration.parallel import DiscoveryQuery
 
         query = DiscoveryQuery(kind="related", table=table_name, k=k)
-        return self._cached(query, lambda: self._run_discovery_uncached(query))
+        return self._cached(query)
 
     @traced("exploration.lake.discover_union", tier="exploration",
             function="query_driven_discovery")
@@ -563,33 +487,23 @@ class DataLake:
 
         query = DiscoveryQuery(kind="union", table=table_name, k=k,
                                min_score=min_score)
-        return self._cached(query, lambda: self._run_discovery_uncached(query))
+        return self._cached(query)
 
     @traced("exploration.lake.discover_batch", tier="exploration",
             function="query_driven_discovery")
     def discover_batch(self, queries: Sequence[Any]) -> List[Any]:
-        """Run many discovery queries at once; results align with *queries*.
+        """Run many discovery queries; results align with *queries*.
 
         Each element is a :class:`~repro.exploration.parallel.DiscoveryQuery`,
         a mapping of its fields, or a tuple like ``("joinable", table,
-        column)`` / ``("keyword", "text")``.  Queries are sharded across
-        the lake's executor (each still individually served from the
-        query cache), so repeated and mixed workloads overlap; output
-        order always matches input order.
+        column)`` / ``("keyword", "text")``.  The queries run in order on
+        the caller's thread, each through the same cache funnel as its
+        single-query method.
         """
         from repro.exploration.parallel import as_query
 
-        specs = [as_query(spec) for spec in queries]
-        if not specs:
-            return []
-        self._warm_engines_uncached(specs)
-        return self._executor.run_sharded(
-            specs,
-            lambda chunk: [
-                self._cached(q, lambda q=q: self._run_discovery_uncached(q))
-                for q in chunk
-            ],
-            label="batch")
+        specs = [as_query(spec) for spec in queries]  # reject bad specs first
+        return [self._cached(query) for query in specs]
 
     # -- exploration tier --------------------------------------------------------------
 
@@ -610,7 +524,7 @@ class DataLake:
         if not tokenize(keywords):
             return []  # term-free queries match nothing and are never cached
         query = DiscoveryQuery(kind="keyword", keywords=keywords, k=k)
-        return self._cached(query, lambda: self._run_discovery_uncached(query))
+        return self._cached(query)
 
     def _keyword_searcher(self):
         """The lake's keyword index: the maintainer's persistent,
@@ -751,8 +665,6 @@ class DataLake:
         if self._runtime is not None:
             report["maintenance_jobs"] = self._runtime.stats()
         report["exploration"] = {
-            "parallelism": self.parallelism,
-            "executor": self._executor.stats(),
             "cache": (self._query_cache.stats()
                       if self._query_cache is not None else None),
             "epochs": self._epochs.snapshot(),

@@ -28,7 +28,7 @@ Implemented here:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.dataset import Table
 from repro.core.errors import DatasetNotFound
@@ -302,35 +302,16 @@ class Aurum:
     def related_tables(self, table: str, k: int = 5) -> List[Tuple[str, float]]:
         """Top-k tables related to *table*, aggregating edge weights."""
         self.build()
-        scores = self.related_scores(table)
-        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ranked[:k]
-
-    def related_scores(self, table: str,
-                       candidates: Optional[Iterable[str]] = None) -> Dict[str, float]:
-        """Aggregated relatedness scores, optionally restricted to *candidates*.
-
-        The partial-computation primitive behind parallel related-table
-        discovery: restricting to a candidate subset walks the exact same
-        EKG traversal as the full query and accumulates each candidate's
-        edge weights in the same order, so merging disjoint candidate
-        shards reproduces the full score map bit-for-bit.  Assumes the
-        EKG is already built (callers go through :meth:`related_tables`
-        or build before fanning out).
-        """
-        wanted = None if candidates is None else set(candidates)
         scores: Dict[str, float] = {}
         for ref in self.ekg.columns(table):
             for neighbor, weight in self.ekg.neighbors(ref):
-                if neighbor[0] == table:
-                    continue
-                if wanted is not None and neighbor[0] not in wanted:
-                    continue
-                scores[neighbor[0]] = scores.get(neighbor[0], 0.0) + weight
-        return scores
+                if neighbor[0] != table:
+                    scores[neighbor[0]] = scores.get(neighbor[0], 0.0) + weight
+        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+        return ranked[:k]
 
     def table_names(self) -> List[str]:
-        """Sorted names of the indexed tables (candidate set for fan-outs)."""
+        """Sorted names of the indexed tables."""
         return sorted(self._tables)
 
     def pkfk_candidates(self) -> List[Tuple[ColumnRef, ColumnRef, float]]:

@@ -46,17 +46,22 @@ from repro.ml.text import jaccard
 FEATURE_NAMES = ("name", "value", "embedding", "format", "distribution")
 
 
-def column_pair_features(left: ColumnProfile, right: ColumnProfile) -> Tuple[float, ...]:
-    """The five D3L similarity features of a column pair, each in [0, 1]."""
-    name = jaccard(left.name_qgrams, right.name_qgrams)
-    value = left.minhash.jaccard(right.minhash)
-    embedding = max(0.0, cosine(left.embedding, right.embedding))
-    format_sim = _pattern_cosine(left, right)
+def _name_similarity(left: ColumnProfile, right: ColumnProfile) -> float:
+    return jaccard(left.name_qgrams, right.name_qgrams)
+
+
+def _value_similarity(left: ColumnProfile, right: ColumnProfile) -> float:
+    return left.minhash.jaccard(right.minhash)
+
+
+def _embedding_similarity(left: ColumnProfile, right: ColumnProfile) -> float:
+    return max(0.0, cosine(left.embedding, right.embedding))
+
+
+def _distribution_similarity(left: ColumnProfile, right: ColumnProfile) -> float:
     if left.numeric and right.numeric:
-        distribution = ks_similarity(left.numeric, right.numeric)
-    else:
-        distribution = 0.0
-    return (name, value, embedding, format_sim, distribution)
+        return ks_similarity(left.numeric, right.numeric)
+    return 0.0
 
 
 def _pattern_cosine(left: ColumnProfile, right: ColumnProfile) -> float:
@@ -76,6 +81,16 @@ def _pattern_cosine(left: ColumnProfile, right: ColumnProfile) -> float:
     if l_norm == 0.0 or r_norm == 0.0:
         return 0.0
     return dot / math.sqrt(l_norm * r_norm)
+
+
+#: one similarity function per dimension, in FEATURE_NAMES order
+_FEATURES = (_name_similarity, _value_similarity, _embedding_similarity,
+             _pattern_cosine, _distribution_similarity)
+
+
+def column_pair_features(left: ColumnProfile, right: ColumnProfile) -> Tuple[float, ...]:
+    """The five D3L similarity features of a column pair, each in [0, 1]."""
+    return tuple(feature(left, right) for feature in _FEATURES)
 
 
 @register_system(SystemInfo(
@@ -146,17 +161,20 @@ class D3L:
         return (True, True, True, both_patterned, both_numeric)
 
     def column_distance(self, left: ColumnProfile, right: ColumnProfile) -> float:
-        """Weighted Euclidean distance in the (active, applicable) space."""
-        features = column_pair_features(left, right)
+        """Weighted Euclidean distance in the (active, applicable) space.
+
+        Only the active, applicable dimensions are computed, so an
+        ablation without ``embedding`` never embeds a column.
+        """
         applicable = self._applicable(left, right)
         total = 0.0
         used_weight = 0.0
         for weight, feature, active, defined in zip(
-            self.weights, features, self.active, applicable
+            self.weights, _FEATURES, self.active, applicable
         ):
             if not active or not defined:
                 continue
-            gap = 1.0 - feature
+            gap = 1.0 - feature(left, right)
             total += weight * gap * gap
             used_weight += weight
         if used_weight == 0.0:

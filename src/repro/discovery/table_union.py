@@ -20,7 +20,7 @@ unionability* is the average over the best 1:1 attribute alignment, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -158,28 +158,15 @@ class TableUnionSearch:
 
     # -- search --------------------------------------------------------------------------------
 
-    def score_candidates(self, query: Table, names: Iterable[str],
-                         min_score: float = 0.3) -> List[Tuple[str, float]]:
-        """Unionability of *query* against a candidate shard, order-preserving.
-
-        The partial-computation primitive behind parallel union search:
-        each candidate's score depends only on the (query, candidate)
-        pair, so scoring disjoint contiguous shards of the sorted table
-        list and concatenating in shard order reproduces the serial scan
-        exactly.
-        """
+    def top_k(self, query: Table, k: int = 5,
+              min_score: float = 0.3) -> List[Tuple[str, float]]:
+        """The k most unionable lake tables for *query*."""
         scored = []
-        for name in names:
+        for name in self.tables():
             if name == query.name:
                 continue
             score = self.table_unionability(query, name)
             if score >= min_score:
                 scored.append((name, round(score, 4)))
-        return scored
-
-    def top_k(self, query: Table, k: int = 5,
-              min_score: float = 0.3) -> List[Tuple[str, float]]:
-        """The k most unionable lake tables for *query*."""
-        scored = self.score_candidates(query, self.tables(), min_score=min_score)
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]

@@ -6,11 +6,10 @@ Two function families:
   :class:`~repro.exploration.search.ExplorationService` exposes the three
   input/output modes the survey enumerates (column-join top-k via JOSIE,
   table-population top-k via D3L, task-specific top-k via Juneau);
-- **parallel + cached discovery** (``repro.exploration.parallel``):
-  :class:`~repro.exploration.parallel.ParallelDiscoveryExecutor` (bounded
-  fan-out with deterministic merge), :class:`~repro.exploration.parallel.QueryCache`
-  and :class:`~repro.exploration.parallel.EpochClock` (epoch-coherent
-  memoization of discovery answers);
+- **cached discovery** (``repro.exploration.parallel``):
+  :class:`~repro.exploration.parallel.QueryCache` and
+  :class:`~repro.exploration.parallel.EpochClock` (epoch-coherent
+  memoization of discovery answers, which run on the caller's thread);
 - **heterogeneous data querying** (Sec. 7.2):
   :class:`~repro.exploration.sql.SqlEngine` (SQL subset over the relational
   backend), :class:`~repro.exploration.pathquery.PathQueryEngine` (JSONiq-
@@ -28,7 +27,6 @@ from repro.exploration.federation import FederatedQueryEngine, SourceProfile
 from repro.exploration.parallel import (
     DiscoveryQuery,
     EpochClock,
-    ParallelDiscoveryExecutor,
     QueryCache,
 )
 
@@ -38,7 +36,6 @@ __all__ = [
     "ExplorationService",
     "FederatedQueryEngine",
     "KeywordSearch",
-    "ParallelDiscoveryExecutor",
     "PathQueryEngine",
     "QueryCache",
     "SourceProfile",

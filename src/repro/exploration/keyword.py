@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.dataset import Table
 from repro.ml.text import tokenize
@@ -74,29 +74,18 @@ class KeywordSearch:
     def __contains__(self, table_name: str) -> bool:
         return table_name in self._tables
 
-    def table_names(self) -> List[str]:
-        """Sorted names of the indexed tables (candidate set for fan-outs)."""
-        return sorted(self._tables)
+    def search(self, keywords: str, k: int = 10) -> List[KeywordHit]:
+        """Top-k tables for the query, schema matches boosted.
 
-    def score_tables(
-        self, keywords: str, tables: Optional[Iterable[str]] = None,
-    ) -> Tuple[Dict[str, float], Dict[str, Set[str]], Dict[str, Set[str]]]:
-        """Raw (unrounded) scores and match provenance, optionally restricted.
-
-        The partial-computation primitive behind parallel keyword search:
-        IDF weights always come from the *global* posting lists, and each
-        table's score accumulates term contributions in the same order as
-        the unrestricted query, so disjoint table shards merge into the
-        exact full-query score map.  Rounding happens in :meth:`search`
-        after ranking.
+        IDF weights come from the global posting lists; scores are
+        rounded only after ranking.
         """
+        terms = tokenize(keywords)
+        if not terms:
+            return []
         scores: Dict[str, float] = defaultdict(float)
         schema_matches: Dict[str, Set[str]] = defaultdict(set)
         value_matches: Dict[str, Set[str]] = defaultdict(set)
-        terms = tokenize(keywords)
-        if not terms:
-            return scores, schema_matches, value_matches
-        wanted = None if tables is None else set(tables)
         total_tables = max(len(self._tables), 1)
         for term in terms:
             posting = self._index.get(term)
@@ -104,24 +93,12 @@ class KeywordSearch:
                 continue
             idf = math.log(1 + total_tables / len(posting))
             for table_name, hits in posting.items():
-                if wanted is not None and table_name not in wanted:
-                    continue
                 if hits["schema"]:
                     scores[table_name] += self.SCHEMA_WEIGHT * idf
                     schema_matches[table_name] |= hits["schema"]
                 if hits["value"]:
                     scores[table_name] += self.VALUE_WEIGHT * idf
                     value_matches[table_name] |= set(sorted(hits["value"])[:3])
-        return scores, schema_matches, value_matches
-
-    @staticmethod
-    def rank(
-        scores: Dict[str, float],
-        schema_matches: Dict[str, Set[str]],
-        value_matches: Dict[str, Set[str]],
-        k: int,
-    ) -> List[KeywordHit]:
-        """Deterministic ranking shared by the serial and parallel paths."""
         ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
         return [
             KeywordHit(
@@ -132,10 +109,3 @@ class KeywordSearch:
             )
             for name, score in ranked[:k]
         ]
-
-    def search(self, keywords: str, k: int = 10) -> List[KeywordHit]:
-        """Top-k tables for the query, schema matches boosted."""
-        if not tokenize(keywords):
-            return []
-        scores, schema_matches, value_matches = self.score_tables(keywords)
-        return self.rank(scores, schema_matches, value_matches, k)

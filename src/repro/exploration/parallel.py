@@ -1,30 +1,21 @@
-"""Parallel discovery execution and the lake-wide query cache.
+"""The lake-wide discovery query cache and its epoch clock.
 
 The survey's exploration tier is judged on discovery latency — Aurum's
 LSH replacing O(n²) all-pairs with linear probing, JOSIE's top-k
 performance, D³L's multi-similarity accuracy are all claims about making
-related-dataset discovery fast at lake scale — and DLBench benchmarks
-lakes on concurrent mixed read workloads.  This module supplies the two
-mechanisms that carry a single-query engine stack to that workload:
+related-dataset discovery fast at lake scale — and the same related,
+joinable and keyword questions recur while the lake keeps ingesting.
+Discovery runs on the caller's thread; this module supplies what makes
+repeated questions cheap without ever serving a stale answer:
 
-- :class:`ParallelDiscoveryExecutor` — a bounded-worker fan-out over
-  ``concurrent.futures.ThreadPoolExecutor``.  A discovery request is
-  split into contiguous shards (candidate tables for a single query,
-  whole queries for :meth:`~repro.core.lake.DataLake.discover_batch`),
-  each shard computes its partial result independently, and the merge is
-  **deterministic**: shards are concatenated in shard order and ranked
-  with the same stable tie-breaking sort the serial path uses, so
-  parallel output is element-for-element identical to serial output.
-  The executor degrades to serial execution on the caller thread when
-  the pool is saturated (no queueing behind slow queries) and when any
-  storage circuit breaker is not closed (an incident is the wrong time
-  to multiply probe traffic);
 - :class:`QueryCache` — a lake-wide LRU memo of discovery and keyword
-  results keyed by ``(engine, normalized query, index epoch)``.  Epochs
-  come from an :class:`EpochClock` bumped by the maintenance tier on
-  every table ingest/removal, so a cached answer can never survive an
+  results keyed by ``(engine, normalized query, index epoch)``;
+- :class:`EpochClock` — per-engine epochs bumped by the maintenance tier
+  on every table ingest/removal, so a cached answer can never survive an
   index change: the changed engine's epoch moves on and the stale entry
-  simply stops matching (and ages out of the LRU).
+  simply stops matching (and ages out of the LRU);
+- :class:`DiscoveryQuery` and :func:`as_query` — the normalized request
+  that is the unit of caching and of ``DataLake.discover_batch``.
 
 Hit/miss/eviction counts are exposed both as per-engine labelled
 ``repro.obs`` counters (``exploration.cache.hits{engine="aurum"}``) and
@@ -37,20 +28,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 
 from repro.ml.text import tokenize
-from repro.obs import (check_deadline, emit, get_recorder, get_registry,
-                       with_context)
+from repro.obs import emit, get_registry
 
 #: the engines the cache and epoch clock know about, one epoch stream each
 ENGINES: Tuple[str, ...] = ("aurum", "keyword", "union")
-
-#: the per-executor run counts, each also an ``exploration.parallel.*`` counter
-EXECUTOR_COUNTS: Tuple[str, ...] = ("fanouts", "serial_runs",
-                                    "degraded_serial", "breaker_serial")
 
 #: query kind -> the engine whose index epoch guards its cached results
 ENGINE_OF_KIND: Dict[str, str] = {
@@ -256,178 +241,3 @@ def as_query(spec: Any) -> DiscoveryQuery:
             return DiscoveryQuery(kind="keyword", keywords=spec[1],
                                   **({"k": spec[2]} if len(spec) > 2 else {}))
     raise ValueError(f"cannot interpret {spec!r} as a discovery query")
-
-
-def split_shards(items: Sequence[Any], shards: int) -> List[Sequence[Any]]:
-    """Split *items* into at most *shards* contiguous, balanced chunks.
-
-    Contiguity is what makes the parallel merge deterministic: shard *i*
-    holds a contiguous slice of the serial iteration order, so
-    concatenating shard outputs in shard order reproduces the serial
-    output order exactly.
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    count = min(shards, len(items))
-    if count <= 1:
-        return [items] if len(items) else []
-    base, extra = divmod(len(items), count)
-    out: List[Sequence[Any]] = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < extra else 0)
-        out.append(items[start:start + size])
-        start += size
-    return out
-
-
-class ParallelDiscoveryExecutor:
-    """Bounded-worker fan-out with deterministic merge and graceful fallback.
-
-    One executor serves a whole lake.  :meth:`run_sharded` is the only
-    entry point: it takes the items of one fan-out (candidate tables or
-    whole queries), a per-chunk compute function, and returns the
-    concatenation of chunk results in chunk order.  Degradation rules:
-
-    - ``workers == 1``, one item, or a chunker that yields one chunk →
-      serial on the caller thread (no pool, no threads);
-    - pool saturated (fewer than two worker slots free) → serial, with
-      the ``exploration.parallel.degraded_serial`` counter bumped;
-    - any storage circuit breaker not closed → serial, with the
-      ``exploration.parallel.breaker_serial`` counter bumped — during a
-      backend incident the lake conserves threads for recovery instead
-      of multiplying backend-touching probes.
-
-    Worker slots are accounted with a semaphore so nested fan-outs (a
-    batched query that shards its candidates) can never deadlock: a
-    fan-out either wins at least two slots or runs inline, and in-flight
-    futures never exceed granted slots, which never exceed pool threads.
-    """
-
-    def __init__(self, workers: int = 4, health: Optional[Any] = None,
-                 name: str = "discovery"):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.name = name
-        self._health = health
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
-        self._slots = threading.Semaphore(workers)
-        # exact per-instance counts for stats(); the registry counters are
-        # process-wide, so every lake in the process feeds the same ones
-        self._counts = dict.fromkeys(EXECUTOR_COUNTS, 0)
-        registry = get_registry()
-        self._metrics = {
-            count: registry.counter(f"exploration.parallel.{count}")
-            for count in EXECUTOR_COUNTS}
-
-    def _count(self, *names: str) -> None:
-        with self._lock:
-            for name in names:
-                self._counts[name] += 1
-        for name in names:
-            self._metrics[name].inc()
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix=f"repro-{self.name}")
-            return self._pool
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelDiscoveryExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-    # -- the fan-out -------------------------------------------------------------
-
-    def _breaker_open(self) -> bool:
-        health = self._health
-        if health is None:
-            return False
-        try:
-            return bool(health.degraded())
-        except Exception:  # lakelint: disable=bare-except,exception-hygiene — a broken health probe must never take queries down; gate open, count below
-            return True
-
-    def _acquire_slots(self, wanted: int) -> int:
-        granted = 0
-        while granted < wanted and self._slots.acquire(blocking=False):
-            granted += 1
-        return granted
-
-    def _release_slots(self, granted: int) -> None:
-        for _ in range(granted):
-            self._slots.release()
-
-    def run_sharded(self, items: Sequence[Any],
-                    compute_chunk: Callable[[Sequence[Any]], List[Any]],
-                    label: str = "fanout") -> List[Any]:
-        """``compute_chunk`` over contiguous shards; results in item order.
-
-        The serial path is literally ``compute_chunk(items)`` — the
-        parallel path must therefore produce the same list, which the
-        contiguous-shard + ordered-concatenation construction guarantees
-        whenever ``compute_chunk`` treats items independently.
-        """
-        if not len(items):
-            return []
-        check_deadline("exploration.parallel.run_sharded")
-        if self.workers <= 1 or len(items) <= 1:
-            self._count("serial_runs")
-            return list(compute_chunk(items))
-        if self._breaker_open():
-            self._count("breaker_serial", "serial_runs")
-            return list(compute_chunk(items))
-        granted = self._acquire_slots(min(self.workers, len(items)))
-        if granted < 2:
-            self._release_slots(granted)
-            self._count("degraded_serial", "serial_runs")
-            return list(compute_chunk(items))
-        try:
-            shards = split_shards(items, granted)
-            pool = self._ensure_pool()
-            with get_recorder().span(
-                    "exploration.parallel.fanout", tier="exploration",
-                    system="parallel", function="query_driven_discovery",
-                    label=label, shards=len(shards), items=len(items)):
-                self._count("fanouts")
-                # capture once, rebind on every pool thread: shard spans
-                # must carry the submitting request's id
-                runner = with_context(compute_chunk)
-                futures = [pool.submit(runner, shard) for shard in shards]
-                try:
-                    merged: List[Any] = []
-                    for future in futures:
-                        # an expired request stops collecting shards; the
-                        # finally-wait still quiesces in-flight workers
-                        check_deadline("exploration.parallel.fanout")
-                        merged.extend(future.result())
-                    return merged
-                finally:
-                    wait(futures)
-        finally:
-            self._release_slots(granted)
-
-    # -- introspection -----------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """Exact counts for this executor (the obs counters are process-wide)."""
-        with self._lock:
-            return {"workers": self.workers, **self._counts}
-
-    def __repr__(self) -> str:
-        return f"ParallelDiscoveryExecutor(workers={self.workers})"

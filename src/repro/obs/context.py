@@ -1,12 +1,12 @@
 """Request context propagation: one identity for everything a call causes.
 
-The lake crosses thread boundaries constantly — async maintenance runs
-on :class:`~repro.runtime.scheduler.JobScheduler` workers, discovery
-fans out over a :class:`~repro.exploration.parallel.ParallelDiscoveryExecutor`
-pool — and a span or event recorded on a worker thread is useless for
-accounting unless it still knows *which* ``DataLake`` call it belongs
-to.  A :class:`RequestContext` is that identity: a request id, an
-optional tenant tag, an optional deadline, and free-form baggage.
+The lake crosses thread boundaries — async maintenance runs on
+:class:`~repro.runtime.scheduler.JobScheduler` workers, serving requests
+run on the server's worker pool — and a span or event recorded on a
+worker thread is useless for accounting unless it still knows *which*
+``DataLake`` call it belongs to.  A :class:`RequestContext` is that
+identity: a request id, an optional tenant tag, an optional deadline,
+and free-form baggage.
 
 The active context rides a :mod:`contextvars` variable, which follows
 the logical call flow on one thread but does **not** cross into pool
@@ -146,9 +146,9 @@ def check_deadline(op: str = "") -> None:
     context's deadline has passed; no-op without a context or deadline.
 
     This is the deadline *checkpoint* the lake's entry points call
-    (``DataLake._cached``, the parallel executor's fan-out loop, the
-    serving dispatcher) so a per-request timeout cuts work short instead
-    of merely riding along in the baggage.
+    (``DataLake._cached``, the serving dispatcher, a query-triggered
+    index refresh) so a per-request timeout cuts work short instead of
+    merely riding along in the baggage.
     """
     ctx = _CURRENT.get()
     if ctx is None or ctx.deadline is None:
@@ -214,7 +214,7 @@ def with_context(
 
     The hand-off helper for pool submissions::
 
-        pool.submit(with_context(compute_chunk), shard)
+        pool.submit(with_context(handle), request)
     """
     if ctx is None and capture:
         ctx = capture_context()

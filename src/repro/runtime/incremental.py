@@ -179,7 +179,7 @@ class IncrementalIndexMaintainer:
                 return 0
             annotate(delta_tables=len(pending))
             # the engines mutate in place: exclude in-flight index readers
-            # (parallel discovery shards) for the duration of the delta
+            # (discovery queries on other threads) for the delta's duration
             with self._rw.writing():
                 for table in pending:
                     if table.name in self._indexed:

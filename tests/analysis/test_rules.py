@@ -513,10 +513,10 @@ class TestCacheEpoch:
 
     def test_out_of_scope_files_ignored(self, tmp_path):
         # engine modules call their own query methods by design
-        _tree(tmp_path, {"repro/discovery/aurum.py": """
-            class Aurum:
-                def related_tables(self, table, k=5):
-                    return self.related_scores(table)
+        _tree(tmp_path, {"repro/discovery/table_union.py": """
+            class TableUnionSearch:
+                def search(self, query, k=5):
+                    return self.top_k(query, k=k)
         """})
         assert _run(CacheEpochRule(), tmp_path) == []
 
@@ -675,13 +675,6 @@ class TestContextPropagation:
                 return pool.submit(work)
         """, rel="repro/storage/mover.py")
         assert findings == []
-
-    def test_exploration_parallel_is_in_scope(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            def fan_out(pool, work):
-                return pool.submit(work)
-        """, rel="repro/exploration/parallel.py")
-        assert len(findings) == 1
 
 
 class TestServingContext:

@@ -1,12 +1,12 @@
-"""Scenario equivalence: workers=1, faults=0 must equal the serial lake.
+"""Scenario equivalence: one client, no faults must equal the serial lake.
 
-Extends the PR-5 equivalence suite to the macro-benchmark DSL: for *any*
-small scenario spec (hypothesis over seed, data mix, and lake fan-out)
-with a single client and no injected faults, the lake the driver builds
-answers every discovery query bit-identically to a strictly serial
-``DataLake(parallelism=1, cache=False)`` over the same seeded corpus —
-element for element, score for score.  The driver's own
-post-run verification gate must agree.
+Extends the cache equivalence suite to the macro-benchmark DSL: for *any*
+small scenario spec (hypothesis over seed and data mix) with a single
+client and no injected faults, the cached lake the driver builds answers
+every discovery query bit-identically to an uncached
+``DataLake(cache=False)`` over the same seeded corpus — element for
+element, score for score.  The driver's own post-run verification gate
+must agree.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +17,7 @@ from repro.bench.macro.scenario import DataMix, Gates
 from repro.core.lake import DataLake
 
 
-def _small_spec(seed, pools, json_collections, text_docs, parallelism):
+def _small_spec(seed, pools, json_collections, text_docs):
     """A macro scenario spec via the dict surface (exercises from_dict)."""
     return Scenario.from_dict({
         "name": "prop",
@@ -39,7 +39,6 @@ def _small_spec(seed, pools, json_collections, text_docs, parallelism):
         "clients": 1,            # the serial-equivalence precondition
         "op_mix": {"ingest": 1, "discover": 3, "sql": 1, "fetch": 2,
                    "federation": 0},
-        "parallelism": parallelism,
         "cache": True,
         "fault_rate": 0.0,       # the other precondition
         "gates": {"min_discovery_answers": 0},
@@ -57,17 +56,13 @@ def _ingest_corpus(lake, scenario):
 @given(seed=st.integers(min_value=0, max_value=10_000),
        pools=st.integers(min_value=1, max_value=2),
        json_collections=st.integers(min_value=0, max_value=2),
-       text_docs=st.integers(min_value=0, max_value=4),
-       parallelism=st.sampled_from([1, 2, 4]))
+       text_docs=st.integers(min_value=0, max_value=4))
 def test_scenario_lake_matches_serial_reference(seed, pools, json_collections,
-                                                text_docs, parallelism):
-    scenario = _small_spec(seed, pools, json_collections, text_docs,
-                           parallelism)
+                                                text_docs):
+    scenario = _small_spec(seed, pools, json_collections, text_docs)
     corpus = build_corpus(scenario)
-    lake = _ingest_corpus(
-        DataLake(parallelism=parallelism, cache=True, profile=False), scenario)
-    serial = _ingest_corpus(
-        DataLake(parallelism=1, cache=False, profile=False), scenario)
+    lake = _ingest_corpus(DataLake(cache=True, profile=False), scenario)
+    serial = _ingest_corpus(DataLake(cache=False, profile=False), scenario)
     try:
         for name in corpus.discovery_names:
             assert (lake.discover_related(name, k=5)
@@ -89,12 +84,11 @@ def test_scenario_lake_matches_serial_reference(seed, pools, json_collections,
 
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=10_000),
-       parallelism=st.sampled_from([2, 4]))
-def test_driver_verification_gate_agrees(seed, parallelism):
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_driver_verification_gate_agrees(seed):
     """run_scenario's own serial-reference gate holds for any such spec."""
     report = run_scenario(_small_spec(seed, pools=1, json_collections=1,
-                                      text_docs=2, parallelism=parallelism))
+                                      text_docs=2))
     assert report["gates"]["discovery_match"]["pass"], (
         report["gates"]["discovery_match"]["mismatches"])
     assert report["stats"]["sql_mismatches"] == []
@@ -102,7 +96,7 @@ def test_driver_verification_gate_agrees(seed, parallelism):
 
 
 def test_scenario_round_trips_through_dicts():
-    scenario = _small_spec(3, 2, 1, 2, 2)
+    scenario = _small_spec(3, 2, 1, 2)
     assert Scenario.from_dict(scenario.to_dict()) == scenario
     assert isinstance(scenario.data, DataMix)
     assert isinstance(scenario.gates, Gates)

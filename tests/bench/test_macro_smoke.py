@@ -95,7 +95,6 @@ def test_reports_carry_the_measured_surface():
     assert stats["verification"]["match"]
     assert report["scenario"]["name"] == "baseline_mixed"
     assert report["gates"]["clean_health"]["pass"]
-    assert report["gates"]["fanned_out"]["fanouts"] > 0
 
 
 def test_run_matrix_wraps_reports_in_the_shared_envelope():
@@ -105,31 +104,27 @@ def test_run_matrix_wraps_reports_in_the_shared_envelope():
     assert doc["gates"]["baseline_mixed"]["pass"] is True
 
 
-def _derived(scenario, injected=None, transitions=0, degraded=0, fanouts=1):
+def _derived(scenario, injected=None, transitions=0, degraded=0):
     """Gate verdicts for synthetic stats (discovery/SQL gates switched off)."""
     stats = {"availability": 1.0, "unhandled_errors": [],
              "faults": {"injected": injected or {},
                         "breaker_transitions": transitions,
-                        "degraded_placements": degraded},
-             "executor": {"fanouts": fanouts}}
+                        "degraded_placements": degraded}}
     return {name: gate["pass"]
             for name, gate in _evaluate_gates(scenario, stats).items()}
 
 
 def test_derived_gates_fail_when_they_should():
-    clean = Scenario(name="synthetic", parallelism=2,
+    clean = Scenario(name="synthetic",
                      gates=Gates(require_discovery_match=False,
                                  require_sql_oracle=False))
     chaos = dataclasses.replace(clean, fault_rate=0.2)
-    serial = dataclasses.replace(clean, parallelism=1)
 
     assert _derived(clean) == {"availability": True, "unhandled": True,
-                               "clean_health": True, "fanned_out": True}
+                               "clean_health": True}
     for noise in ({"injected": {"table": 1}}, {"transitions": 2},
                   {"degraded": 1}):
         assert _derived(clean, **noise)["clean_health"] is False, noise
-    assert _derived(clean, fanouts=0)["fanned_out"] is False
-    assert "fanned_out" not in _derived(serial, fanouts=0)
 
     assert _derived(chaos)["faults_fired"] is False
     fired = _derived(chaos, injected={"table": 5}, transitions=3, degraded=1)

@@ -1,5 +1,7 @@
 """Tests for D3L five-dimensional discovery."""
 
+import math
+
 import pytest
 
 from repro.core.dataset import Table
@@ -65,6 +67,48 @@ class TestDistance:
     def test_unknown_feature_rejected(self):
         with pytest.raises(ValueError):
             D3L(active_features=["bogus"])
+
+    def test_ablation_without_embedding_never_embeds(self, monkeypatch,
+                                                     small_lake):
+        from repro.ml.embeddings import HashedEmbedder
+
+        calls = []
+        embed_set = HashedEmbedder.embed_set
+
+        def spy(self, texts):
+            calls.append(texts)
+            return embed_set(self, texts)
+
+        monkeypatch.setattr(HashedEmbedder, "embed_set", spy)
+        engine = D3L(active_features=["name", "value", "format",
+                                      "distribution"])
+        for table in small_lake:
+            engine.add_table(table)
+        assert engine.related_columns("orders", "customer_id")
+        assert calls == []
+
+    @pytest.mark.parametrize("active", [None, ["name", "value", "format",
+                                               "distribution"]])
+    def test_distance_equals_the_all_features_distance(self, small_lake,
+                                                       active):
+        """Computing only the used dimensions changes no distance."""
+        engine = D3L(active_features=active)
+        for table in small_lake:
+            engine.add_table(table)
+        profiles = list(engine._profiles.values())
+        for left in profiles:
+            for right in profiles:
+                features = column_pair_features(left, right)
+                total = used = 0.0
+                for weight, feature, on, defined in zip(
+                        engine.weights, features, engine.active,
+                        engine._applicable(left, right)):
+                    if on and defined:
+                        gap = 1.0 - feature
+                        total += weight * gap * gap
+                        used += weight
+                expected = math.sqrt(total / used) if used else 1.0
+                assert engine.column_distance(left, right) == expected
 
 
 class TestTraining:

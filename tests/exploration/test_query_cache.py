@@ -4,8 +4,8 @@ The cache's one non-negotiable property: **a re-ingested table can never
 be answered from its pre-ingest cached entry** — epoch keys make stale
 entries unmatchable rather than relying on any scan-and-invalidate.
 Alongside it: LRU eviction under a small ``max_entries`` bound, exact
-hit/miss/eviction sequences, copy-on-return isolation, and the
-executor's degradation ladder (saturation, open breakers).
+hit/miss/eviction sequences, copy-on-return isolation, and the lake's
+``cache=`` argument accepting only the values it documents.
 """
 
 import pytest
@@ -14,10 +14,8 @@ from repro.core.lake import DataLake
 from repro.exploration.parallel import (
     DiscoveryQuery,
     EpochClock,
-    ParallelDiscoveryExecutor,
     QueryCache,
     as_query,
-    split_shards,
 )
 
 
@@ -129,104 +127,13 @@ class TestDiscoveryQuery:
             as_query(("garbage",))
 
 
-class TestSplitShards:
-    def test_contiguous_and_balanced(self):
-        shards = split_shards(list(range(10)), 3)
-        assert [list(s) for s in shards] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-
-    def test_fewer_items_than_shards(self):
-        assert [list(s) for s in split_shards([1, 2], 8)] == [[1], [2]]
-
-    def test_empty_and_invalid(self):
-        assert split_shards([], 4) == []
-        with pytest.raises(ValueError):
-            split_shards([1], 0)
-
-
-class _FakeHealth:
-    def __init__(self, degraded_names=(), boom=False):
-        self._names = list(degraded_names)
-        self._boom = boom
-
-    def degraded(self):
-        if self._boom:
-            raise RuntimeError("health probe crashed")
-        return self._names
-
-
-class TestExecutor:
-    def test_order_preserving_merge(self):
-        with ParallelDiscoveryExecutor(workers=4) as executor:
-            out = executor.run_sharded(
-                list(range(20)), lambda chunk: [i * i for i in chunk])
-        assert out == [i * i for i in range(20)]
-
-    def test_single_worker_never_spawns_a_pool(self):
-        executor = ParallelDiscoveryExecutor(workers=1)
-        assert executor.run_sharded([1, 2, 3], lambda c: list(c)) == [1, 2, 3]
-        assert executor._pool is None
-
-    def test_saturation_degrades_to_serial(self):
-        executor = ParallelDiscoveryExecutor(workers=2)
-        before = executor.stats()
-        # occupy all slots: the next fan-out must run inline, not queue
-        assert executor._acquire_slots(2) == 2
-        try:
-            assert executor.run_sharded([1, 2, 3, 4], lambda c: list(c)) == [1, 2, 3, 4]
-        finally:
-            executor._release_slots(2)
-        after = executor.stats()
-        assert after["degraded_serial"] - before["degraded_serial"] == 1
-        assert after["fanouts"] == before["fanouts"]
-        executor.close()
-
-    def test_open_breaker_forces_serial(self):
-        executor = ParallelDiscoveryExecutor(
-            workers=4, health=_FakeHealth(degraded_names=["relational"]))
-        before = executor.stats()
-        assert executor.run_sharded([1, 2, 3, 4], lambda c: list(c)) == [1, 2, 3, 4]
-        after = executor.stats()
-        assert after["breaker_serial"] - before["breaker_serial"] == 1
-        assert after["fanouts"] == before["fanouts"]
-        executor.close()
-
-    def test_broken_health_probe_fails_safe_to_serial(self):
-        executor = ParallelDiscoveryExecutor(workers=4,
-                                             health=_FakeHealth(boom=True))
-        assert executor.run_sharded([1, 2, 3], lambda c: list(c)) == [1, 2, 3]
-        assert executor.stats()["breaker_serial"] == 1
-        executor.close()
-
-    def test_stats_count_this_executor_only(self):
-        with ParallelDiscoveryExecutor(workers=4) as busy, \
-                ParallelDiscoveryExecutor(workers=4) as idle:
-            busy.run_sharded([1, 2, 3, 4], lambda c: list(c))
-            busy.run_sharded([1], lambda c: list(c))
-            assert busy.stats() == {"workers": 4, "fanouts": 1,
-                                    "serial_runs": 1, "degraded_serial": 0,
-                                    "breaker_serial": 0}
-            assert idle.stats()["fanouts"] == idle.stats()["serial_runs"] == 0
-
-    def test_chunk_exception_propagates(self):
-        def explode(chunk):
-            raise RuntimeError("shard failed")
-
-        with ParallelDiscoveryExecutor(workers=4) as executor:
-            with pytest.raises(RuntimeError, match="shard failed"):
-                executor.run_sharded([1, 2, 3, 4], explode)
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            ParallelDiscoveryExecutor(workers=0)
-
-
 class TestLakeCoherence:
     """Ingest -> query -> re-ingest -> query must never serve the old answer."""
 
     @staticmethod
     def _lake(**kwargs):
         kwargs.setdefault("cache", True)
-        lake = DataLake(parallelism=1, **kwargs)
+        lake = DataLake(**kwargs)
         lake.ingest_table("facts", {"id": [1, 2, 3],
                                     "tag": ["alpha", "alpha", "beta"]})
         lake.ingest_table("other", {"id": [4, 5], "tag": ["beta", "beta"]})
@@ -270,12 +177,19 @@ class TestLakeCoherence:
         assert lake.query_cache.stats()["entries"] == 2
 
     def test_cache_disabled_recomputes(self):
-        lake = DataLake(parallelism=1, cache=False)
+        lake = DataLake(cache=False)
         lake.ingest_table("t", {"id": [1], "tag": ["alpha"]})
         assert lake.query_cache is None
         assert lake.keyword_search("alpha") == lake.keyword_search("alpha")
+        assert DataLake(cache=None).query_cache is None
 
     def test_shared_cache_instance_knob(self):
         shared = QueryCache(max_entries=16)
         lake = DataLake(cache=shared)
         assert lake.query_cache is shared
+
+    @pytest.mark.parametrize("bad", ["on", 2.0, [1]])
+    def test_unrecognised_cache_value_is_rejected(self, bad):
+        # a typo must not quietly turn the cache off
+        with pytest.raises(TypeError, match="cache="):
+            DataLake(cache=bad)

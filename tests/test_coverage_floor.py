@@ -1,10 +1,10 @@
-"""Tier-1 coverage floors for parallel discovery, obs core, and serving.
+"""Tier-1 coverage floors for the query cache, obs core, and serving.
 
 Runs the repo's dependency-free coverage task (``tools/coverage_task.py``,
 stdlib settrace backend) over the fast unit suites and holds
-``repro/exploration/parallel.py``, the observability core modules
-(context, events, profiler, SLO), and the serving tier (auth, quotas,
-server) to a line-coverage floor.  The suites measure 95%+ today; the
+``repro/exploration/parallel.py`` (the discovery query cache), the
+observability core modules (context, events, profiler, SLO), and the
+serving tier (auth, quotas, server) to a line-coverage floor.  The suites measure 95%+ today; the
 floor leaves margin so refactors don't flap, while still catching a
 dead degradation branch or an untested knob.
 """

@@ -1,16 +1,15 @@
 """End-to-end RequestContext deadline enforcement.
 
 ``check_deadline`` is the checkpoint the lake's entry points call; these
-tests pin the three layers the serving tier relies on: the helper
-itself, the ``DataLake._cached`` discovery funnel, and the parallel
-executor's fan-out loop.
+tests pin the two layers the serving tier relies on: the helper itself
+and the ``DataLake._cached`` discovery funnel, which every query of a
+``discover_batch`` passes through.
 """
 
 import pytest
 
 from repro.core.errors import DeadlineExceeded
 from repro.core.lake import DataLake
-from repro.exploration.parallel import ParallelDiscoveryExecutor
 from repro.obs import check_deadline, get_registry, request_context
 
 
@@ -68,23 +67,3 @@ class TestLakeCheckpoints:
         with request_context(timeout=60.0):
             assert lake.discover_related("sales")
 
-
-class TestExecutorFanOut:
-    def test_run_sharded_checks_before_fanning_out(self):
-        executor = ParallelDiscoveryExecutor(workers=2)
-        try:
-            with request_context(timeout=0.0):
-                with pytest.raises(DeadlineExceeded):
-                    executor.run_sharded(list(range(8)),
-                                         lambda chunk: list(chunk))
-        finally:
-            executor.close()
-
-    def test_run_sharded_unaffected_without_deadline(self):
-        executor = ParallelDiscoveryExecutor(workers=2)
-        try:
-            assert executor.run_sharded(
-                list(range(8)), lambda chunk: [x * 2 for x in chunk],
-            ) == [x * 2 for x in range(8)]
-        finally:
-            executor.close()

@@ -2,11 +2,11 @@
 
 The acceptance property for the context layer: run a DataLake through
 ingest + the full discovery surface in each execution mode — sync,
-async-maintenance (scheduler worker threads), and parallel discovery
-(executor pool threads) — and *no* recorded span may be missing its
-``request_id``.  Scheduler job spans must additionally carry the exact
-request id of the ingest call that enqueued them, which proves the
-context crossed the thread boundary rather than being re-minted.
+async-maintenance (scheduler worker threads), and sync with the query
+cache on — and *no* recorded span may be missing its ``request_id``.
+Scheduler job spans must additionally carry the exact request id of the
+ingest call that enqueued them, which proves the context crossed the
+thread boundary rather than being re-minted.
 """
 
 import pytest
@@ -57,15 +57,15 @@ def _workload(seed):
         num_pools=2, tables_per_pool=2, rows_per_table=30, pool_size=40)
 
 
-MODES = ("sync", "async", "parallel")
+MODES = ("sync", "async", "cached")
 
 
 def _build(mode):
     if mode == "sync":
-        return DataLake(parallelism=1, cache=False)
+        return DataLake(cache=False)
     if mode == "async":
         return DataLake(async_maintenance=True)
-    return DataLake(parallelism=4, cache=True)
+    return DataLake(cache=True)
 
 
 @settings(max_examples=4, deadline=None,
@@ -105,8 +105,8 @@ def test_scheduler_jobs_inherit_the_submitting_request(workload):
         lake.close()
 
 
-def test_parallel_pool_threads_inherit_the_query_request(workload):
-    lake = DataLake(parallelism=4, cache=True)
+def test_discovery_spans_and_cache_events_carry_the_query_request(workload):
+    lake = DataLake(cache=True)
     try:
         for table in workload.tables:
             lake.ingest(Dataset(name=table.name, payload=table, format="table"))
