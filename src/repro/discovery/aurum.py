@@ -19,6 +19,10 @@ Implemented here:
   deliberately corpus-free, so every edge score is a pure pairwise
   function of its two columns and incremental deltas reproduce a
   from-scratch build exactly, however ingests are batched;
+- posting maps from name tokens and from values to columns, so the schema
+  and PK-FK passes probe only the column pairs that can gain an edge (the
+  way JOSIE probes overlap through posting lists), never every indexed
+  column;
 - EKG construction (:class:`~repro.modeling.ekg.EnterpriseKnowledgeGraph`)
   with ``content_sim``, ``schema_sim`` and ``pkfk`` edges;
 - incremental ``update_table`` honoring the change threshold;
@@ -28,7 +32,7 @@ Implemented here:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.dataset import Table
 from repro.core.errors import DatasetNotFound
@@ -49,6 +53,14 @@ def _name_vector(tokens: Sequence[str]) -> Dict[str, float]:
     bit-for-bit regardless of how ingests are partitioned into deltas.
     """
     return dict(Counter(tokens))
+
+
+def _unlist(postings: Dict[str, List[ColumnRef]], key: str, ref: ColumnRef) -> None:
+    """Remove *ref* from the posting list under *key*; drop the list when empty."""
+    refs = postings[key]
+    refs.remove(ref)
+    if not refs:
+        del postings[key]
 
 
 @register_system(SystemInfo(
@@ -77,6 +89,9 @@ class Aurum:
         change_threshold: float = 0.1,
         num_perm: int = 128,
     ):
+        if not 0.0 < schema_threshold <= 1.0:
+            # the token postings prune pairs whose cosine is 0, exact only above 0
+            raise ValueError(f"schema_threshold must be in (0, 1], got {schema_threshold}")
         self.content_threshold = content_threshold
         self.schema_threshold = schema_threshold
         self.change_threshold = change_threshold
@@ -87,6 +102,12 @@ class Aurum:
         self._tables: Dict[str, Table] = {}
         self._built = False
         self._fresh: set = set()  # refs staged since the last (full or delta) build
+        # kept per column at add_table, so the schema and PK-FK passes probe
+        # postings instead of scanning every indexed column
+        self._name_vectors: Dict[ColumnRef, Dict[str, float]] = {}
+        self._by_token: Dict[str, List[ColumnRef]] = {}
+        self._by_value: Dict[str, List[ColumnRef]] = {}  # lists: smaller than sets
+        self._keys: Set[ColumnRef] = set()
 
     # -- construction -----------------------------------------------------------
 
@@ -95,7 +116,10 @@ class Aurum:
         self._tables[table.name] = table
         for profile in self.profiler.profile_table(table):
             ref = profile.ref
+            if ref in self._profiles:
+                self._unpost(self._profiles[ref])
             self._profiles[ref] = profile
+            self._post(profile)
             self._fresh.add(ref)
             self.lsh.add(ref, profile.minhash)
             sample = sorted(profile.distinct)[:20]
@@ -107,52 +131,108 @@ class Aurum:
             )
         self._built = False
 
+    def _post(self, profile: ColumnProfile) -> None:
+        """Index one column under its name tokens, values and key status."""
+        ref = profile.ref
+        vector = self._name_vectors[ref] = _name_vector(profile.name_tokens)
+        for token in vector:
+            self._by_token.setdefault(token, []).append(ref)
+        for value in profile.distinct:
+            self._by_value.setdefault(value, []).append(ref)
+        if profile.is_key_candidate:
+            self._keys.add(ref)
+
+    def _unpost(self, profile: ColumnProfile) -> None:
+        """Undo :meth:`_post` for one column."""
+        ref = profile.ref
+        for token in self._name_vectors.pop(ref):
+            _unlist(self._by_token, token, ref)
+        for value in profile.distinct:
+            _unlist(self._by_value, value, ref)
+        self._keys.discard(ref)
+
+    @staticmethod
+    def _partners(postings: Dict[str, List[ColumnRef]], terms: Iterable[str],
+                  ref: ColumnRef) -> List[ColumnRef]:
+        """Columns of other tables than *ref*'s posted under any of *terms*, sorted."""
+        return sorted({other for term in terms for other in postings[term]
+                       if other[0] != ref[0]})
+
+    def _contained(self, foreign: ColumnRef, key: ColumnRef) -> float:
+        """Share of *foreign*'s distinct values that *key* also holds."""
+        values = self._profiles[foreign].distinct
+        return len(values & self._profiles[key].distinct) / len(values)
+
+    def _add_pkfk(self, key: ColumnRef, foreign: ColumnRef) -> None:
+        """Add the ``pkfk`` edge when *foreign* is contained in *key*.
+
+        The EKG edge is undirected.  When the reverse orientation qualifies
+        too, the edge keeps the larger containment, so the weight does not
+        depend on which orientation is probed first.
+        """
+        contained = self._contained(foreign, key)
+        if contained < 0.8:
+            return
+        if foreign in self._keys:
+            contained = max(contained, self._contained(key, foreign))
+        self.ekg.add_relation(key, foreign, "pkfk", round(contained, 4))
+
+    def _link(self, fresh: List[ColumnRef]) -> None:
+        """Add every edge with an endpoint in *fresh* (sorted refs).
+
+        Content candidates come from LSH.  Schema candidates share a name
+        token: the cosine over disjoint token sets is 0, below any
+        ``schema_threshold``.  PK-FK candidates share a value: containment
+        >= 0.8 needs one.  Candidates are probed in sorted order, so edges
+        are written in the order a scan over all columns would write them.
+        A pair with both endpoints fresh is counted once.
+        """
+        fresh_set = set(fresh)
+        # content-similarity edges via LSH (no all-pairs scan)
+        for ref in fresh:
+            profile = self._profiles[ref]
+            for other, estimate in self.lsh.query(profile.minhash, exclude=ref):
+                if other[0] == ref[0]:
+                    continue  # intra-table joins are not discovery targets
+                if other in fresh_set and not ref < other:
+                    continue  # both endpoints fresh: count the pair once
+                left, right = (ref, other) if ref < other else (other, ref)
+                self.ekg.add_relation(left, right, "content_sim", round(estimate, 4))
+        # schema-similarity edges: name-token cosine against columns sharing a token
+        for ref in fresh:
+            vector = self._name_vectors[ref]
+            for other in self._partners(self._by_token, vector, ref):
+                if other in fresh_set and not ref < other:
+                    continue
+                similarity = cosine_similarity(vector, self._name_vectors[other])
+                if similarity >= self.schema_threshold:
+                    left, right = (ref, other) if ref < other else (other, ref)
+                    self.ekg.add_relation(left, right, "schema_sim", round(similarity, 4))
+        # PK-FK candidate edges against columns sharing a value
+        for ref in fresh:
+            partners = self._partners(self._by_value, self._profiles[ref].distinct, ref)
+            if ref in self._keys:
+                for other in partners:
+                    self._add_pkfk(ref, other)
+            for other in partners:  # fresh as the foreign side against indexed keys
+                if other in self._keys and other not in fresh_set:
+                    self._add_pkfk(other, ref)
+
     @traced("maintenance.aurum.build", tier="maintenance", system="Aurum",
             function="related_dataset_discovery")
     def build(self) -> EnterpriseKnowledgeGraph:
         """Materialize all EKG edges from the staged profiles.
 
         Content edges come from LSH candidates only (the linear-complexity
-        path); schema edges from cosine over attribute-name token counts;
-        PK-FK edges from key candidates whose values are contained in
-        another column.
+        path); schema edges from cosine over attribute-name token counts,
+        probed through a token posting map; PK-FK edges from key candidates
+        whose values are contained in another column, probed through a
+        value posting map.
         """
         if self._built:
             return self.ekg
-        refs = sorted(self._profiles)
-        annotate(num_columns=len(refs), num_tables=len(self._tables))
-        # content-similarity edges via LSH (no all-pairs scan)
-        for ref in refs:
-            profile = self._profiles[ref]
-            for other, estimate in self.lsh.query(profile.minhash, exclude=ref):
-                if other[0] == ref[0]:
-                    continue  # intra-table joins are not discovery targets
-                if ref < other:
-                    self.ekg.add_relation(ref, other, "content_sim", round(estimate, 4))
-        # schema-similarity edges via cosine over name-token counts
-        vectors = {ref: _name_vector(self._profiles[ref].name_tokens)
-                   for ref in refs}
-        for i in range(len(refs)):
-            for j in range(i + 1, len(refs)):
-                if refs[i][0] == refs[j][0]:
-                    continue
-                similarity = cosine_similarity(vectors[refs[i]], vectors[refs[j]])
-                if similarity >= self.schema_threshold:
-                    self.ekg.add_relation(refs[i], refs[j], "schema_sim", round(similarity, 4))
-        # PK-FK candidate edges
-        for left in refs:
-            key = self._profiles[left]
-            if not key.is_key_candidate:
-                continue
-            for right in refs:
-                if right == left or right[0] == left[0]:
-                    continue
-                foreign = self._profiles[right]
-                if not foreign.distinct:
-                    continue
-                contained = len(foreign.distinct & key.distinct) / len(foreign.distinct)
-                if contained >= 0.8:
-                    self.ekg.add_relation(left, right, "pkfk", round(contained, 4))
+        annotate(num_columns=len(self._profiles), num_tables=len(self._tables))
+        self._link(sorted(self._profiles))
         for table_name in sorted(self._tables):
             self.ekg.group_table(table_name)
         self._fresh.clear()
@@ -165,70 +245,24 @@ class Aurum:
         """Materialize edges for columns staged since the last build only.
 
         The incremental counterpart of :meth:`build`: instead of re-deriving
-        every edge, only pairs with at least one *fresh* endpoint are probed
-        — O(fresh x indexed) instead of O(indexed²), which is what makes
-        sustained ingest+query interleaving linear per step.  Every edge
-        score (MinHash estimate, name-token cosine, containment) is a pure
-        pairwise function of its two columns, so a sequence of deltas
-        produces exactly the edges a from-scratch :meth:`build` would —
-        no matter how the same ingests are partitioned into batches.
+        every edge, only pairs with at least one *fresh* endpoint are probed,
+        and of those only the candidates each pass can edge: LSH bucket
+        mates, columns sharing a name token, columns sharing a value.  The
+        cost per fresh column follows the edges it can gain, not the number
+        of indexed columns.  Every edge score (MinHash estimate, name-token
+        cosine, containment) is a pure pairwise function of its two columns,
+        so a sequence of deltas produces exactly the edges a from-scratch
+        :meth:`build` would — no matter how the same ingests are partitioned
+        into batches.
         """
         fresh = sorted(ref for ref in self._fresh if ref in self._profiles)
         if self._built and not fresh:
             return self.ekg
         if not fresh or len(fresh) == len(self._profiles):
             return self.build()  # nothing staged, or first build: delta == full
-        refs = sorted(self._profiles)
-        fresh_set = set(fresh)
-        annotate(num_columns=len(refs), fresh_columns=len(fresh),
+        annotate(num_columns=len(self._profiles), fresh_columns=len(fresh),
                  num_tables=len(self._tables))
-        # content-similarity edges: LSH probes for fresh refs only
-        for ref in fresh:
-            profile = self._profiles[ref]
-            for other, estimate in self.lsh.query(profile.minhash, exclude=ref):
-                if other[0] == ref[0]:
-                    continue
-                if other in fresh_set and not ref < other:
-                    continue  # both endpoints fresh: count the pair once
-                left, right = (ref, other) if ref < other else (other, ref)
-                self.ekg.add_relation(left, right, "content_sim", round(estimate, 4))
-        # schema-similarity edges: fresh x all, pairwise name-token cosine
-        vectors = {ref: _name_vector(self._profiles[ref].name_tokens)
-                   for ref in refs}
-        for ref in fresh:
-            for other in refs:
-                if other == ref or other[0] == ref[0]:
-                    continue
-                if other in fresh_set and not ref < other:
-                    continue
-                similarity = cosine_similarity(vectors[ref], vectors[other])
-                if similarity >= self.schema_threshold:
-                    left, right = (ref, other) if ref < other else (other, ref)
-                    self.ekg.add_relation(left, right, "schema_sim", round(similarity, 4))
-        # PK-FK candidate edges touching at least one fresh column
-        for ref in fresh:
-            key = self._profiles[ref]
-            if key.is_key_candidate:
-                for other in refs:
-                    if other == ref or other[0] == ref[0]:
-                        continue
-                    foreign = self._profiles[other]
-                    if not foreign.distinct:
-                        continue
-                    contained = len(foreign.distinct & key.distinct) / len(foreign.distinct)
-                    if contained >= 0.8:
-                        self.ekg.add_relation(ref, other, "pkfk", round(contained, 4))
-            if not key.distinct:
-                continue
-            for other in refs:  # fresh as the foreign side against existing keys
-                if other in fresh_set or other[0] == ref[0]:
-                    continue
-                candidate = self._profiles[other]
-                if not candidate.is_key_candidate:
-                    continue
-                contained = len(key.distinct & candidate.distinct) / len(key.distinct)
-                if contained >= 0.8:
-                    self.ekg.add_relation(other, ref, "pkfk", round(contained, 4))
+        self._link(fresh)
         for table_name in sorted({ref[0] for ref in fresh}):
             self.ekg.group_table(table_name)
         self._fresh.clear()
@@ -243,8 +277,8 @@ class Aurum:
         Honors Aurum's change threshold: when every column's new value set
         is within ``change_threshold`` Jaccard distance of the old one, the
         existing signatures are kept and no work is done.  Otherwise the
-        table's columns are restaged and :meth:`build_delta` re-derives
-        only the edges touching them (fresh x indexed, not all x all).
+        table's columns are unposted and restaged, and :meth:`build_delta`
+        re-derives only the edges touching them.
         """
         if table.name not in self._tables:
             self.add_table(table)
@@ -266,7 +300,7 @@ class Aurum:
         }:
             return False
         for ref in [r for r in self._profiles if r[0] == table.name]:
-            del self._profiles[ref]
+            self._unpost(self._profiles.pop(ref))
             self._fresh.discard(ref)
             self.lsh.remove(ref)
             self.ekg.remove_column(*ref)
@@ -315,22 +349,23 @@ class Aurum:
         return sorted(self._tables)
 
     def pkfk_candidates(self) -> List[Tuple[ColumnRef, ColumnRef, float]]:
-        """All detected PK-FK candidate pairs (key, foreign, containment)."""
+        """All detected PK-FK candidate pairs (key, foreign, containment).
+
+        A ``pkfk`` edge is undirected, so each of its orientations is
+        checked against the stored profiles: one is reported when its key
+        is a key candidate and holds at least 0.8 of the foreign column's
+        values, with that orientation's own containment.
+        """
         self.build()
         out = []
-        for key_ref in self.ekg.columns():
-            for other, weight in self.ekg.neighbors(key_ref, relation="pkfk"):
-                out.append((key_ref, other, weight))
-        # each edge appears from both endpoints; keep the key-side orientation
-        deduped = {
-            (key, other): weight
-            for key, other, weight in out
-            if self._profiles[key].is_key_candidate
-        }
-        return sorted(
-            [(k, o, w) for (k, o), w in deduped.items()],
-            key=lambda item: (-item[2], item[0], item[1]),
-        )
+        for key in self.ekg.columns():
+            if key not in self._keys:
+                continue
+            for foreign, _ in self.ekg.neighbors(key, relation="pkfk"):
+                contained = self._contained(foreign, key)
+                if contained >= 0.8:
+                    out.append((key, foreign, round(contained, 4)))
+        return sorted(out, key=lambda item: (-item[2], item[0], item[1]))
 
     # -- baseline for the scaling benchmark ----------------------------------------------
 

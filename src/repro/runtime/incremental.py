@@ -9,9 +9,11 @@ rebuilding them from all tables:
   :class:`~repro.discovery.aurum.Aurum` engine and one persistent
   :class:`~repro.exploration.keyword.KeywordSearch` index, and applies
   the dirty set as deltas: new tables are staged with ``add_table`` and
-  edged with ``build_delta`` (O(fresh x indexed), not O(indexed²));
-  changed tables go through Aurum's change-threshold ``update_table``
-  (itself a ``build_delta``) and a keyword remove+re-add.
+  edged with ``build_delta``, which probes only the fresh columns' LSH
+  bucket mates and the columns sharing a name token or a value with
+  them, never every indexed column; changed tables go through Aurum's
+  change-threshold ``update_table`` (itself a ``build_delta``) and a
+  keyword remove+re-add.
 
 ``refresh()`` is idempotent and cheap when clean, so callers (the
 ``DataLake`` facade, scheduler jobs) can invoke it before every query.

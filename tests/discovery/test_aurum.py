@@ -1,10 +1,16 @@
 """Tests for Aurum."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import Column, Table
 from repro.core.errors import DatasetNotFound
 from repro.discovery.aurum import Aurum
+from repro.discovery.profiles import TableProfiler
+from repro.ml.lsh import choose_banding
+from repro.ml.text import cosine_similarity
 
 
 @pytest.fixture
@@ -14,6 +20,17 @@ def aurum(small_lake):
         engine.add_table(table)
     engine.build()
     return engine
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("threshold", [0, 0.0, -1, 1.5, 1.0001])
+    def test_schema_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="schema_threshold"):
+            Aurum(schema_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [1e-9, 0.6, 1.0])
+    def test_schema_threshold_inside_unit_interval_accepted(self, threshold):
+        assert Aurum(schema_threshold=threshold).schema_threshold == threshold
 
 
 class TestBuild:
@@ -97,6 +114,14 @@ class TestQueries:
         assert (("customers", "customer_id"), ("orders", "customer_id")) in [
             (key, fk) for key, fk, _ in candidates
         ]
+        # two keys, only one containing the other: one orientation qualifies
+        aurum.update_table(Table.from_columns("big", {"id": list(range(100))}))
+        aurum.update_table(Table.from_columns("small", {"id": list(range(50))}))
+        candidates = aurum.pkfk_candidates()
+        assert (("big", "id"), ("small", "id"), 1.0) in candidates
+        assert (("small", "id"), ("big", "id")) not in [
+            (key, fk) for key, fk, _ in candidates
+        ]
 
 
 class TestIncrementalUpdates:
@@ -119,6 +144,23 @@ class TestIncrementalUpdates:
         assert aurum.update_table(extra) is True
         hits = aurum.joinable("extra", "customer_id", k=5)
         assert ("customers", "customer_id") in [ref for ref, _ in hits]
+
+    def test_re_added_table_is_reposted(self, small_lake, orders):
+        """add_table on an indexed name replaces its columns' postings, so a
+        later update that drops a column leaves no posting behind."""
+        engine = Aurum()
+        for table in small_lake + [orders]:
+            engine.add_table(table)
+        engine.build()
+        narrowed = Table.from_columns("orders", {
+            "order_id": [f"n-{i}" for i in range(30)]})
+        assert engine.update_table(narrowed) is True
+        rebuilt = Aurum()
+        for table in small_lake[:1] + small_lake[2:] + [narrowed]:
+            rebuilt.add_table(table)
+        assert _postings(engine) == _postings(rebuilt)
+        assert _edge_map(engine) == brute_force_edges(
+            small_lake[:1] + small_lake[2:] + [narrowed])
 
     def test_new_column_triggers_rebuild(self, aurum, orders):
         widened = Table("orders", list(orders.columns) + [
@@ -203,3 +245,116 @@ class TestDeltaPartitionInvariance:
         full.build()
         assert engine.update_table(changed) is True
         assert _edge_map(engine) == _edge_map(full)
+
+
+def brute_force_edges(tables, content_threshold=0.5, schema_threshold=0.6, num_perm=128):
+    """The EKG edge map from the pairwise definitions, over every column pair."""
+    profiler = TableProfiler(num_perm=num_perm)
+    profiles = sorted((p for table in tables for p in profiler.profile_table(table)),
+                      key=lambda p: p.ref)
+    bands, rows = choose_banding(num_perm, content_threshold)
+    edges = {}
+    for i, left in enumerate(profiles):
+        for right in profiles[i + 1:]:
+            if left.table == right.table:
+                continue
+            relations = {}
+            estimate = left.minhash.jaccard(right.minhash)
+            collide = any(
+                left.minhash.values[b * rows:(b + 1) * rows]
+                == right.minhash.values[b * rows:(b + 1) * rows]
+                for b in range(bands)
+            )
+            if collide and estimate >= content_threshold:
+                relations["content_sim"] = round(estimate, 4)
+            similarity = cosine_similarity(Counter(left.name_tokens), Counter(right.name_tokens))
+            if similarity >= schema_threshold:
+                relations["schema_sim"] = round(similarity, 4)
+            contained = [
+                len(foreign.distinct & key.distinct) / len(foreign.distinct)
+                for key, foreign in ((left, right), (right, left))
+                if key.is_key_candidate and foreign.distinct
+            ]
+            if max(contained, default=0.0) >= 0.8:
+                relations["pkfk"] = round(max(contained), 4)
+            if relations:
+                edges[(left.ref, right.ref)] = relations
+    return edges
+
+
+NAME_TOKENS = ["id", "name", "code", "key"]
+
+
+@st.composite
+def lake_table(draw, name, shared_token):
+    """A small table whose names and values collide often across tables."""
+    names = draw(st.lists(
+        st.lists(st.sampled_from(NAME_TOKENS), min_size=1, max_size=2).map("_".join),
+        min_size=1, max_size=3, unique=True))
+    if shared_token:
+        names = [f"{n}_id" for n in names]
+    rows = draw(st.integers(1, 12))
+    columns = {}
+    for column in names:
+        kind = draw(st.sampled_from(["key", "foreign", "mixed"]))
+        if kind == "key":  # unique values, so a key candidate
+            start = draw(st.integers(0, 4))
+            columns[column] = [str(start + i) for i in range(rows)]
+        elif kind == "foreign":
+            columns[column] = [str(v) for v in draw(st.lists(
+                st.integers(0, 14), min_size=rows, max_size=rows))]
+        else:
+            columns[column] = draw(st.lists(
+                st.sampled_from(["a", "b", "1", "2", None]), min_size=rows, max_size=rows))
+    return Table.from_columns(name, columns)
+
+
+def _postings(engine):
+    return ({token: sorted(refs) for token, refs in engine._by_token.items()},
+            {value: sorted(refs) for value, refs in engine._by_value.items()},
+            set(engine._keys), dict(engine._name_vectors))
+
+
+class TestPostingProbes:
+    """The token and value posting probes find exactly the edges a scan over
+    every column pair finds: relations, weights, full builds, delta
+    partitions and re-ingests."""
+
+    @pytest.mark.parametrize("shared_token", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_probes_match_brute_force(self, shared_token, data):
+        count = data.draw(st.integers(2, 5))
+        tables = [data.draw(lake_table(f"t{i}", shared_token)) for i in range(count)]
+        expected = brute_force_edges(tables)
+
+        full = Aurum()
+        for table in tables:
+            full.add_table(table)
+        full.build()
+        assert _edge_map(full) == expected
+
+        order = data.draw(st.permutations(tables))
+        cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))))
+        delta = Aurum()
+        for start, stop in zip([0] + cuts, cuts + [count]):
+            for table in order[start:stop]:
+                delta.add_table(table)
+            delta.build_delta()
+        assert _edge_map(delta) == expected
+
+        current = {table.name: table for table in tables}
+        for index in data.draw(st.lists(st.integers(0, count), max_size=3)):
+            table = data.draw(lake_table(f"t{index}", shared_token))
+            changed = full.update_table(table)
+            assert delta.update_table(table) is changed
+            if changed:
+                current[table.name] = table
+        expected = brute_force_edges(current.values())
+        assert _edge_map(full) == expected
+        assert _edge_map(delta) == expected
+
+        rebuilt = Aurum()
+        for table in current.values():
+            rebuilt.add_table(table)
+        assert _postings(delta) == _postings(rebuilt)

@@ -148,25 +148,38 @@ class TestDeltaEquivalence:
             assert [ref for ref, _ in full_hits] == [ref for ref, _ in delta_hits]
 
     def test_pkfk_matches_full_build(self):
-        key_table = Table.from_columns("dim", {
-            "customer_id": [f"c{i}" for i in range(40)],
-        })
-        fact_table = Table.from_columns("fact", {
-            "customer_id": [f"c{i % 20}" for i in range(40)],
-        })
-        full = Aurum()
-        full.add_table(key_table)
-        full.add_table(fact_table)
-        full.build()
+        """Delta and full builds report the same PK-FK pairs and weights in
+        either ingest order; each orientation carries its own containment,
+        and the undirected edge keeps the larger one."""
+        cases = [
+            ([Table.from_columns("dim", {"customer_id": [f"c{i}" for i in range(40)]}),
+              Table.from_columns("fact", {"customer_id": [f"c{i % 20}" for i in range(40)]})],
+             [(("dim", "customer_id"), ("fact", "customer_id"), 1.0)]),
+            # two keys, each containing the other
+            ([Table.from_columns("t1", {"id": list(range(100))}),
+              Table.from_columns("t2", {"id": list(range(90))})],
+             [(("t1", "id"), ("t2", "id"), 1.0), (("t2", "id"), ("t1", "id"), 0.9)]),
+            # two keys, only one containing the other
+            ([Table.from_columns("big", {"id": list(range(100))}),
+              Table.from_columns("small", {"id": list(range(50))})],
+             [(("big", "id"), ("small", "id"), 1.0)]),
+        ]
+        for tables, expected in cases:
+            for ingest_order in (tables, tables[::-1]):
+                full = Aurum()
+                for table in ingest_order:
+                    full.add_table(table)
+                full.build()
 
-        delta = Aurum()
-        delta.add_table(key_table)
-        delta.build_delta()
-        delta.add_table(fact_table)
-        delta.build_delta()
+                delta = Aurum()
+                for table in ingest_order:
+                    delta.add_table(table)
+                    delta.build_delta()
 
-        assert [(k, o) for k, o, _ in delta.pkfk_candidates()] == \
-               [(k, o) for k, o, _ in full.pkfk_candidates()]
+                key, foreign, weight = expected[0]
+                for engine in (full, delta):
+                    assert engine.pkfk_candidates() == expected
+                    assert engine.ekg.relations_between(key, foreign)["pkfk"] == weight
 
 
 class TestBuildDeltaEdgeCases:
