@@ -5,29 +5,19 @@ comparative claims.  Rendered artifacts are collected here and printed in
 the terminal summary (so they appear even though pytest captures stdout),
 and written to ``benchmarks/results/`` for inspection.
 
-The harness is also wired to ``repro.obs``: an autouse fixture snapshots
-the spans each benchmark produced (the instrumented hot paths fire
-automatically), and the session writes one consolidated
-``BENCH_observability.json`` with per-test and per-system timing
-aggregates — the repo's machine-readable perf trajectory.
-
-``repro.analysis`` rides along the same way: the session end runs the
-lakelint engine over ``src``/``benchmarks``/``tools`` and writes its JSON
-report as ``BENCH_lint.json`` next to the other ``BENCH_*`` artifacts, so
-every benchmark run records static-analysis health alongside perf.
+``repro.analysis`` rides along: the session end runs the lakelint engine
+over ``src``/``benchmarks``/``tools`` and writes its JSON report as
+``BENCH_lint.json`` next to the other ``BENCH_*`` artifacts, so every
+benchmark run records static-analysis health alongside perf.
 """
 
 import pathlib
 
-import pytest
-
 from repro.bench.results import envelope, write_bench_json, write_result_text
-from repro.obs import aggregate_spans, get_recorder, reset as obs_reset
 
 _REPORTS = []
 _REPO_ROOT = pathlib.Path(__file__).parent.parent
 _RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-_OBS_TESTS = []
 _LINT_PATH = _REPO_ROOT / "BENCH_lint.json"
 _LINT_PATHS = ("src", "benchmarks", "tools")
 _LINT_SUMMARY = []
@@ -37,34 +27,6 @@ def add_report(name: str, text: str) -> None:
     """Register a rendered artifact for the terminal summary + results dir."""
     _REPORTS.append((name, text))
     write_result_text(name, text, results_dir=_RESULTS_DIR)
-
-
-@pytest.fixture(autouse=True)
-def obs_metrics(request):
-    """Collect per-test span aggregates from the instrumented hot paths."""
-    obs_reset()
-    yield
-    spans = get_recorder().all_spans()
-    if not spans:
-        return
-    aggregates = aggregate_spans(spans)
-    _OBS_TESTS.append({
-        "test": request.node.name,
-        "span_count": aggregates["span_count"],
-        "tiers": aggregates["tiers"],
-        "systems": aggregates["systems"],
-    })
-
-
-def _merge(target, entry):
-    target["calls"] = target.get("calls", 0) + entry.get("calls", 0)
-    target["total_ms"] = round(target.get("total_ms", 0.0) + entry.get("total_ms", 0.0), 6)
-    functions = target.setdefault("functions", {})
-    for name, stats in entry.get("functions", {}).items():
-        merged = functions.setdefault(name, {})
-        merged["calls"] = merged.get("calls", 0) + stats.get("calls", 0)
-        merged["total_ms"] = round(merged.get("total_ms", 0.0) + stats.get("total_ms", 0.0), 6)
-    return target
 
 
 def _write_lint_artifact():
@@ -106,26 +68,6 @@ def _write_lint_artifact():
 
 def pytest_sessionfinish(session, exitstatus):
     _write_lint_artifact()
-    if not _OBS_TESTS:
-        return
-    systems = {}
-    tiers = {}
-    for test_entry in _OBS_TESTS:
-        for name, entry in test_entry["systems"].items():
-            _merge(systems.setdefault(name, {}), entry)
-        for name, entry in test_entry["tiers"].items():
-            _merge(tiers.setdefault(name, {}), entry)
-    total_spans = sum(t["span_count"] for t in _OBS_TESTS)
-    write_bench_json("observability", envelope(
-        "repro.obs/bench-v1",
-        {
-            "total_spans": total_spans,
-            "systems": systems,
-            "tiers": tiers,
-            "tests": _OBS_TESTS,
-        },
-        gates={"instrumented": {"pass": total_spans > 0,
-                                "total_spans": total_spans}}))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -133,13 +75,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("lakelint")
         for line in _LINT_SUMMARY:
             terminalreporter.write_line(line)
-    if _OBS_TESTS:
-        terminalreporter.section("observability")
-        terminalreporter.write_line(
-            f"wrote BENCH_observability.json: "
-            f"{sum(t['span_count'] for t in _OBS_TESTS)} spans "
-            f"across {len(_OBS_TESTS)} benchmarks"
-        )
     if not _REPORTS:
         return
     terminalreporter.section("reproduced paper artifacts")

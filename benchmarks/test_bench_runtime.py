@@ -26,7 +26,7 @@ from repro.bench.reporting import render_table, report_experiment
 from repro.bench.results import envelope, write_bench_json
 from repro.discovery.aurum import Aurum
 from repro.exploration.keyword import KeywordSearch
-from repro.obs import get_registry
+from repro.obs import get_registry, reset as obs_reset
 
 from conftest import add_report
 
@@ -85,6 +85,7 @@ def run_workload(lake, keyword=DataLake.keyword_search,
 
 
 def run_all_modes():
+    obs_reset()  # the job histogram is process-wide: count this run's jobs only
     runs = {
         "inline_full_rebuild": run_workload(
             DataLake(), keyword=rebuilt_keyword, joinable=rebuilt_joinable),

@@ -360,7 +360,7 @@ def _verify_against_reference(lake: DataLake, scenario: Scenario,
     uncached serial ground truth.  Discovery is partition-invariant, so
     answers must match element for element.
     """
-    reference = DataLake(cache=False, profile=False)
+    reference = DataLake(cache=False)
     try:
         for dataset in build_corpus(scenario).datasets:
             reference.ingest(dataset)
@@ -627,8 +627,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     polystore = build_polystore(scenario.fault_rate, scenario.seed)
     lake = DataLake(polystore=polystore,
                     cache=scenario.cache,
-                    async_maintenance=scenario.async_maintenance,
-                    profile=False)
+                    async_maintenance=scenario.async_maintenance)
     try:
         ingest_started = time.perf_counter()
         for dataset in corpus.datasets:

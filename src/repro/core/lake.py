@@ -22,9 +22,8 @@ import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dataset import Dataset, Table
-from repro.core.errors import DatasetNotFound, SchemaError
-from repro.core.registry import SystemRegistry, default_registry
-from repro.obs import (Observability, check_deadline, emit, ensure_profiler,
+from repro.core.errors import DatasetNotFound, JobTimeout, SchemaError
+from repro.obs import (Observability, check_deadline, current_context, emit,
                        get_event_log, get_recorder, get_registry, traced)
 
 
@@ -49,37 +48,33 @@ class DataLake:
     ``cache=`` sets the lake-wide
     :class:`~repro.exploration.parallel.QueryCache`: ``True`` (the
     default) memoizes discovery/keyword answers keyed by (engine,
-    normalized query, index epoch); an ``int`` bounds ``max_entries``;
-    ``False``/``None`` disables; a ``QueryCache`` instance is shared.
-    Any other value raises :class:`TypeError`.
+    normalized query, index epoch); ``False`` disables it; a
+    ``QueryCache`` instance is used as given (``QueryCache(max_entries=n)``
+    bounds it, and one instance may be shared by several lakes).  Any
+    other value raises :class:`TypeError`.
 
-    Observability (see docs/OBSERVABILITY.md): ``slos=`` takes a sequence
-    of :class:`~repro.obs.slo.SLO` objectives, evaluated over this lake's
-    spans with burn-rate alerting wired into its health registry;
-    ``profile=False`` opts out of starting the process-wide sampling
-    profiler.
+    ``polystore=`` supplies the storage tier (a default in-memory
+    :class:`~repro.storage.polystore.Polystore` otherwise).
+
+    Every entry point is traced into the process-wide :mod:`repro.obs`
+    recorder.  Nothing else in observability is on by default: start a
+    :class:`~repro.obs.profiler.SamplingProfiler` or attach an
+    :class:`~repro.obs.slo.SLOEngine` explicitly (see
+    docs/OBSERVABILITY.md).
     """
 
     def __init__(
         self,
-        registry: Optional[SystemRegistry] = None,
         *,
         async_maintenance: bool = False,
-        maintenance_workers: int = 4,
-        maintenance_queue_size: int = 256,
         polystore: Optional["Polystore"] = None,
         cache: Any = True,
-        slos: Optional[Sequence[Any]] = None,
-        profile: bool = True,
     ):
         from repro.exploration.parallel import EpochClock, QueryCache
         from repro.storage.polystore import Polystore
 
         self.polystore = polystore if polystore is not None else Polystore()
-        self.registry = registry or default_registry()
         self.async_maintenance = async_maintenance
-        self._maintenance_workers = maintenance_workers
-        self._maintenance_queue_size = maintenance_queue_size
         self._datasets: Dict[str, Dataset] = {}
         self._catalog = None
         self._provenance = None
@@ -91,27 +86,15 @@ class DataLake:
         self._epochs = EpochClock()
         if isinstance(cache, QueryCache):
             self._query_cache: Optional[QueryCache] = cache
-        elif cache is None or isinstance(cache, bool):
+        elif isinstance(cache, bool):
             self._query_cache = QueryCache() if cache else None
-        elif isinstance(cache, int):
-            self._query_cache = QueryCache(max_entries=cache)
         else:
             raise TypeError(
-                f"cache= takes True, False, None, an int or a QueryCache, "
-                f"not {cache!r}")
+                f"cache= takes True, False or a QueryCache, not {cache!r}")
         # (epoch, index): published as one value so no reader pairs an
         # index with another build's epoch
         self._union: Tuple[int, Any] = (-1, None)
         self._union_lock = threading.Lock()
-        self._slo_engine = None
-        if slos:
-            from repro.obs.slo import SLOEngine
-
-            self._slo_engine = SLOEngine(
-                slos, registry=get_registry(), events=get_event_log(),
-                health=self.polystore.health).attach(get_recorder())
-        if profile:
-            ensure_profiler()  # the always-on wall-clock sampler
 
     @classmethod
     def in_memory(cls) -> "DataLake":
@@ -171,10 +154,7 @@ class DataLake:
         if self._runtime is None:
             from repro.runtime.scheduler import JobScheduler
 
-            self._runtime = JobScheduler(
-                workers=self._maintenance_workers,
-                queue_size=self._maintenance_queue_size,
-            )
+            self._runtime = JobScheduler()
         return self._runtime
 
     @property
@@ -219,14 +199,15 @@ class DataLake:
         barrier that waits for it.
         """
         placement = self.polystore.store(dataset)
+        replaced = dataset.name in self._datasets
         self._datasets[dataset.name] = dataset
         if self.async_maintenance:
-            self._enqueue_maintenance(dataset, placement, extract_metadata)
+            self._enqueue_maintenance(dataset, placement, extract_metadata, replaced)
         else:
             if extract_metadata:
                 self._extract_metadata(dataset)
             self._register_catalog(dataset, placement)
-            self._note_index_change(dataset)
+            self._note_index_change(dataset, replaced)
         emit("ingest.committed", dataset=dataset.name, format=dataset.format,
              backend=placement.backend, mode="async" if self.async_maintenance
              else "sync")
@@ -247,15 +228,22 @@ class DataLake:
             self.catalog.register(dataset, backend=placement.backend)
             self.provenance.record_ingest(dataset.name, source=dataset.source)
 
-    def _note_index_change(self, dataset: Dataset) -> None:
+    def _note_index_change(self, dataset: Dataset, replaced: bool) -> None:
+        """Mark the dataset's table dirty; the maintainer's ``on_change``
+        bumps the epochs.  A non-tabular dataset is not indexed, but when
+        it *replaced* a dataset of the same name, that name leaves the
+        indexes."""
         try:
             table = dataset.as_table()
         except SchemaError:
             get_registry().counter("lake.index.skipped_nontabular").inc()
+            if replaced:
+                self.maintainer.note_removed(dataset.name)
             return
-        self.maintainer.note(table)  # note() bumps the epochs via on_change
+        self.maintainer.note(table)
 
-    def _enqueue_maintenance(self, dataset: Dataset, placement, extract_metadata: bool) -> None:
+    def _enqueue_maintenance(self, dataset: Dataset, placement,
+                             extract_metadata: bool, replaced: bool) -> None:
         # materialize the shared tier components on the caller thread: the
         # lazy properties are not locked, and two worker-thread jobs racing
         # through first access would each build (and one would drop) a store
@@ -274,7 +262,7 @@ class DataLake:
             name=f"catalog:{dataset.name}", depends_on=depends_on,
             tags={"dataset": dataset.name},
         )
-        self._note_index_change(dataset)  # the dirty mark itself is cheap
+        self._note_index_change(dataset, replaced)  # the dirty mark itself is cheap
         self._submit_index_refresh()
 
     def _submit_index_refresh(self) -> None:
@@ -297,10 +285,18 @@ class DataLake:
         ``len()``, which counts every job ever submitted and therefore
         stays truthy forever after the first ingest, turning every query
         on an idle lake into a full drain (results-dict copy included).
+        The wait is bounded by the active request's deadline, and raises
+        :class:`~repro.core.errors.DeadlineExceeded` when that passes
+        first; without a deadline it waits for every job.
         """
         if (self.async_maintenance and self._runtime is not None
                 and self._runtime.outstanding()):
-            self._runtime.drain()
+            ctx = current_context()
+            try:
+                self._runtime.drain(ctx.remaining() if ctx is not None else None)
+            except JobTimeout:
+                check_deadline("maintenance.quiesce")  # the deadline has passed
+                raise
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Barrier: wait for all enqueued maintenance jobs; returns results.
@@ -317,8 +313,6 @@ class DataLake:
         if self._runtime is not None:
             self._runtime.drain()
             self._runtime.close()
-        if self._slo_engine is not None:
-            self._slo_engine.detach()
 
     def ingest_table(
         self,
@@ -540,17 +534,6 @@ class DataLake:
         if getattr(self, "_observability", None) is None:
             self._observability = Observability()
         return self._observability
-
-    @property
-    def slo_engine(self):
-        """The lake's :class:`~repro.obs.slo.SLOEngine`, or None."""
-        return self._slo_engine
-
-    def slo_report(self) -> str:
-        """Burn-rate report for the configured SLOs (text)."""
-        if self._slo_engine is None:
-            return "(no SLOs configured)"
-        return self._slo_engine.render_report()
 
     def flight_recorder(self, last: int = 100,
                         request_id: Optional[str] = None) -> str:

@@ -209,9 +209,10 @@ _DEFAULT_REGISTRY = SystemRegistry()
 def default_registry() -> SystemRegistry:
     """Return the process-wide system registry.
 
-    Importing :mod:`repro.systems` populates it with every implemented
-    system; :func:`repro.core.lake.DataLake` and the Table 1 benchmark do
-    this automatically.
+    Each system module registers itself when imported, so the registry
+    holds the systems imported so far.  Importing :mod:`repro.systems`
+    populates it with every implemented system; the ``python -m repro``
+    CLI and the Table 1-3 and architecture benchmarks do that.
     """
     return _DEFAULT_REGISTRY
 

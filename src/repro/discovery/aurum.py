@@ -25,7 +25,8 @@ Implemented here:
   column;
 - EKG construction (:class:`~repro.modeling.ekg.EnterpriseKnowledgeGraph`)
   with ``content_sim``, ``schema_sim`` and ``pkfk`` edges;
-- incremental ``update_table`` honoring the change threshold;
+- incremental ``update_table`` honoring the change threshold, and
+  ``remove_table``;
 - top-k joinable-column and related-table queries.
 """
 
@@ -299,14 +300,26 @@ class Aurum:
             ref[1] for ref in self._profiles if ref[0] == table.name
         }:
             return False
-        for ref in [r for r in self._profiles if r[0] == table.name]:
+        self.remove_table(table.name)
+        self.add_table(table)
+        self.build_delta()
+        return True
+
+    def remove_table(self, name: str) -> bool:
+        """Drop table *name*'s columns, postings and EKG nodes and edges.
+
+        Returns True when the table was indexed.  Every remaining edge is a
+        pure pairwise function of its two columns, so the EKG left behind
+        is the one a build without the table would produce.
+        """
+        if name not in self._tables:
+            return False
+        for ref in [r for r in self._profiles if r[0] == name]:
             self._unpost(self._profiles.pop(ref))
             self._fresh.discard(ref)
             self.lsh.remove(ref)
             self.ekg.remove_column(*ref)
-        self._tables.pop(table.name)
-        self.add_table(table)
-        self.build_delta()
+        del self._tables[name]
         return True
 
     # -- queries ----------------------------------------------------------------------

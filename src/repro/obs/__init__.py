@@ -17,10 +17,13 @@ measurement substrate that makes them observable in the running lake:
   propagated across every thread boundary in the repo;
 - :mod:`repro.obs.events` — the bounded structured event log ("flight
   recorder") with JSONL export;
-- :mod:`repro.obs.profiler` — the always-on wall-clock sampling profiler
+- :mod:`repro.obs.profiler` — an opt-in wall-clock sampling profiler
   with per-request attribution and collapsed-stack output;
 - :mod:`repro.obs.slo` — declarative per-operation objectives with
-  multi-window burn-rate alerting.
+  multi-window burn-rate alerting, attached to a recorder explicitly.
+
+Spans, metrics and events are always recorded; the sampler and SLO
+evaluation run only when started or attached.
 
 Typical use::
 

@@ -2,8 +2,7 @@
 
 Three consumers, three formats:
 
-- :func:`export_json` — machine-readable, the format consumed by the
-  benchmark harness (``BENCH_observability.json``);
+- :func:`export_json` — machine-readable (``lake.observability.export_json()``);
 - :func:`export_prometheus` — the Prometheus text exposition format, so a
   scraper can be pointed at a dump of the registry;
 - :func:`render_span_tree` / :func:`render_metrics_table` — human-readable
@@ -12,8 +11,7 @@ Three consumers, three formats:
 
 :func:`aggregate_spans` rolls finished spans up into the
 tier → function → system breakdown that mirrors the survey's Table 1
-taxonomy; it backs both ``Observability.report()`` and the per-test
-collection in ``benchmarks/conftest.py``.
+taxonomy; it backs ``Observability.report()``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
-"""Always-on wall-clock sampling profiler (``sys._current_frames`` ticker).
+"""Opt-in wall-clock sampling profiler (``sys._current_frames`` ticker).
+
+Nothing starts it by default: use a scoped ``with SamplingProfiler():``
+block, or :func:`repro.obs.ensure_profiler` for the process-wide one.
 
 A daemon thread wakes every ``interval`` seconds, snapshots every
 thread's current Python frame stack, and charges the elapsed wall time
@@ -11,7 +14,7 @@ The sampler meters that work itself: every tick is timed, and the
 snapshot reports the **duty cycle** (time inside ticks as a share of
 the wall time sampled).  On a single core that ratio *is* the
 wall-clock fraction stolen from the workload, so the "cheap enough to
-leave on" claim is asserted directly against it in
+run under a live workload" claim is asserted directly against it in
 ``BENCH_primitives.json`` (≤ 5% budget) instead of against off-vs-on
 wall-clock differences, which on a noisy shared host cannot resolve a
 sub-1% effect.

@@ -4,7 +4,7 @@ The lake keeps its discovery indexes current with *deltas*, never by
 rebuilding them from all tables:
 
 - :class:`DirtySet` — a thread-safe set of changed tables awaiting index
-  application (the latest payload wins when a table is marked twice);
+  application (the latest change wins when a table is marked twice);
 - :class:`IncrementalIndexMaintainer` — owns one persistent
   :class:`~repro.discovery.aurum.Aurum` engine and one persistent
   :class:`~repro.exploration.keyword.KeywordSearch` index, and applies
@@ -13,7 +13,8 @@ rebuilding them from all tables:
   bucket mates and the columns sharing a name token or a value with
   them, never every indexed column; changed tables go through Aurum's
   change-threshold ``update_table`` (itself a ``build_delta``) and a
-  keyword remove+re-add.
+  keyword remove+re-add; removed tables leave both indexes through
+  their ``remove_table``.
 
 ``refresh()`` is idempotent and cheap when clean, so callers (the
 ``DataLake`` facade, scheduler jobs) can invoke it before every query.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.dataset import Table
 from repro.obs import annotate, check_deadline, get_registry, traced
@@ -90,23 +91,34 @@ class ReadWriteLock:
 
 
 class DirtySet:
-    """Thread-safe pending-changes set; the latest payload per table wins."""
+    """Thread-safe pending-changes set; the latest change per table wins.
+
+    A change is the table's new payload, or ``None`` when the table was
+    removed.
+    """
 
     def __init__(self) -> None:
-        self._pending: Dict[str, Table] = {}
+        self._pending: Dict[str, Optional[Table]] = {}
         self._lock = threading.Lock()
 
     def mark(self, table: Table) -> bool:
         """Record *table* as changed; returns True when it was newly dirty."""
+        return self._put(table.name, table)
+
+    def mark_removed(self, name: str) -> bool:
+        """Record table *name* as removed; returns True when it was newly dirty."""
+        return self._put(name, None)
+
+    def _put(self, name: str, table: Optional[Table]) -> bool:
         with self._lock:
-            fresh = table.name not in self._pending
-            self._pending[table.name] = table
+            fresh = name not in self._pending
+            self._pending[name] = table
             return fresh
 
-    def take(self) -> List[Table]:
-        """Remove and return all pending tables in mark order."""
+    def take(self) -> List[Tuple[str, Optional[Table]]]:
+        """Remove and return all pending ``(name, table)`` changes in mark order."""
         with self._lock:
-            pending = list(self._pending.values())
+            pending = list(self._pending.items())
             self._pending.clear()
             return pending
 
@@ -156,13 +168,20 @@ class IncrementalIndexMaintainer:
 
     def note(self, table: Table) -> bool:
         """Mark *table* dirty (new or changed); cheap, safe from any thread."""
-        fresh = self._dirty.mark(table)
+        return self._noted(table.name, self._dirty.mark(table))
+
+    def note_removed(self, name: str) -> bool:
+        """Mark table *name* for removal from both indexes (a no-op for a
+        name that is not indexed); cheap, safe from any thread."""
+        return self._noted(name, self._dirty.mark_removed(name))
+
+    def _noted(self, name: str, fresh: bool) -> bool:
         self._g_dirty.set(len(self._dirty))
         if self._on_change is not None:
             # fires *after* the dirty mark: an observer (the lake's epoch
             # clock) that publishes the new epoch is guaranteed that any
             # query reading it will see this change applied on refresh
-            self._on_change(table.name)
+            self._on_change(name)
         return fresh
 
     def dirty(self) -> List[str]:
@@ -183,16 +202,21 @@ class IncrementalIndexMaintainer:
             # the engines mutate in place: exclude in-flight index readers
             # (discovery queries on other threads) for the delta's duration
             with self._rw.writing():
-                for table in pending:
-                    if table.name in self._indexed:
-                        self._keyword.remove_table(table.name)
+                for name, table in pending:
+                    if table is None:
+                        if name in self._indexed:
+                            self._keyword.remove_table(name)
+                            self._aurum.remove_table(name)
+                            self._indexed.discard(name)
+                    elif name in self._indexed:
+                        self._keyword.remove_table(name)
                         self._keyword.add_table(table)
                         self._aurum.update_table(table)  # change-threshold aware
                         self._m_updates.inc()
                     else:
                         self._keyword.add_table(table)
                         self._aurum.add_table(table)
-                        self._indexed.add(table.name)
+                        self._indexed.add(name)
                 self._aurum.build_delta()
             self._m_delta.inc(len(pending))
             self._g_tables.set(len(self._indexed))

@@ -474,34 +474,24 @@ class LakeServer:
     def _handle_discover(self, tenant: str, request: ServingRequest) -> List[Any]:
         kind = request.kind
         k = request.k
-        if kind == "keyword":
-            hits = self._guarded(tenant, lambda: self.lake.keyword_search(
-                request.keywords, k=self._internal_k(tenant, kind, k)))
-            visible = [{"table": strip_namespace(tenant, hit.table),
-                        "score": hit.score}
-                       for hit in hits if in_namespace(tenant, hit.table)]
-            return visible[:k]
         table = qualify(tenant, request.table)
-        if kind == "joinable":
+        if kind == "keyword":
+            answer = self._guarded(tenant, lambda: self.lake.keyword_search(
+                request.keywords, k=self._internal_k(tenant, kind, k)))
+        elif kind == "joinable":
             if not request.column:
                 raise QueryError("joinable discovery needs column=")
-            pairs = self._guarded(tenant, lambda: self.lake.discover_joinable(
+            answer = self._guarded(tenant, lambda: self.lake.discover_joinable(
                 table, request.column, k=self._internal_k(tenant, kind, k)))
-            visible = [((strip_namespace(tenant, name), column), score)
-                       for (name, column), score in pairs
-                       if in_namespace(tenant, name)]
-            return visible[:k]
-        if kind == "related":
-            ranked = self._guarded(tenant, lambda: self.lake.discover_related(
+        elif kind == "related":
+            answer = self._guarded(tenant, lambda: self.lake.discover_related(
                 table, k=self._internal_k(tenant, kind, k)))
         elif kind == "union":
-            ranked = self._guarded(tenant, lambda: self.lake.discover_union(
+            answer = self._guarded(tenant, lambda: self.lake.discover_union(
                 table, k=self._internal_k(tenant, kind, k)))
         else:
             raise QueryError(f"unknown discovery kind {kind!r}")
-        visible = [(strip_namespace(tenant, name), score)
-                   for name, score in ranked if in_namespace(tenant, name)]
-        return visible[:k]
+        return self._visible(tenant, kind, answer, k)
 
     def _handle_discover_batch(self, tenant: str,
                                request: ServingRequest) -> List[Any]:
@@ -519,23 +509,8 @@ class LakeServer:
             specs.append(dataclasses.replace(query, **replace))
         answers = self._guarded(
             tenant, lambda: self.lake.discover_batch(specs))
-        out: List[Any] = []
-        for query, answer, k in zip(specs, answers, ks):
-            if query.kind == "keyword":
-                visible: List[Any] = [
-                    {"table": strip_namespace(tenant, hit.table),
-                     "score": hit.score}
-                    for hit in answer if in_namespace(tenant, hit.table)]
-            elif query.kind == "joinable":
-                visible = [((strip_namespace(tenant, name), column), score)
-                           for (name, column), score in answer
-                           if in_namespace(tenant, name)]
-            else:
-                visible = [(strip_namespace(tenant, name), score)
-                           for name, score in answer
-                           if in_namespace(tenant, name)]
-            out.append(visible[:k])
-        return out
+        return [self._visible(tenant, query.kind, answer, k)
+                for query, answer, k in zip(specs, answers, ks)]
 
     def _handle_health(self, tenant: str, request: ServingRequest) -> Dict[str, Any]:
         report = self._guarded(tenant, lambda: self.lake.health())
@@ -549,6 +524,23 @@ class LakeServer:
         }
 
     # -- namespace helpers -----------------------------------------------------
+
+    @staticmethod
+    def _visible(tenant: str, kind: str, answer: List[Any], k: int) -> List[Any]:
+        """The top *k* of a discovery *answer* in *tenant*'s namespace.
+
+        Foreign tables are dropped and the tenant prefix is stripped from
+        the rest; keyword hits become ``{"table", "score"}`` dicts.
+        """
+        if kind == "keyword":
+            return [{"table": strip_namespace(tenant, hit.table), "score": hit.score}
+                    for hit in answer if in_namespace(tenant, hit.table)][:k]
+        if kind == "joinable":
+            return [((strip_namespace(tenant, name), column), score)
+                    for (name, column), score in answer
+                    if in_namespace(tenant, name)][:k]
+        return [(strip_namespace(tenant, name), score)
+                for name, score in answer if in_namespace(tenant, name)][:k]
 
     def _truncated(self, tenant: str, total: int, cap: int) -> bool:
         if total <= cap:

@@ -181,7 +181,9 @@ class Polystore:
 
         When the chosen backend is unavailable the write fails over to the
         object-store fallback and the returned :class:`Placement` is marked
-        ``degraded``.  Returns the recorded :class:`Placement`.
+        ``degraded``.  A re-store that moves a dataset off the relational
+        backend drops its old table there, so SQL cannot read it.  Returns
+        the recorded :class:`Placement`.
         """
         chosen = backend or self.choose_backend(dataset)
         annotate(backend=chosen)
@@ -196,6 +198,11 @@ class Polystore:
         else:
             if chosen != "objects" and self._resilience.replicate == "always":
                 self._replicate_unguarded(dataset, chosen)
+        previous = self._placements.get(dataset.name)
+        if (previous is not None and previous.backend == "relational"
+                and chosen != "relational"):
+            self._guarded("relational", "drop_table",
+                          lambda: self.relational.drop_table(previous.location))
         self._placements[dataset.name] = placement
         return placement
 

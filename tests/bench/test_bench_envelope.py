@@ -9,7 +9,6 @@ fails the suite rather than silently forking the format.
 """
 
 import json
-import re
 
 from repro.bench.results import (REPO_ROOT, gates_passed, validate_envelope)
 
@@ -18,7 +17,6 @@ from repro.bench.results import (REPO_ROOT, gates_passed, validate_envelope)
 EXPECTED_ARTIFACTS = {
     "BENCH_lint.json",
     "BENCH_macro.json",
-    "BENCH_observability.json",
     "BENCH_primitives.json",
     "BENCH_runtime.json",
     "BENCH_serving.json",
@@ -64,12 +62,3 @@ def test_macro_artifact_is_the_canonical_trajectory():
         assert report["gates"], name
         assert report["passed"] is True, name
         assert name in doc["gates"]
-
-
-def test_observability_artifact_names_only_existing_bench_tests():
-    doc = json.loads((REPO_ROOT / "BENCH_observability.json").read_text())
-    defined = set()
-    for path in (REPO_ROOT / "benchmarks").glob("test_bench_*.py"):
-        defined.update(re.findall(r"^\s*def (test_\w+)", path.read_text(), re.M))
-    named = {entry["test"] for entry in doc["results"]["tests"]}
-    assert sorted(named - defined) == []

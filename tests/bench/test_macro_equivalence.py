@@ -61,8 +61,8 @@ def test_scenario_lake_matches_serial_reference(seed, pools, json_collections,
                                                 text_docs):
     scenario = _small_spec(seed, pools, json_collections, text_docs)
     corpus = build_corpus(scenario)
-    lake = _ingest_corpus(DataLake(cache=True, profile=False), scenario)
-    serial = _ingest_corpus(DataLake(cache=False, profile=False), scenario)
+    lake = _ingest_corpus(DataLake(cache=True), scenario)
+    serial = _ingest_corpus(DataLake(cache=False), scenario)
     try:
         for name in corpus.discovery_names:
             assert (lake.discover_related(name, k=5)

@@ -1,10 +1,19 @@
 """Tests for the DataLake facade (Fig. 2 end-to-end)."""
 
+import inspect
+import json
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro import DataLake
 from repro.core.dataset import Dataset, Table
-from repro.core.errors import DatasetNotFound
+from repro.core.errors import DataLakeError, DatasetNotFound
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -99,3 +108,82 @@ class TestReport:
         assert report["datasets"] == 2
         assert report["storage"]["relational"] == 2
         assert report["provenance_events"] >= 2
+
+
+class TestConstructor:
+    def test_three_options(self):
+        # profile=, slos=, registry= and the maintenance sizes are gone
+        # (cache= forms: tests/exploration/test_query_cache.py)
+        assert list(inspect.signature(DataLake).parameters) == [
+            "async_maintenance", "polystore", "cache"]
+        with pytest.raises(TypeError):
+            DataLake(profile=False)
+
+    def test_default_lake_starts_no_sampler(self):
+        script = textwrap.dedent("""
+            import json, threading
+            from repro import DataLake
+            from repro.obs import get_profiler
+
+            lake = DataLake()
+            lake.ingest_table("sales", {"city": ["berlin", "paris"], "amount": [1, 2]})
+            lake.ingest_table("stores", {"city": ["berlin"], "size": [3]})
+            lake.discover_related("sales")
+            lake.keyword_search("berlin")
+            lake.sql("SELECT * FROM sales")
+            print(json.dumps({
+                "threads": sorted(thread.name for thread in threading.enumerate()),
+                "running": get_profiler().running}))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        state = json.loads(proc.stdout)
+        assert "obs-sampler" not in state["threads"]
+        assert state["running"] is False
+
+
+def _answers(lake):
+    """Every exploration answer that could still name dataset ``a``."""
+    def attempt(query):
+        try:
+            return query()
+        except DataLakeError as exc:
+            return type(exc).__name__
+    return {
+        "sql": attempt(lambda: lake.sql("SELECT * FROM a").to_records()),
+        "related": lake.discover_related("b"),
+        "joinable": lake.discover_joinable("b", "city"),
+        "keyword": [(hit.table, hit.score) for hit in lake.keyword_search("berlin")],
+        "union": lake.discover_union("b"),
+    }
+
+
+class TestReingestAsAnotherKind:
+    TABLES = {
+        "a": {"city": ["berlin", "paris", "rome"], "region": ["de", "fr", "it"]},
+        "b": {"city": ["berlin", "paris", "oslo"], "region": ["de", "fr", "no"]},
+        "c": {"sku": ["x1", "x2"], "price": [3, 4]},
+    }
+
+    @pytest.mark.parametrize("options", [
+        {"cache": True}, {"cache": False}, {"async_maintenance": True},
+    ], ids=["cache", "no-cache", "async"])
+    def test_text_replacing_a_table_answers_like_a_fresh_lake(self, options):
+        text = Dataset("a", "berlin field notes", format="text")
+        lake = DataLake(**options)
+        for name, data in self.TABLES.items():
+            lake.ingest_table(name, data)
+        before = _answers(lake)  # indexes and cache now hold table ``a``
+        assert [name for name, _ in before["related"]] == ["a"]
+        lake.ingest(text)
+        fresh = DataLake(**options)
+        for name, data in self.TABLES.items():
+            if name != "a":
+                fresh.ingest_table(name, data)
+        fresh.ingest(text)
+        lake.drain()
+        fresh.drain()
+        assert _answers(lake) == _answers(fresh)
+        lake.close()
+        fresh.close()

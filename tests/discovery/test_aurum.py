@@ -162,6 +162,23 @@ class TestIncrementalUpdates:
         assert _edge_map(engine) == brute_force_edges(
             small_lake[:1] + small_lake[2:] + [narrowed])
 
+    def test_removed_table_leaves_no_trace(self, small_lake):
+        engine = Aurum()
+        for table in small_lake:
+            engine.add_table(table)
+        engine.build()
+        gone = small_lake[1].name
+        assert engine.remove_table(gone) is True
+        assert engine.remove_table(gone) is False
+        rest = small_lake[:1] + small_lake[2:]
+        rebuilt = Aurum()
+        for table in rest:
+            rebuilt.add_table(table)
+        assert engine.table_names() == rebuilt.table_names()
+        assert _postings(engine) == _postings(rebuilt)
+        assert _edge_map(engine) == brute_force_edges(rest)
+        assert engine.ekg.hyperedges(f"table:{gone}") == []
+
     def test_new_column_triggers_rebuild(self, aurum, orders):
         widened = Table("orders", list(orders.columns) + [
             Column("channel", ["web"] * len(orders)),

@@ -93,7 +93,7 @@ def _assert_monotonic(snapshots):
 
 def test_discover_batch_vs_async_ingest_with_faults():
     lake = DataLake(polystore=_faulty_polystore(), async_maintenance=True,
-                    cache=True, maintenance_workers=4)
+                    cache=True)
     errors = []
 
     # seed a stable query population before the storm

@@ -168,7 +168,7 @@ class TestLakeCoherence:
         assert stats() == (2, 3)  # warm at the new epoch
 
     def test_eviction_via_lake_knob(self):
-        lake = self._lake(cache=2)
+        lake = self._lake(cache=QueryCache(max_entries=2))
         assert lake.query_cache.max_entries == 2
         lake.keyword_search("alpha")
         lake.keyword_search("beta")
@@ -181,14 +181,13 @@ class TestLakeCoherence:
         lake.ingest_table("t", {"id": [1], "tag": ["alpha"]})
         assert lake.query_cache is None
         assert lake.keyword_search("alpha") == lake.keyword_search("alpha")
-        assert DataLake(cache=None).query_cache is None
 
     def test_shared_cache_instance_knob(self):
         shared = QueryCache(max_entries=16)
         lake = DataLake(cache=shared)
         assert lake.query_cache is shared
 
-    @pytest.mark.parametrize("bad", ["on", 2.0, [1]])
+    @pytest.mark.parametrize("bad", ["on", 2.0, [1], 2, None])
     def test_unrecognised_cache_value_is_rejected(self, bad):
         # a typo must not quietly turn the cache off
         with pytest.raises(TypeError, match="cache="):

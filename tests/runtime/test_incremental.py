@@ -25,7 +25,7 @@ class TestDirtySet:
         assert dirty.mark(a) is True
         assert "a" in dirty and len(dirty) == 1
         taken = dirty.take()
-        assert [t.name for t in taken] == ["a"]
+        assert taken == [("a", a)]
         assert len(dirty) == 0
 
     def test_latest_payload_wins(self):
@@ -35,7 +35,17 @@ class TestDirtySet:
         assert dirty.mark(old) is True
         assert dirty.mark(new) is False  # coalesced, not a new entry
         assert len(dirty) == 1
-        assert len(dirty.take()[0]) == 9
+        assert dirty.take() == [("a", new)]
+
+    def test_latest_change_wins_between_payload_and_removal(self):
+        dirty = DirtySet()
+        table = make_table("a")
+        assert dirty.mark(table) is True
+        assert dirty.mark_removed("a") is False
+        assert dirty.take() == [("a", None)]
+        dirty.mark_removed("a")
+        dirty.mark(table)
+        assert dirty.take() == [("a", table)]
 
     def test_peek_does_not_drain(self):
         dirty = DirtySet()
@@ -104,6 +114,21 @@ class TestIncrementalMaintainer:
         searcher = maintainer.searcher()
         assert searcher.search("berlin") == []
         assert {h.table for h in searcher.search("tokyo")} == {"events"}
+
+    def test_removed_table_leaves_both_indexes(self):
+        changes = []
+        maintainer = IncrementalIndexMaintainer(on_change=changes.append)
+        maintainer.note(make_table("events", extra={"city": ["berlin"] * 30}))
+        maintainer.note(make_table("venues", extra={"city": ["berlin"] * 30}))
+        maintainer.refresh()
+        maintainer.note_removed("events")
+        assert changes[-1] == "events"  # a removal moves the epochs too
+        assert {h.table for h in maintainer.searcher().search("berlin")} == {"venues"}
+        assert maintainer.engine().table_names() == ["venues"]
+        assert "events" not in maintainer and len(maintainer) == 1
+        maintainer.note_removed("never-indexed")
+        assert maintainer.refresh() == 1  # applied, and changes nothing
+        assert maintainer.engine().table_names() == ["venues"]
 
 
 class TestQueryRefreshDeadline:

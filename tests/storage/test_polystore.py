@@ -32,6 +32,13 @@ class TestRouting:
         assert placement.backend == "objects"
         assert polystore.objects.exists("raw", "log")
 
+    def test_restore_off_relational_drops_the_old_table(self, polystore):
+        polystore.store(Dataset("t", Table.from_columns("t", {"a": [1]})))
+        placement = polystore.store(Dataset("t", "now text", format="text"))
+        assert placement.backend == "objects"
+        assert "t" not in polystore.relational
+        assert polystore.fetch("t") == "now text"
+
     def test_user_override(self, polystore):
         table = Table.from_columns("t", {"a": [1]})
         placement = polystore.store(Dataset("t", table), backend="document")

@@ -1,10 +1,14 @@
 """End-to-end RequestContext deadline enforcement.
 
 ``check_deadline`` is the checkpoint the lake's entry points call; these
-tests pin the two layers the serving tier relies on: the helper itself
-and the ``DataLake._cached`` discovery funnel, which every query of a
-``discover_batch`` passes through.
+tests pin the layers the serving tier relies on: the helper itself, the
+``DataLake._cached`` discovery funnel, which every query of a
+``discover_batch`` passes through, and an async lake's wait for queued
+maintenance.
 """
+
+import threading
+import time
 
 import pytest
 
@@ -67,3 +71,31 @@ class TestLakeCheckpoints:
         with request_context(timeout=60.0):
             assert lake.discover_related("sales")
 
+
+class TestAsyncQuiesce:
+    @pytest.fixture
+    def async_lake(self):
+        lake = DataLake(async_maintenance=True)
+        lake.ingest_table("sales", {"region": ["EU", "US"], "amount": [10, 20]})
+        lake.ingest_table("customers", {"region": ["EU"], "tier": ["gold"]})
+        lake.drain()
+        yield lake
+        lake.close()
+
+    def test_wait_for_maintenance_keeps_the_deadline(self, async_lake):
+        release = threading.Event()
+        async_lake.runtime.submit(release.wait, args=(10.0,), name="slow")
+        started = time.perf_counter()
+        try:
+            with request_context(timeout=0.05):
+                with pytest.raises(DeadlineExceeded, match="maintenance.quiesce"):
+                    async_lake.discover_related("sales")
+            assert time.perf_counter() - started < 2.0
+        finally:
+            release.set()
+
+    def test_without_a_deadline_the_wait_is_unbounded(self, async_lake):
+        async_lake.runtime.submit(time.sleep, args=(0.05,), name="short")
+        with request_context(tenant="acme"):
+            assert async_lake.discover_related("sales")
+        assert async_lake.runtime.outstanding() == 0
