@@ -30,12 +30,7 @@ def add_report(name: str, text: str) -> None:
 
 
 def _write_lint_artifact():
-    """Run lakelint over the default trees and persist the JSON report.
-
-    The report also carries ``lock_graph``: the whole-program lock-order
-    graph's size, cycle count and wall time, so every bench session
-    records concurrency-analysis health next to lint and perf.
-    """
+    """Run lakelint over the default trees and persist the JSON report."""
     try:
         from repro.analysis import LintEngine, default_rules
 
@@ -44,26 +39,14 @@ def _write_lint_artifact():
     except Exception as exc:
         print(f"lakelint artifact skipped: {exc}")
         return
-    payload = result.to_dict()
-    lock_note = ""
-    try:
-        from repro.analysis.project import analyze_repo_locks
-
-        _analysis, lock_stats = analyze_repo_locks(_REPO_ROOT, paths=("src",))
-        payload["lock_graph"] = lock_stats
-        lock_note = (f"; lock graph: {lock_stats['locks']} locks, "
-                     f"{lock_stats['edges']} edges, "
-                     f"{lock_stats['cycles']} cycles")
-    except Exception as exc:
-        print(f"lock-graph stats skipped: {exc}")
     write_bench_json("lint", envelope(
-        "repro.analysis/lint-v1", payload,
+        "repro.analysis/lint-v1", result.to_dict(),
         gates={"clean": {"pass": result.clean,
                          "findings": len(result.findings)}}))
     state = "clean" if result.clean else f"{len(result.findings)} finding(s)"
     _LINT_SUMMARY.append(
         f"wrote {_LINT_PATH.name}: {state} across {result.files_scanned} "
-        f"files, {len(result.rules)} rules" + lock_note)
+        f"files, {len(result.rules)} rules")
 
 
 def pytest_sessionfinish(session, exitstatus):

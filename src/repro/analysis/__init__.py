@@ -12,15 +12,15 @@ test run:
   ``# lakelint: disable=<rule>`` pragma collection;
 - :mod:`repro.analysis.findings` — the :class:`Finding` / severity model;
 - :mod:`repro.analysis.rules` — the rule set (``Rule`` base class plus
-  the seven active rules; see ``docs/LINT.md``);
+  the 13 rules of :func:`default_rules`; see ``docs/LINT.md``), each
+  judging one file at a time, with a cross-file ``finalize`` pass for
+  the manifest and registry rules;
 - :mod:`repro.analysis.engine` — :class:`LintEngine` with scoping,
   pragma and allowlist suppression, and stale-allowlist detection;
 - :mod:`repro.analysis.reporters` — text and JSON output;
-- :mod:`repro.analysis.project` — the whole-program layer: repo-wide
-  symbol table, interprocedural call graph, and the static lock-order /
-  guard-escape analyses (see ``docs/ANALYSIS.md``);
-- :mod:`repro.analysis.sanitizer` — the opt-in runtime lockset witness
-  (``REPRO_SANITIZE=1``) that cross-checks the static lock graph.
+- :mod:`repro.analysis.sanitizer` — the runtime lockset witness that
+  every tier-1 session arms (``tests/conftest.py``): lock order is
+  observed while the tests run, not modeled statically.
 
 Typical use::
 
@@ -44,7 +44,6 @@ from repro.analysis.rules import (
     ExceptionHygieneRule,
     LockAcrossBlockingRule,
     LockDisciplineRule,
-    LockOrderRule,
     RegistryCoordsRule,
     Rule,
     RuntimeTracedRule,
@@ -64,7 +63,6 @@ __all__ = [
     "LintResult",
     "LockAcrossBlockingRule",
     "LockDisciplineRule",
-    "LockOrderRule",
     "Module",
     "RegistryCoordsRule",
     "Rule",

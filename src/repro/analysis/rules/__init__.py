@@ -16,7 +16,7 @@ from repro.analysis.rules.durable_write import DurableWriteRule
 from repro.analysis.rules.exceptions import BareExceptRule, ExceptionHygieneRule
 from repro.analysis.rules.instrumentation import RuntimeTracedRule, TracedManifestRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
-from repro.analysis.rules.lock_order import LockAcrossBlockingRule, LockOrderRule
+from repro.analysis.rules.lock_blocking import LockAcrossBlockingRule
 from repro.analysis.rules.registry_coords import RegistryCoordsRule
 from repro.analysis.rules.serving_context import ServingContextRule
 
@@ -31,7 +31,6 @@ __all__ = [
     "ExceptionHygieneRule",
     "LockAcrossBlockingRule",
     "LockDisciplineRule",
-    "LockOrderRule",
     "RegistryCoordsRule",
     "Rule",
     "RuntimeTracedRule",
@@ -49,7 +48,6 @@ def default_rules():
         BareExceptRule(),
         ExceptionHygieneRule(),
         LockDisciplineRule(),
-        LockOrderRule(),
         LockAcrossBlockingRule(),
         RegistryCoordsRule(),
         BenchDeterminismRule(),

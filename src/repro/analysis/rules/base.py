@@ -20,14 +20,9 @@ class Context:
     """What ``finalize`` gets to see: every scanned module plus the root.
 
     ``partial`` marks a run over a file *subset* (``lakelint --changed``):
-    whole-tree rules — manifest completeness, registry coverage, the
-    project-model analyses — must skip their finalize pass then, because
-    absence of a file is not evidence of anything.
-
-    ``project()`` builds the whole-program
-    :class:`~repro.analysis.project.model.ProjectModel` once per engine
-    run and shares it between every interprocedural rule; ``locks()``
-    does the same for the lock analysis layered on it.
+    whole-tree rules — manifest completeness, registry coverage — must
+    skip their finalize pass then, because absence of a file is not
+    evidence of anything.
     """
 
     def __init__(self, modules: Sequence[Module], root: pathlib.Path,
@@ -35,8 +30,6 @@ class Context:
         self.modules = list(modules)
         self.root = root
         self.partial = partial
-        self._project = None
-        self._locks = None
 
     def find(self, suffix: str) -> Optional[Module]:
         """The scanned module whose path ends with *suffix* (slash-aware)."""
@@ -45,20 +38,6 @@ class Context:
             if module.rel == probe or module.rel.endswith("/" + probe):
                 return module
         return None
-
-    def project(self):
-        """The shared whole-program model over every scanned module."""
-        if self._project is None:
-            from repro.analysis.project.model import ProjectModel
-            self._project = ProjectModel.build(self.modules)
-        return self._project
-
-    def locks(self):
-        """The shared lock analysis over :meth:`project` (run once)."""
-        if self._locks is None:
-            from repro.analysis.project.locks import LockAnalysis
-            self._locks = LockAnalysis(self.project()).run()
-        return self._locks
 
 
 class Rule:

@@ -17,14 +17,11 @@ This rule makes the funnel checkable:
   allowlist convention for intentional raw access, e.g. the fallback tier
   that must be reachable even while breakers reject traffic).
 
-Since the whole-program project model landed, the rule is also
-*interprocedural*: a raw backend call reached from polystore/federation
-through a plain helper chain (including one that crosses into another
-module, where this file-scoped scanner never looks) is reported at the
-in-scope call site.  Propagation stops at the same sanctioned names the
-lexical scan honors — ``*_unguarded`` helpers, the guard itself, and
-``__init__`` — so the repo's intentional raw-access conventions
-(``store()`` → ``_replicate_unguarded()``) stay clean.
+The check is lexical.  That every public storage entry point —
+``core/lake.py`` included, outside this rule's scope — really stops at
+an open breaker is checked by running it:
+``tests/storage/test_breaker_funnels.py`` opens the relational breaker
+and counts backend calls.
 
 Per-file budgets via the engine allowlist and inline
 ``# lakelint: disable=breaker-guard`` pragmas remain available for
@@ -37,7 +34,7 @@ import ast
 from typing import List, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules.base import Context, Rule
+from repro.analysis.rules.base import Rule
 from repro.analysis.walker import Module, dotted_name
 
 #: backend attributes whose method calls must be guarded
@@ -93,9 +90,8 @@ class BreakerGuardRule(Rule):
     name = "breaker-guard"
     description = ("backend method calls (self.relational/.document/.graph/"
                    ".objects) in the polystore and federation engine must run "
-                   "inside the _guarded/guarded breaker funnel — directly or "
-                   "through any helper chain; intentional raw access lives in "
-                   "*_unguarded helpers or __init__")
+                   "inside the _guarded/guarded breaker funnel; intentional "
+                   "raw access lives in *_unguarded helpers or __init__")
     scope = ("/repro/storage/polystore.py", "/repro/exploration/federation.py")
 
     def check_module(self, module: Module) -> List[Finding]:
@@ -108,20 +104,4 @@ class BreakerGuardRule(Rule):
                 f"breaker — route it through _guarded()/guarded(), or move "
                 f"it into a *_unguarded helper if raw access is intentional")
             for lineno, chain in scanner.hits
-        ]
-
-    def finalize(self, ctx: Context) -> List[Finding]:
-        if ctx.partial:
-            return []  # escape analysis needs the whole call graph
-        from repro.analysis.project.guards import GuardEscapeAnalysis
-        analysis = GuardEscapeAnalysis(ctx.project(), BACKEND_ATTRS,
-                                       self.in_scope)
-        return [
-            self.finding(
-                path, line,
-                f"call to {callee} reaches a raw cross-backend call outside "
-                f"the breaker funnel ({reason}) — guard the call here or "
-                f"rename the helper chain *_unguarded if raw access is "
-                f"intentional")
-            for path, line, callee, reason in analysis.findings()
         ]

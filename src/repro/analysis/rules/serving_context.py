@@ -26,12 +26,9 @@ below it.  This rule makes the funnels checkable inside
   attribution, which the fairness benchmark and the quota accounting
   both read.
 
-With the whole-program project model, the lake-funnel half is also
-enforced *interprocedurally*: a serving function that reaches a raw
-``.lake.…`` call through a plain helper chain — including one living in
-another module, where this file-scoped scanner never looks — is
-reported at the in-scope call site, with the escape path in the
-message.
+The lake-funnel half is lexical; ``tests/serving/test_breaker_funnels.py``
+checks it by running every op with a tenant's breaker open and
+recording which lake methods get called.
 
 Inline ``# lakelint: disable=serving-context`` pragmas and per-file
 allowlist budgets remain available for one-off exceptions.
@@ -43,7 +40,7 @@ import ast
 from typing import List, Tuple
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules.base import Context, Rule
+from repro.analysis.rules.base import Rule
 from repro.analysis.walker import Module, dotted_name
 
 #: the attribute naming the shared backend a serving handler must guard
@@ -175,19 +172,3 @@ class ServingContextRule(Rule):
         )
         findings.sort(key=lambda f: f.line)
         return findings
-
-    def finalize(self, ctx: Context) -> List[Finding]:
-        if ctx.partial:
-            return []  # escape analysis needs the whole call graph
-        from repro.analysis.project.guards import GuardEscapeAnalysis
-        analysis = GuardEscapeAnalysis(ctx.project(), frozenset({LAKE_ATTR}),
-                                       self.in_scope)
-        return [
-            self.finding(
-                path, line,
-                f"call to {callee} reaches a raw lake call outside the "
-                f"per-tenant breaker funnel ({reason}) — guard the call "
-                f"here or rename the helper chain *_unguarded if raw "
-                f"access is intentional")
-            for path, line, callee, reason in analysis.findings()
-        ]

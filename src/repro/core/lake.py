@@ -503,10 +503,21 @@ class DataLake:
 
     @traced("exploration.lake.sql", tier="exploration", function="heterogeneous_query")
     def sql(self, query: str) -> Table:
-        """Run a SQL-subset query against the lake's relational backend."""
+        """Run a SQL-subset query against the lake's relational backend.
+
+        The query runs inside the polystore's relational breaker guard,
+        with its retry policy: an open circuit raises
+        :class:`~repro.core.errors.CircuitOpen` without touching the
+        backend, and a backend failure past the retry budget raises
+        :class:`~repro.core.errors.BackendUnavailable`.  Query, schema
+        and not-found errors pass through as data errors.  SQL has no
+        replica failover.
+        """
         from repro.exploration.sql import SqlEngine
 
-        return SqlEngine(self.polystore.relational).execute(query)
+        engine = SqlEngine(self.polystore.relational)
+        return self.polystore.guarded("relational", "sql",
+                                      lambda: engine.execute(query))
 
     @traced("exploration.lake.keyword_search", tier="exploration",
             function="keyword_search")

@@ -163,7 +163,8 @@ class Polystore:
             return result
 
     def guarded(self, backend: str, operation: str, fn: Callable[[], Any]) -> Any:
-        """Public breaker guard for collaborators (the federation engine)."""
+        """Public breaker guard for collaborators (the federation engine,
+        ``DataLake.sql``)."""
         return self._guarded(backend, operation, fn)
 
     # -- placement ---------------------------------------------------------------

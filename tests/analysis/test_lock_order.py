@@ -1,152 +1,182 @@
-"""Whole-program lock analysis: seeded deadlocks are found at exact
-``file:line``, the repo's own lock graph stays cycle-free, and
-re-entrant idioms stay quiet."""
+"""Lock order, checked by running code under the lockset witness.
 
+Each case writes a small package below a temporary witness root,
+imports it and drives it on real threads.  An inversion among locks
+created under the root's ``src/`` fails the session check
+(``assert_clean(under="src/")``, what ``tests/conftest.py`` runs at
+session end); the same inversion from a ``tests/`` module does not; a
+plain ``Lock`` re-acquired by its holder raises instead of hanging.
+The last case holds the session witness itself to the same check
+while the lake's concurrent paths run.
+"""
+
+import importlib.util
 import pathlib
 import textwrap
+import threading
 
-from repro.analysis import LintEngine
-from repro.analysis.project import analyze_repo_locks
-from repro.analysis.rules import LockAcrossBlockingRule, LockOrderRule
+import pytest
 
-REPO_ROOT = pathlib.Path(__file__).parent.parent.parent
+from repro.analysis.sanitizer import LockSanitizer, SelfDeadlock
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
-def _tree(tmp_path, files):
-    for rel, source in files.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source).lstrip("\n"))
-    return tmp_path
+PAIR = """
+import threading
+
+A = threading.Lock()
+B = threading.Lock()
 
 
-def _run(tmp_path, partial=False):
-    engine = LintEngine([LockOrderRule(), LockAcrossBlockingRule()])
-    return engine.run([tmp_path], root=tmp_path, partial=partial).findings
+def forward():
+    with A:
+        with B:
+            pass
+
+
+def backward():
+    with B:
+        with A:
+            pass
+"""
+
+
+def _load(root, rel, source):
+    """Write *source* to ``root/rel`` and import it by path."""
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(textwrap.dedent(source).lstrip("\n"))
+    spec = importlib.util.spec_from_file_location(
+        "_witnessed_" + rel[:-3].replace("/", "_"), path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _in_thread(fn):
+    """Run *fn* on a daemon thread with a bounded join; its exceptions."""
+    errors = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001 — handed back to the test
+            errors.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(5.0)
+    assert not thread.is_alive(), "the thread hung instead of raising"
+    return errors
 
 
 class TestTwoLockCycle:
-    FILES = {"pair.py": """
-        import threading
-
-        class Pair:
-            def __init__(self):
-                self._a = threading.Lock()
-                self._b = threading.Lock()
-
-            def forward(self):
-                with self._a:
-                    with self._b:
-                        pass
-
-            def backward(self):
-                with self._b:
-                    with self._a:
-                        pass
-    """}
-
     def test_ab_ba_cycle_reported_with_both_witnesses(self, tmp_path):
-        findings = _run(_tree(tmp_path, self.FILES))
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.rule == "lock-order"
-        assert finding.path == "pair.py"
-        assert finding.line == 10  # the a-held b-acquisition witness
-        assert "Pair._a -> Pair._b" in finding.message
-        assert "pair.py:10" in finding.message
-        assert "pair.py:15" in finding.message  # the inverted order
+        with LockSanitizer(root=str(tmp_path)) as witness:
+            pair = _load(tmp_path, "src/pkg/pair.py", PAIR)
+            assert _in_thread(pair.forward) == []
+            assert _in_thread(pair.backward) == []
+        (cycle,) = witness.inversions(under="src/")
+        assert sorted(cycle) == ["src/pkg/pair.py:3", "src/pkg/pair.py:4"]
+        with pytest.raises(AssertionError, match="inversion") as excinfo:
+            witness.assert_clean(under="src/")
+        assert "src/pkg/pair.py:9" in str(excinfo.value)  # B under A
+        assert "src/pkg/pair.py:15" in str(excinfo.value)  # A under B
 
-    def test_partial_run_skips_whole_program_rules(self, tmp_path):
-        assert _run(_tree(tmp_path, self.FILES), partial=True) == []
+    def test_same_cycle_from_a_tests_module_passes_the_session_check(
+            self, tmp_path):
+        with LockSanitizer(root=str(tmp_path)) as witness:
+            pair = _load(tmp_path, "tests/pair.py", PAIR)
+            _in_thread(pair.forward)
+            _in_thread(pair.backward)
+        assert witness.inversions() != []  # observed ...
+        assert witness.inversions(under="src/") == []  # ... but not counted
+        witness.assert_clean(under="src/")
 
     def test_consistent_order_is_clean(self, tmp_path):
-        files = {"pair.py": """
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.Lock()
-
-                def forward(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def backward(self):
-                    with self._a:
-                        with self._b:
-                            pass
-        """}
-        assert _run(_tree(tmp_path, files)) == []
+        with LockSanitizer(root=str(tmp_path)) as witness:
+            pair = _load(tmp_path, "src/pkg/pair.py", PAIR)
+            _in_thread(pair.forward)
+            _in_thread(pair.forward)
+        assert [(edge["held"], edge["acquired"], edge["count"])
+                for edge in witness.report()["edges"]] == [
+            ("src/pkg/pair.py:3", "src/pkg/pair.py:4", 2)]
+        witness.assert_clean(under="src/")
 
 
 class TestThreeModuleCallbackCycle:
+    """``a.start`` holds LA into ``b.mid`` (LB), which hands ``a.finish``
+    to ``c.bottom`` (LC); the callback re-takes LA."""
+
     FILES = {
-        "pkg/__init__.py": "",
-        "pkg/a.py": """
+        "src/pkg/a.py": """
             import threading
-            from pkg import b
 
             LA = threading.Lock()
 
-            def start():
+
+            def start(mid):
                 with LA:
-                    b.mid()
+                    mid()
+
 
             def finish():
                 with LA:
                     pass
         """,
-        "pkg/b.py": """
+        "src/pkg/b.py": """
             import threading
-            from pkg import c
-            from pkg.a import finish
 
             LB = threading.Lock()
 
-            def mid():
+
+            def mid(bottom, callback):
                 with LB:
-                    c.bottom(finish)
+                    bottom(callback)
         """,
-        "pkg/c.py": """
+        "src/pkg/c.py": """
             import threading
 
             LC = threading.Lock()
 
-            def bottom(cb):
+
+            def bottom(callback):
                 with LC:
-                    cb()
+                    callback()
         """,
     }
 
+    def _run(self, tmp_path):
+        with LockSanitizer(root=str(tmp_path)) as witness:
+            a, b, c = (_load(tmp_path, rel, source)
+                       for rel, source in self.FILES.items())
+            errors = _in_thread(
+                lambda: a.start(lambda: b.mid(c.bottom, a.finish)))
+        return witness, errors
+
     def test_cycle_through_callback_crosses_modules(self, tmp_path):
-        findings = _run(_tree(tmp_path, self.FILES))
-        cycles = [f for f in findings if "cycle" in f.message]
-        assert cycles, [f.message for f in findings]
-        finding = cycles[0]
-        assert finding.rule == "lock-order"
-        # anchored where the first held-across edge is witnessed: start()
-        # calls into pkg.b while holding LA
-        assert (finding.path, finding.line) == ("pkg/a.py", 8)
-        assert "a.LA" in finding.message and "b.LB" in finding.message
-        assert "pkg/b.py:8" in finding.message  # LB acquired under LA
-        # the callback hop through pkg.c is part of the explanation
-        assert "pkg.c.bottom" in finding.message
+        witness, _errors = self._run(tmp_path)
+        (cycle,) = witness.inversions(under="src/")
+        assert {"src/pkg/a.py:3", "src/pkg/b.py:3"} <= set(cycle)
+        edges = {(edge["held"], edge["acquired"]): edge["site"]
+                 for edge in witness.report()["edges"]}
+        # the callback hop through pkg.c is part of the graph
+        assert edges[("src/pkg/b.py:3", "src/pkg/c.py:3")] == "src/pkg/c.py:7"
+        assert edges[("src/pkg/c.py:3", "src/pkg/a.py:3")] == "src/pkg/a.py:12"
 
     def test_transitive_self_reacquire_also_reported(self, tmp_path):
-        # start() -> b.mid() -> c.bottom(finish) -> finish() re-takes LA:
-        # a non-reentrant Lock re-acquired by its own holder
-        findings = _run(_tree(tmp_path, self.FILES))
-        self_deadlocks = [f for f in findings if "re-acquires" in f.message]
-        assert len(self_deadlocks) == 1
-        assert (self_deadlocks[0].path, self_deadlocks[0].line) == ("pkg/a.py", 8)
-        assert "pkg/a.py:11" in self_deadlocks[0].message
+        witness, errors = self._run(tmp_path)
+        (error,) = errors
+        assert isinstance(error, SelfDeadlock)
+        assert "src/pkg/a.py:3" in str(error)
+        assert witness.self_deadlocks(under="src/") == [
+            ("src/pkg/a.py:3", "src/pkg/a.py:12")]
 
 
 class TestReentrantNonFinding:
-    FILES = {"reent.py": """
+    SOURCE = """
         import threading
+
 
         class Maintainer:
             def __init__(self):
@@ -159,68 +189,58 @@ class TestReentrantNonFinding:
             def inner(self):
                 with self._r:
                     pass
-    """}
+    """
 
     def test_rlock_reentry_is_clean(self, tmp_path):
-        assert _run(_tree(tmp_path, self.FILES)) == []
+        with LockSanitizer(root=str(tmp_path)) as witness:
+            module = _load(tmp_path, "src/pkg/reent.py", self.SOURCE)
+            assert _in_thread(module.Maintainer().outer) == []
+        assert witness.report()["edges"] == []
+        witness.assert_clean(under="src/")
 
     def test_plain_lock_same_shape_fires(self, tmp_path):
-        files = {"reent.py": self.FILES["reent.py"].replace("RLock", "Lock")}
-        findings = _run(_tree(tmp_path, files))
-        assert len(findings) == 1
-        assert findings[0].rule == "lock-order"
-        assert "re-acquires" in findings[0].message
-
-
-class TestLockAcrossSubmit:
-    FILES = {"runner.py": """
-        import threading
-
-        class Runner:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.pool = None
-
-            def kick(self, fn):
-                with self._lock:
-                    self.pool.submit(fn)
-    """}
-
-    def test_submit_under_lock_fires_at_exact_line(self, tmp_path):
-        findings = _run(_tree(tmp_path, self.FILES))
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.rule == "lock-across-blocking"
-        assert (finding.path, finding.line) == ("runner.py", 10)
-        assert "Runner._lock" in finding.message
-        assert "submit" in finding.message
-
-    def test_submit_outside_lock_is_clean(self, tmp_path):
-        files = {"runner.py": """
-            import threading
-
-            class Runner:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self.pool = None
-
-                def kick(self, fn):
-                    with self._lock:
-                        queued = fn
-                    self.pool.submit(queued)
-        """}
-        assert _run(_tree(tmp_path, files)) == []
+        with LockSanitizer(root=str(tmp_path)) as witness:
+            module = _load(tmp_path, "src/pkg/reent.py",
+                           self.SOURCE.replace("RLock", "Lock"))
+            (error,) = _in_thread(module.Maintainer().outer)
+        assert isinstance(error, SelfDeadlock)
+        assert "src/pkg/reent.py:6" in str(error)  # the creation site
+        with pytest.raises(AssertionError, match="self-deadlock"):
+            witness.assert_clean(under="src/")
 
 
 class TestRepoLockGraph:
-    """Tier-1 gate: the repository's own lock graph stays deadlock-free."""
+    """The session witness is armed before ``import repro`` and sees no
+    inversion among ``src/`` locks while the lake runs concurrently."""
 
-    def test_repo_graph_is_cycle_free(self):
-        analysis, stats = analyze_repo_locks(REPO_ROOT, paths=("src",))
-        assert stats["cycles"] == 0, analysis.cycle_reports()
-        # the analysis actually saw the concurrent subsystems
-        assert stats["locks"] >= 10
-        assert stats["functions"] > 500
-        for key in ("files", "functions", "calls_resolved", "locks",
-                    "edges", "cycles", "blocking_sites", "wall_time_ms"):
-            assert key in stats
+    def test_repo_graph_is_cycle_free(self, lockset_witness):
+        from repro.core.lake import DataLake
+
+        lake = DataLake(async_maintenance=True)
+        for index in range(4):
+            lake.ingest_table(f"t{index}", {
+                "id": list(range(20)),
+                "name": [f"n{(row + index) % 7}" for row in range(20)]})
+        with lake.server(workers=2) as server:
+            session = server.connect(server.register_tenant("acme"))
+            session.ingest("mine", {"id": list(range(5))}).raise_for_status()
+
+            def client():
+                for _ in range(3):
+                    session.discover(kind="related", table="mine")
+                    session.sql("SELECT id FROM mine WHERE id < 3")
+
+            threads = [threading.Thread(target=client) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        lake.close()
+        assert not any(thread.is_alive() for thread in threads)
+        lockset_witness.assert_clean(under="src/")
+        sites = {record["site"] for record in lockset_witness.report()["locks"]}
+        # import-time locks prove the witness was armed before repro loaded
+        crash = (REPO_ROOT / "src/repro/faults/crash.py").read_text()
+        line = crash.splitlines().index("_registry_lock = threading.Lock()")
+        assert f"src/repro/faults/crash.py:{line + 1}" in sites
+        assert sum(site.startswith("src/") for site in sites) >= 10

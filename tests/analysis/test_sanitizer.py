@@ -1,14 +1,14 @@
-"""The dynamic lockset sanitizer: inversion detection, re-entrancy,
-Condition compatibility, hold-time accounting, and a clean bill of
-health for the real runtime under concurrent load."""
+"""The lockset witness: inversion detection, re-entrancy, Condition
+compatibility, hold-time accounting, and a clean bill of health for the
+real runtime under concurrent load.  Lock-order checks on seeded
+packages live in ``test_lock_order.py``."""
 
-import json
 import threading
 import time
 
 import pytest
 
-from repro.analysis.sanitizer import SCHEMA, LockSanitizer
+from repro.analysis.sanitizer import LockSanitizer
 
 
 @pytest.fixture
@@ -118,17 +118,6 @@ class TestReporting:
             time.sleep(0.02)
         (record,) = sanitizer.report()["locks"]
         assert record["max_hold_ms"] >= 10.0
-
-    def test_write_produces_the_json_artifact(self, sanitizer, tmp_path):
-        with threading.Lock():
-            pass
-        target = tmp_path / "lockset_report.json"
-        payload = sanitizer.write(target)
-        on_disk = json.loads(target.read_text())
-        assert on_disk == payload
-        assert on_disk["schema"] == SCHEMA
-        assert on_disk["clean"] is True
-        assert {"locks", "edges", "inversions"} <= set(on_disk)
 
 
 class TestInstallation:

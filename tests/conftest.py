@@ -1,46 +1,67 @@
-"""Shared fixtures: small deterministic tables and generated workloads.
+"""Shared fixtures, and the lockset witness armed for every test session.
 
-Setting ``REPRO_SANITIZE=1`` additionally arms the dynamic lockset
-sanitizer (:mod:`repro.analysis.sanitizer`) for the whole session: every
-``threading.Lock``/``RLock`` the tests create is traced, the observed
-lock-order graph is written to ``lockset_report.json`` at the repo root,
-and the session errors if any cross-thread order inversion was
-witnessed.  See ``docs/TESTING.md``.
+Before anything imports ``repro``, this module arms the runtime lock
+witness (:mod:`repro.analysis.sanitizer`): every ``threading.Lock`` /
+``RLock`` created afterwards, the import-time locks of ``repro`` itself
+included, is traced by creation site, and each held→acquired pair
+becomes a lock-order edge.  The witness is loaded by path because
+``import repro.analysis.sanitizer`` would run ``repro/__init__`` — and
+create the process-wide recorder, registry and event-log locks —
+before it is armed.
+
+At session end the run fails if the observed graph has an order
+inversion (a cycle: two paths taking the same locks in opposite
+orders) that involves a lock created under ``src/``, or if a thread
+re-acquired a held plain ``Lock`` created there.  Locks created by
+tests themselves do not count.  The terminal summary prints the
+witness's counts.  See ``docs/TESTING.md``.
 """
 
-import os
+import importlib.util
 import pathlib
 import random
 
 import pytest
 
-from repro.core.dataset import Dataset, Table
-from repro.datagen import LakeGenerator
-
-_REPO_ROOT = pathlib.Path(__file__).parent.parent
-_LOCKSET_PATH = _REPO_ROOT / "lockset_report.json"
+_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_WITNESS_SCOPE = "src/"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def lockset_sanitizer():
-    """Opt-in runtime lock witness for the whole test session."""
-    if os.environ.get("REPRO_SANITIZE") != "1":
-        yield
-        return
-    from repro.analysis.sanitizer import LockSanitizer
+def _arm_witness():
+    path = _REPO_ROOT / "src" / "repro" / "analysis" / "sanitizer.py"
+    spec = importlib.util.spec_from_file_location("_session_lockset_witness",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LockSanitizer(root=str(_REPO_ROOT)).install()
 
-    sanitizer = LockSanitizer(root=str(_REPO_ROOT))
-    sanitizer.install()
+
+WITNESS = _arm_witness()
+_WITNESS_FAILURES = []
+
+from repro.core.dataset import Table  # noqa: E402
+from repro.datagen import LakeGenerator  # noqa: E402
+
+
+def pytest_sessionfinish(session, exitstatus):
+    WITNESS.uninstall()
     try:
-        yield
-    finally:
-        sanitizer.uninstall()
-        report = sanitizer.write(_LOCKSET_PATH)
-        print(f"\nlockset sanitizer: {len(report['locks'])} lock sites, "
-              f"{len(report['edges'])} order edges, "
-              f"{len(report['inversions'])} inversion(s) "
-              f"-> {_LOCKSET_PATH.name}")
-    sanitizer.assert_clean()
+        WITNESS.assert_clean(under=_WITNESS_SCOPE)
+    except AssertionError as exc:
+        _WITNESS_FAILURES.append(str(exc))
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    terminalreporter.write_line(WITNESS.summary(under=_WITNESS_SCOPE))
+    for failure in _WITNESS_FAILURES:
+        terminalreporter.write_line(failure, red=True)
+
+
+@pytest.fixture(scope="session")
+def lockset_witness():
+    """The session's armed lockset witness."""
+    return WITNESS
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for the DataLake's maintenance modes: sync and async."""
 
+import threading
+
 import pytest
 
 from repro import DataLake
@@ -80,7 +82,15 @@ class TestAsyncMode:
         lake.close()
 
     def test_refresh_jobs_coalesce(self):
-        lake = fill(DataLake(async_maintenance=True), count=12)
+        lake = DataLake(async_maintenance=True)
+        # hold every worker until all ingests are in: a refresh coalesces
+        # only while it is still queued, and an idle worker starts each
+        # one at once
+        gate = threading.Event()
+        for _ in range(lake.runtime.workers):
+            lake.runtime.submit(gate.wait, name="gate")
+        fill(lake, count=12)
+        gate.set()
         lake.drain()
         refreshes = [j for j in lake.runtime.results() if j.startswith("index:refresh")]
         # strictly fewer refresh jobs than ingests proves coalescing

@@ -13,7 +13,11 @@ import sys
 import textwrap
 
 from repro.analysis import SCHEMA, LintEngine, default_rules
-from repro.analysis.rules import LockDisciplineRule, RegistryCoordsRule
+from repro.analysis.rules import (
+    LockAcrossBlockingRule,
+    LockDisciplineRule,
+    RegistryCoordsRule,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINT_PATHS = ["src", "benchmarks", "tools"]
@@ -82,6 +86,22 @@ class TestRulesHaveTeeth:
         assert finding.location == "repro/discovery/bogus.py:6"
         assert "Function.NOT_A_REAL_FUNCTION" in finding.message
 
+    def test_stripped_server_ingest_pragma_fires(self, tmp_path):
+        # the tree's one sanctioned lock-across-blocking site: serving
+        # writes serialize on purpose, so the ingest runs under the lock
+        source = (REPO_ROOT / "src/repro/serving/server.py").read_text()
+        pragma = "  # lakelint: disable=lock-across-blocking"
+        assert source.count(pragma) == 1
+        line = source[:source.index(pragma)].count("\n") + 1
+        self._seed(tmp_path, "repro/serving/server.py",
+                   source.replace(pragma, ""))
+        result = LintEngine([LockAcrossBlockingRule()]).run(
+            [tmp_path], root=tmp_path)
+        assert [(f.location, f.message) for f in result.findings] == [
+            (f"repro/serving/server.py:{line}",
+             "holding LakeServer._ingest_lock: backend I/O "
+             "`self.lake.ingest_table(...)`")]
+
 
 class TestCliContract:
     @staticmethod
@@ -99,7 +119,7 @@ class TestCliContract:
     def test_json_report_is_clean_and_well_formed(self, tmp_path):
         # rules that judge a file on its own; the whole-tree ones
         # (traced-manifest, runtime-traced, bare-except) need the repository
-        rules = ("exception-hygiene", "lock-discipline", "lock-order",
+        rules = ("exception-hygiene", "lock-discipline", "durable-write",
                  "lock-across-blocking", "breaker-guard")
         proc = _lakelint("--format", "json", "--rules", ",".join(rules),
                          self._clean_file(tmp_path))
@@ -130,7 +150,7 @@ class TestCliContract:
         proc = _lakelint("--list-rules")
         assert proc.returncode == 0
         for name in ("traced-manifest", "runtime-traced", "bare-except",
-                     "exception-hygiene", "lock-discipline", "lock-order",
+                     "exception-hygiene", "lock-discipline", "durable-write",
                      "lock-across-blocking", "breaker-guard",
                      "registry-coords", "bench-determinism"):
             assert name in proc.stdout

@@ -20,9 +20,8 @@ PACKAGES = [
     "repro.integration", "repro.enrichment", "repro.cleaning",
     "repro.evolution", "repro.provenance", "repro.exploration",
     "repro.lakeml", "repro.datagen", "repro.bench", "repro.obs",
-    "repro.runtime", "repro.analysis", "repro.analysis.project",
-    "repro.analysis.sanitizer", "repro.faults", "repro.serving",
-    "repro.durability",
+    "repro.runtime", "repro.analysis", "repro.analysis.sanitizer",
+    "repro.faults", "repro.serving", "repro.durability",
 ]
 
 

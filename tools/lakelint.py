@@ -12,9 +12,8 @@ Run from the repository root::
 ``--changed`` lints only the files git reports as modified, staged or
 untracked (filtered to ``.py`` under the default trees) — the fast
 pre-commit loop.  Such a run is *partial*: whole-tree judgments (stale
-allowlists, manifest/registry completeness, the whole-program lock and
-guard-escape analyses) are skipped, because a file subset cannot prove
-or refute a repo-wide property.
+allowlists, manifest/registry completeness) are skipped, because a file
+subset cannot prove or refute a repo-wide property.
 
 Exit codes are stable: 0 = clean, 1 = findings, 2 = usage error (unknown
 rule, missing path).  Rules, pragmas and allowlists are documented in
