@@ -24,17 +24,39 @@ from repro.core.errors import SchemaError
 from repro.core.types import DataType, infer_column_type, is_null
 
 
-@dataclass
 class Column:
-    """A named, typed column with its raw values."""
+    """A named column of raw values, typed on first read of :attr:`dtype`.
 
-    name: str
-    values: List[Any]
-    dtype: Optional[DataType] = None
+    A ``dtype`` passed to the constructor is kept as given.  Otherwise the
+    type is :func:`~repro.core.types.infer_column_type` of ``values``,
+    computed the first time ``dtype`` is read and then cached, so a column
+    whose type nobody reads is never typed.  The cache is sound because
+    nothing mutates a column's value list after construction; two threads
+    racing on the first read compute the same type.
+    """
 
-    def __post_init__(self) -> None:
-        if self.dtype is None:
-            self.dtype = infer_column_type(self.values)
+    __slots__ = ("name", "values", "_dtype")
+
+    def __init__(self, name: str, values: List[Any], dtype: Optional[DataType] = None):
+        self.name = name
+        self.values = values
+        self._dtype = dtype
+
+    @property
+    def dtype(self) -> DataType:
+        if self._dtype is None:
+            self._dtype = infer_column_type(self.values)
+        return self._dtype
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.values, self.dtype) == (other.name, other.values, other.dtype)  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]  # mutable container semantics
+
+    def __repr__(self) -> str:
+        return f"Column(name={self.name!r}, values={self.values!r}, dtype={self.dtype!r})"
 
     def __len__(self) -> int:
         return len(self.values)
@@ -68,8 +90,9 @@ class Table:
     """A column-oriented relation with schema-on-read semantics.
 
     Construction never fails on messy data: ragged rows are padded with
-    ``None`` and cell types are inferred lazily.  All transformation methods
-    return new tables; a :class:`Table` is treated as immutable once built.
+    ``None``, and a column's type is inferred on the first read of its
+    :attr:`Column.dtype`.  All transformation methods return new tables; a
+    :class:`Table` is treated as immutable once built.
     """
 
     def __init__(self, name: str, columns: Sequence[Column]):
@@ -190,11 +213,14 @@ class Table:
         ]
         return Table(name or self.name, columns)
 
+    def take(self, positions: Sequence[int], name: Optional[str] = None) -> "Table":
+        """Rows at *positions*, in that order; columns keep their dtypes."""
+        columns = [Column(c.name, [c.values[i] for i in positions], c.dtype) for c in self.columns]
+        return Table(name or self.name, columns)
+
     def filter(self, predicate: Callable[[Dict[str, Any]], bool], name: Optional[str] = None) -> "Table":
         """Keep rows where *predicate(row_dict)* is true."""
-        keep = [i for i in range(len(self)) if predicate(self.row(i))]
-        columns = [Column(c.name, [c.values[i] for i in keep], c.dtype) for c in self.columns]
-        return Table(name or self.name, columns)
+        return self.take([i for i in range(len(self)) if predicate(self.row(i))], name)
 
     def head(self, n: int, name: Optional[str] = None) -> "Table":
         """First *n* rows."""
@@ -256,8 +282,7 @@ class Table:
             if key not in seen:
                 seen.add(key)
                 keep.append(index)
-        columns = [Column(c.name, [c.values[i] for i in keep], c.dtype) for c in self.columns]
-        return Table(name or self.name, columns)
+        return self.take(keep, name)
 
     # -- serialization -----------------------------------------------------
 

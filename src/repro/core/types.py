@@ -159,6 +159,15 @@ def coerce(value: Any, dtype: DataType) -> Any:
     return value
 
 
+def as_float(value: Any) -> Optional[float]:
+    """``float(value)``, or None when ``float()`` rejects *value* or it
+    overflows a float (an integer beyond about 1.8e308)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def numeric_values(values: Sequence[Any]) -> list:
     """Extract the float projection of a column, dropping non-numeric cells."""
     result = []

@@ -11,20 +11,25 @@ supports the slice those systems exercise::
     [ORDER BY col [DESC]]
     [LIMIT n]
 
-with operators ``= != < <= > >= CONTAINS``.  The parser is a small
-hand-rolled tokenizer; execution delegates scans (with predicate pushdown)
-and hash joins to :class:`~repro.storage.relational.RelationalStore`.
+with operators ``= != < <= > >= CONTAINS``, matched as
+:class:`~repro.storage.relational.Predicate` describes.  ORDER BY may name
+any column of the joined, filtered rows, since rows are ordered before the
+select list is projected; with DISTINCT it must name a selected column, as
+in SQL.  The parser is a small hand-rolled tokenizer; execution delegates
+scans (with predicate pushdown) and hash joins to
+:class:`~repro.storage.relational.RelationalStore`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.dataset import Column, Table
+from repro.core.dataset import Table
 from repro.core.errors import QueryError
-from repro.storage.relational import Predicate, RelationalStore
+from repro.core.types import as_float
+from repro.storage.relational import OPERATORS, Predicate, RelationalStore
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<string>'(?:[^']|'')*')|(?P<op><=|>=|!=|=|<|>)|"
@@ -129,7 +134,7 @@ class _Parser:
             while True:
                 column = self.next()
                 op = self.next().lower()
-                if op not in ("=", "!=", "<", "<=", ">", ">=", "contains"):
+                if op not in OPERATORS:
                     raise QueryError(f"unsupported operator {op!r}")
                 value = self._literal(self.next())
                 query.predicates.append((column, op, value))
@@ -196,18 +201,22 @@ class SqlEngine:
                 result = result.join(other, right_column, left_column)
             else:
                 raise QueryError(f"cannot resolve join condition {left} = {right}")
-        for column, op, value in residual:
-            predicate = Predicate(self._resolve(result, column), op, value)
-            result = result.filter(predicate.matches)
+        if residual:
+            rows: Sequence[int] = range(len(result))
+            for column, op, value in residual:
+                rows = Predicate(self._resolve(result, column), op, value).select(result, rows)
+            result = result.take(rows)
         if query.count:
             return Table.from_columns("count", {"count": [len(result)]})
+        if query.order_by is not None and not query.distinct:
+            result = self._order(result, query.order_by, query.descending)
         if query.columns != ["*"]:
             resolved = [self._resolve(result, c) for c in query.columns]
             result = result.project(resolved)
         if query.distinct:
             result = result.distinct_rows()
-        if query.order_by is not None:
-            result = self._order(result, self._resolve(result, query.order_by), query.descending)
+            if query.order_by is not None:
+                result = self._order(result, query.order_by, query.descending)
         if query.limit is not None:
             result = result.head(query.limit)
         return result
@@ -221,19 +230,17 @@ class SqlEngine:
             return bare
         raise QueryError(f"unknown column {column!r}; available: {table.column_names}")
 
-    @staticmethod
-    def _order(table: Table, column: str, descending: bool) -> Table:
+    @classmethod
+    def _order(cls, table: Table, column: str, descending: bool) -> Table:
+        """Ascending puts numbers first, by value, then other cells by their
+        text, then None; an integer too large for a float sorts as text."""
+        values = table[cls._resolve(table, column)].values
+
         def sort_key(index: int):
-            value = table[column].values[index]
+            value = values[index]
             if value is None:
                 return (2, "")
-            try:
-                return (0, float(value))
-            except (TypeError, ValueError):
-                return (1, str(value))
+            number = as_float(value)
+            return (1, str(value)) if number is None else (0, number)
 
-        order = sorted(range(len(table)), key=sort_key, reverse=descending)
-        columns = [
-            Column(c.name, [c.values[i] for i in order], c.dtype) for c in table.columns
-        ]
-        return Table(table.name, columns)
+        return table.take(sorted(range(len(table)), key=sort_key, reverse=descending))

@@ -140,10 +140,10 @@ class Constance:
             )
         # object-store fallback: full fetch then filter in the mediator
         table = self._source_table(source)
-        for column, op, value in plan["predicates"]:
-            predicate = Predicate(column, op, value)
-            table = table.filter(predicate.matches)
-        return table.project(plan["columns"])
+        rows: Sequence[int] = range(len(table))
+        for predicate in predicates:
+            rows = predicate.select(table, rows)
+        return table.take(rows).project(plan["columns"])
 
     @staticmethod
     def _resolve_conflicts(table: Table) -> Table:

@@ -462,13 +462,11 @@ class LakeServer:
         rewritten = self._rewrite_sql(tenant, request.query)
         table = self._guarded(tenant, lambda: self.lake.sql(rewritten))
         cap = self._admission.quota(tenant).max_result_rows
-        total = len(table)
-        rows = [list(row) for index, row in enumerate(table.row_tuples())
-                if index < cap]
+        rows = zip(*(column.values[:cap] for column in table.columns))
         return {
             "columns": list(table.column_names),
-            "rows": rows,
-            "truncated": self._truncated(tenant, total, cap),
+            "rows": [list(row) for row in rows],
+            "truncated": self._truncated(tenant, len(table), cap),
         }
 
     def _handle_discover(self, tenant: str, request: ServingRequest) -> List[Any]:

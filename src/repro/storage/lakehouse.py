@@ -37,6 +37,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.dataset import Table
 from repro.core.errors import DatasetNotFound, StorageError, TransactionConflict
 from repro.core.registry import Function, Method, SystemInfo, register_system
+from repro.core.types import as_float
 from repro.durability import txlog
 from repro.durability.atomic import durable_unlink
 from repro.faults.crash import maybe_crash, register_crash_point
@@ -417,10 +418,7 @@ class LakehouseTable:
         from repro.storage.relational import Predicate
 
         predicate = Predicate(column, op, value)
-        try:
-            target: Optional[float] = float(value)
-        except (TypeError, ValueError):
-            target = None  # non-numeric predicate: skipping is disabled
+        target = as_float(value)  # None for a non-numeric predicate: no skipping
         version = self.version if version is None else version
         survivors: List[Table] = []
         for key in self._live_files(version):
@@ -432,7 +430,7 @@ class LakehouseTable:
                 continue
             self.files_read += 1
             table = self.store.get(self.bucket, key).payload()
-            survivors.append(table.filter(predicate.matches))
+            survivors.append(table.take(predicate.select(table, range(len(table)))))
         if not survivors:
             return Table(self.name, [])
         merged = survivors[0]

@@ -1,10 +1,14 @@
 """Tests for the Table / Dataset model."""
 
+from dataclasses import dataclass
+from typing import Any, List, Optional
+
 import pytest
 
+import repro.core.dataset as dataset_module
 from repro.core.dataset import Column, Dataset, Table
 from repro.core.errors import SchemaError
-from repro.core.types import DataType
+from repro.core.types import DataType, infer_column_type
 
 
 class TestConstruction:
@@ -72,6 +76,82 @@ class TestColumn:
 
     def test_non_null(self):
         assert Column("a", [1, None, 2]).non_null() == [1, 2]
+
+
+@dataclass
+class _EagerColumn:
+    """The eagerly typed dataclass that ``Column`` replaced, as a reference."""
+
+    name: str
+    values: List[Any]
+    dtype: Optional[DataType] = None
+
+    def __post_init__(self) -> None:
+        if self.dtype is None:
+            self.dtype = infer_column_type(self.values)
+
+
+COLUMN_CASES = [
+    ("a", [1, 2], None),
+    ("b", [1, "x", None], None),
+    ("c", [], None),
+    ("d", [1.5, 2, "NA"], None),
+    ("e", ["2024-01-02", None], None),
+    ("f", [1, 2], DataType.STRING),
+]
+
+
+class TestColumnTyping:
+    @pytest.mark.parametrize("name, values, dtype", COLUMN_CASES)
+    def test_dtype_is_the_inferred_or_given_type(self, name, values, dtype):
+        expected = dtype or infer_column_type(values)
+        assert Column(name, list(values), dtype).dtype is expected
+
+    def test_type_is_inferred_on_first_read_only(self, monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(list(values))
+            return infer_column_type(values)
+
+        monkeypatch.setattr(dataset_module, "infer_column_type", counting)
+        column = Column("a", [1, 2])
+        assert calls == []
+        assert column.dtype is DataType.INTEGER
+        assert column.dtype is DataType.INTEGER
+        assert calls == [[1, 2]]
+
+    def test_given_type_is_never_inferred(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("a given dtype was re-inferred")
+
+        monkeypatch.setattr(dataset_module, "infer_column_type", refuse)
+        column = Column("a", [1, 2], DataType.STRING)
+        assert column.dtype is DataType.STRING
+        assert column == Column("a", [1, 2], DataType.STRING)
+        assert "DataType.STRING" in repr(column)
+
+    @pytest.mark.parametrize("name, values, dtype", COLUMN_CASES)
+    def test_repr_matches_the_dataclass(self, name, values, dtype):
+        expected = repr(_EagerColumn(name, list(values), dtype))
+        assert repr(Column(name, list(values), dtype)) == expected.replace("_EagerColumn", "Column", 1)
+
+    def test_equality_matches_the_dataclass(self):
+        columns = [(Column(*case), _EagerColumn(*case)) for case in COLUMN_CASES]
+        columns.append((Column("a", [1, 2], DataType.INTEGER), _EagerColumn("a", [1, 2], DataType.INTEGER)))
+        for left, left_ref in columns:
+            for right, right_ref in columns:
+                assert (left == right) is (left_ref == right_ref)
+                assert (left != right) is (left_ref != right_ref)
+        assert Column("a", [1]) != _EagerColumn("a", [1])
+        assert Column("a", [1]).__eq__(("a", [1], DataType.INTEGER)) is NotImplemented
+        with pytest.raises(TypeError):
+            hash(Column("a", [1]))
+
+    def test_take_and_filter_keep_the_source_type(self):
+        table = Table.from_columns("t", {"a": [1, "x", 2]})
+        assert table.take([0, 2])["a"].dtype is DataType.STRING
+        assert table.filter(lambda row: row["a"] != "x")["a"].dtype is DataType.STRING
 
 
 class TestRelationalOps:

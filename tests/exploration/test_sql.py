@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.dataset import Table
 from repro.core.errors import QueryError
+from repro.core.types import DataType
 from repro.exploration.sql import SqlEngine
 from repro.storage.relational import RelationalStore
 
@@ -103,6 +104,28 @@ class TestOrderLimit:
     def test_order_by_string_column(self, engine):
         result = engine.execute("SELECT rep FROM sales ORDER BY rep")
         assert result["rep"].values == sorted(result["rep"].values)
+
+    def test_order_by_column_outside_the_select_list(self, engine):
+        result = engine.execute("SELECT rep FROM sales ORDER BY amount DESC LIMIT 1")
+        assert result.column_names == ["rep"]
+        assert result["rep"].values == ["cid"]
+
+    def test_qualified_order_by_names_the_joined_column(self, engine):
+        engine.store.create_table(Table.from_columns("a", {"id": [1, 2], "name": ["x", "y"]}))
+        engine.store.create_table(Table.from_columns("b", {"aid": [1, 2], "name": ["q", "p"]}))
+        result = engine.execute("SELECT name FROM a JOIN b ON a.id = b.aid ORDER BY b.name")
+        assert result["name"].values == ["y", "x"]  # a's names, in the order of b's
+
+    def test_distinct_order_by_must_be_selected(self, engine):
+        with pytest.raises(QueryError):
+            engine.execute("SELECT DISTINCT region FROM sales ORDER BY amount")
+        result = engine.execute("SELECT DISTINCT region FROM sales ORDER BY region DESC")
+        assert result["region"].values == ["us", "eu", "apac"]
+
+    def test_order_keeps_the_scan_types(self, engine):
+        result = engine.execute("SELECT amount FROM sales WHERE amount > 20 ORDER BY amount")
+        assert result["amount"].values == [25, 30, 40]
+        assert result["amount"].dtype is DataType.INTEGER
 
 
 class TestErrors:

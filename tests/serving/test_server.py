@@ -308,6 +308,15 @@ class TestQuotaEnforcement:
         queried = session.sql("SELECT a FROM t").raise_for_status().value
         assert len(queried["rows"]) == 2 and queried["truncated"] is True
 
+    def test_sql_reply_rows_past_the_cap_and_empty(self, server):
+        session = server.connect(server.register_tenant("tiny", quota=TenantQuota(
+            max_result_rows=2)))
+        session.ingest("t", {"a": [1, 2, 3], "b": ["x", None, "z"]}).raise_for_status()
+        assert session.sql("SELECT * FROM t").raise_for_status().value == {
+            "columns": ["a", "b"], "rows": [[1, "x"], [2, None]], "truncated": True}
+        assert session.sql("SELECT b FROM t WHERE a > 9").raise_for_status().value == {
+            "columns": ["b"], "rows": [], "truncated": False}
+
 
 class TestDeadlines:
     def test_expired_deadline_is_a_typed_response(self, acme):

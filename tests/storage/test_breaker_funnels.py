@@ -103,3 +103,29 @@ class TestGuardedSql:
         assert answer["name"].values == ["bob", "cy"]
         assert relational.injected_counts() == {"table": 1}
         assert lake.polystore.health.breaker("relational").state == CLOSED
+
+
+class TestOversizedIntegers:
+    """An integer beyond float range is a non-numeric value to SQL, not a
+    backend failure that counts against the breaker."""
+
+    def test_literal_matches_nothing_and_the_breaker_stays_closed(self):
+        lake = DataLake()
+        lake.ingest_table("sales", {"amount": [5, 50]})
+        query = "SELECT * FROM sales WHERE amount > 1" + "0" * 400
+        for _ in range(2):
+            assert len(lake.sql(query)) == 0
+        assert lake.polystore.health.breaker("relational").state == CLOSED
+        assert lake.sql("SELECT amount FROM sales WHERE amount > 10")["amount"].values == [50]
+
+    @pytest.fixture
+    def big(self):
+        lake = DataLake()
+        lake.ingest_table("big", {"id": ["a", "b"], "n": [10**400, 5]})
+        return lake
+
+    def test_stored_cell_is_non_numeric_to_where(self, big):
+        assert big.sql("SELECT id FROM big WHERE n > 3")["id"].values == ["b"]
+
+    def test_stored_cell_orders_as_text_after_numbers(self, big):
+        assert big.sql("SELECT * FROM big ORDER BY n")["id"].values == ["b", "a"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.dataset import Table
 from repro.core.errors import DatasetNotFound, SchemaError
+from repro.core.types import DataType
 from repro.storage.relational import Predicate, RelationalStore
 
 
@@ -52,6 +53,24 @@ class TestInsert:
         with pytest.raises(SchemaError):
             store.insert("sales", [{"bogus": 1}])
 
+    def test_rejection_is_atomic(self, store):
+        with pytest.raises(SchemaError):
+            store.insert("sales", [{"region": "eu"}, {"bogus": 1}])
+        assert len(store.table("sales")) == 4
+
+    def test_insert_keeps_and_extends_indexes(self, store):
+        store.create_index("sales", "rep")
+        store.insert("sales", [{"region": "us", "amount": 50, "rep": "cid"}])
+        assert store.has_index("sales", "rep")
+        store.rows_scanned = 0
+        result = store.scan("sales", [Predicate("rep", "=", "cid")])
+        assert result["amount"].values == [40, 50]
+        assert store.rows_scanned == 2  # the bucket, not the 5-row table
+
+    def test_inserted_cells_retype_the_column(self, store):
+        store.insert("sales", [{"amount": 2.5}])
+        assert store.table("sales")["amount"].dtype is DataType.FLOAT
+
 
 class TestScan:
     def test_full_scan(self, store):
@@ -90,6 +109,26 @@ class TestScan:
     def test_non_numeric_comparison_is_false(self, store):
         result = store.scan("sales", [Predicate("rep", ">", 5)])
         assert len(result) == 0
+
+    def test_integer_beyond_float_range_is_non_numeric(self, store):
+        assert len(store.scan("sales", [Predicate("amount", "<", 10**400)])) == 0
+        store.create_table(Table.from_columns("big", {"n": [10**400, 5]}))
+        assert store.scan("big", [Predicate("n", ">", 3)])["n"].values == [5]
+        assert store.scan("big", [Predicate("n", "=", 10**400)])["n"].values == [10**400]
+
+    def test_missing_column_matches_nothing(self, store):
+        assert len(store.scan("sales", [Predicate("ghost", "!=", "x")])) == 0
+
+    def test_result_columns_are_typed_from_the_selected_rows(self, store):
+        store.create_table(Table.from_columns("mixed", {"v": [1, "x", 2]}))
+        assert store.table("mixed")["v"].dtype is DataType.STRING
+        result = store.scan("mixed", [Predicate("v", ">", 0)])
+        assert result["v"].values == [1, 2]
+        assert result["v"].dtype is DataType.INTEGER
+
+    def test_projection_of_an_unknown_column(self, store):
+        with pytest.raises(SchemaError):
+            store.scan("sales", columns=["ghost"])
 
 
 class TestIndexes:
