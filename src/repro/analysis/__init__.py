@@ -1,20 +1,21 @@
 """lakelint: the unified AST static-analysis framework for this lake.
 
-The survey's core contribution is a *classification* — every implemented
-system must sit at correct tier/function/method coordinates — and PRs
-1–2 grew a concurrency-heavy runtime whose invariants (traced entry
-points, lock discipline, exception hygiene) used to live in two ad-hoc
-scripts.  This package turns both into one pluggable lint engine that
-tier-1 tests run over ``src/``, ``benchmarks/`` and ``tools/`` on every
-test run:
+Some invariants of the lake are properties of its source text that no
+test run exercises: traced entry points, lock discipline, exception
+hygiene, atomic storage writes, benchmark determinism.  This package
+checks them with one pluggable lint engine that tier-1 tests run over
+``src/``, ``benchmarks/`` and ``tools/`` on every test run.  Invariants
+a test can check by running the code (the breaker, cache and serving
+funnels, the registry's Table 1) are left to those tests; see
+``docs/LINT.md``.  The modules:
 
 - :mod:`repro.analysis.walker` — files parsed once, shared AST helpers,
   ``# lakelint: disable=<rule>`` pragma collection;
 - :mod:`repro.analysis.findings` — the :class:`Finding` / severity model;
 - :mod:`repro.analysis.rules` — the rule set (``Rule`` base class plus
-  the 13 rules of :func:`default_rules`; see ``docs/LINT.md``), each
+  the 8 rules of :func:`default_rules`; see ``docs/LINT.md``), each
   judging one file at a time, with a cross-file ``finalize`` pass for
-  the manifest and registry rules;
+  the manifest rule;
 - :mod:`repro.analysis.engine` — :class:`LintEngine` with scoping,
   pragma and allowlist suppression, and stale-allowlist detection;
 - :mod:`repro.analysis.reporters` — text and JSON output;
@@ -44,7 +45,6 @@ from repro.analysis.rules import (
     ExceptionHygieneRule,
     LockAcrossBlockingRule,
     LockDisciplineRule,
-    RegistryCoordsRule,
     Rule,
     RuntimeTracedRule,
     TracedManifestRule,
@@ -64,7 +64,6 @@ __all__ = [
     "LockAcrossBlockingRule",
     "LockDisciplineRule",
     "Module",
-    "RegistryCoordsRule",
     "Rule",
     "RuntimeTracedRule",
     "SCHEMA",

@@ -8,33 +8,23 @@ and list it here (see ``docs/LINT.md``).
 """
 
 from repro.analysis.rules.base import Context, Rule
-from repro.analysis.rules.breaker_guard import BreakerGuardRule
-from repro.analysis.rules.cache_epoch import CacheEpochRule
-from repro.analysis.rules.context_propagation import ContextPropagationRule
 from repro.analysis.rules.determinism import BenchDeterminismRule
 from repro.analysis.rules.durable_write import DurableWriteRule
 from repro.analysis.rules.exceptions import BareExceptRule, ExceptionHygieneRule
 from repro.analysis.rules.instrumentation import RuntimeTracedRule, TracedManifestRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
 from repro.analysis.rules.lock_blocking import LockAcrossBlockingRule
-from repro.analysis.rules.registry_coords import RegistryCoordsRule
-from repro.analysis.rules.serving_context import ServingContextRule
 
 __all__ = [
     "BareExceptRule",
     "BenchDeterminismRule",
-    "BreakerGuardRule",
-    "CacheEpochRule",
     "Context",
-    "ContextPropagationRule",
     "DurableWriteRule",
     "ExceptionHygieneRule",
     "LockAcrossBlockingRule",
     "LockDisciplineRule",
-    "RegistryCoordsRule",
     "Rule",
     "RuntimeTracedRule",
-    "ServingContextRule",
     "TracedManifestRule",
     "default_rules",
 ]
@@ -49,11 +39,6 @@ def default_rules():
         ExceptionHygieneRule(),
         LockDisciplineRule(),
         LockAcrossBlockingRule(),
-        RegistryCoordsRule(),
         BenchDeterminismRule(),
-        BreakerGuardRule(),
         DurableWriteRule(),
-        CacheEpochRule(),
-        ContextPropagationRule(),
-        ServingContextRule(),
     ]

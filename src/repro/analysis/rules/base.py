@@ -2,7 +2,7 @@
 
 A rule sees each parsed :class:`~repro.analysis.walker.Module` once
 (``check_module``) and gets one cross-file pass at the end
-(``finalize``) for manifest/registry-style whole-tree invariants.
+(``finalize``) for whole-tree invariants such as manifest completeness.
 Scoping, pragma suppression and allowlists are engine concerns — a rule
 just reports everything it sees and lets the engine filter.
 """
@@ -20,9 +20,9 @@ class Context:
     """What ``finalize`` gets to see: every scanned module plus the root.
 
     ``partial`` marks a run over a file *subset* (``lakelint --changed``):
-    whole-tree rules — manifest completeness, registry coverage — must
-    skip their finalize pass then, because absence of a file is not
-    evidence of anything.
+    whole-tree rules, such as manifest completeness, must skip their
+    finalize pass then, because absence of a file is not evidence of
+    anything.
     """
 
     def __init__(self, modules: Sequence[Module], root: pathlib.Path,

@@ -416,9 +416,9 @@ class DataLake:
     #
     # Every engine query in this facade flows through _cached(): the epoch is
     # read first, then the compute runs against indexes at least that fresh,
-    # so a cached entry can only ever be *newer* than its key promises.  The
-    # cache-epoch lakelint rule enforces that no engine query method is
-    # called outside the _run_discovery_uncached helper below.
+    # so a cached entry can only ever be *newer* than its key promises.
+    # tests/exploration/test_query_cache.py checks that a repeated call of
+    # each discovery entry point is answered by a cache hit.
 
     def _cached(self, query):
         """Single epoch-checked entry point for every discovery answer.

@@ -169,7 +169,8 @@ def as_float(value: Any) -> Optional[float]:
 
 
 def numeric_values(values: Sequence[Any]) -> list:
-    """Extract the float projection of a column, dropping non-numeric cells."""
+    """Extract the float projection of a column, dropping non-numeric cells
+    (an integer beyond float range among them, as in :func:`as_float`)."""
     result = []
     for value in values:
         if is_null(value):
@@ -177,7 +178,10 @@ def numeric_values(values: Sequence[Any]) -> list:
         if isinstance(value, bool):
             continue
         if isinstance(value, (int, float)):
-            result.append(float(value))
+            try:
+                result.append(float(value))
+            except OverflowError:
+                pass
             continue
         if isinstance(value, str):
             token = value.strip()

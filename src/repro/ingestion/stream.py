@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.types import is_null
+from repro.core.types import as_float, is_null
 from repro.ml.lsh import LSHIndex
 from repro.ml.minhash import IncrementalMinHash, MinHasher, MinHashSignature
 
@@ -63,11 +63,8 @@ class ColumnStream:
             slot = self._rng.randrange(self.count)
             if slot < self.reservoir_size:
                 self.reservoir[slot] = value
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            return
-        if isinstance(value, bool):
+        number = as_float(value)
+        if number is None or isinstance(value, bool):
             return
         self.numeric_count += 1
         delta = number - self._mean

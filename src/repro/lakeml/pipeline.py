@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cleaning.rfd_cleaning import RfdCleaner
 from repro.core.dataset import Table
 from repro.core.errors import DataLakeError
-from repro.core.types import is_null
+from repro.core.types import as_float, is_null
 from repro.lakeml.augmentation import TrainingDataAugmenter
 from repro.lakeml.registry import ModelRegistry
 from repro.ml.forest import RandomForest
@@ -65,11 +65,10 @@ def _featurize(table: Table, feature_columns: Sequence[str], label_column: str):
             value = row.get(column)
             if is_null(value):
                 vector.append(0.0)
-            else:
-                try:
-                    vector.append(float(value))
-                except (TypeError, ValueError):
-                    vector.append(_stable_bucket(str(value)))
+                continue
+            number = as_float(value)
+            vector.append(_stable_bucket(str(value)) if number is None
+                          else number)
         features.append(vector)
         labels.append(str(row[label_column]))
     return features, labels

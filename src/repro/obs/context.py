@@ -10,9 +10,12 @@ and free-form baggage.
 
 The active context rides a :mod:`contextvars` variable, which follows
 the logical call flow on one thread but does **not** cross into pool
-workers or scheduler threads by itself.  Every thread-spawn site in the
-repo therefore hands the context over explicitly (enforced by the
-``context-propagation`` lakelint rule):
+workers or scheduler threads by itself.  Every thread-spawn site that
+runs request work therefore hands the context over explicitly.
+``tests/test_obs_request_attribution.py`` checks that scheduler jobs
+keep the id of the request that submitted them, and
+``tests/serving/test_server.py`` that a served request's spans keep its
+tenant.  The hand-off:
 
 - :func:`capture_context` at the submission site,
 - :func:`bind_context` (or :func:`with_context`) around the work on the

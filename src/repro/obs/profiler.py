@@ -95,7 +95,7 @@ class SamplingProfiler:
             self._stop.clear()
             # the sampler never carries a request context of its own — it
             # is infrastructure, not request work
-            self._thread = threading.Thread(  # lakelint: disable=context-propagation
+            self._thread = threading.Thread(
                 target=self._run, name="obs-sampler", daemon=True)
             self._thread.start()
         return self

@@ -18,6 +18,8 @@ rebuilding them from all tables:
 
 ``refresh()`` is idempotent and cheap when clean, so callers (the
 ``DataLake`` facade, scheduler jobs) can invoke it before every query.
+A refresh that raises puts the changes it took back in the dirty set,
+so the next refresh (a query's, or a job's retry) applies them.
 """
 
 from __future__ import annotations
@@ -122,6 +124,14 @@ class DirtySet:
             self._pending.clear()
             return pending
 
+    def restore(self, changes: List[Tuple[str, Optional[Table]]]) -> None:
+        """Put back *changes* that :meth:`take` returned, in their mark
+        order; a table marked again since keeps its newer change."""
+        with self._lock:
+            pending = dict(changes)
+            pending.update(self._pending)
+            self._pending = pending
+
     def peek(self) -> List[str]:
         """Names of the currently dirty tables (no mutation)."""
         with self._lock:
@@ -199,28 +209,39 @@ class IncrementalIndexMaintainer:
             if not pending:
                 return 0
             annotate(delta_tables=len(pending))
-            # the engines mutate in place: exclude in-flight index readers
-            # (discovery queries on other threads) for the delta's duration
-            with self._rw.writing():
-                for name, table in pending:
-                    if table is None:
-                        if name in self._indexed:
-                            self._keyword.remove_table(name)
-                            self._aurum.remove_table(name)
-                            self._indexed.discard(name)
-                    elif name in self._indexed:
-                        self._keyword.remove_table(name)
-                        self._keyword.add_table(table)
-                        self._aurum.update_table(table)  # change-threshold aware
-                        self._m_updates.inc()
-                    else:
-                        self._keyword.add_table(table)
-                        self._aurum.add_table(table)
-                        self._indexed.add(name)
-                self._aurum.build_delta()
+            try:
+                self._apply_locked(pending)
+            except BaseException:
+                # keep the changes pending: re-applying is idempotent, and
+                # the next build_delta links whatever is still staged
+                self._dirty.restore(pending)
+                self._g_dirty.set(len(self._dirty))
+                raise
             self._m_delta.inc(len(pending))
             self._g_tables.set(len(self._indexed))
             return len(pending)
+
+    def _apply_locked(self, pending: List[Tuple[str, Optional[Table]]]) -> None:
+        """Apply *pending* to both indexes; the caller holds ``_lock``."""
+        # the engines mutate in place: exclude in-flight index readers
+        # (discovery queries on other threads) for the delta's duration
+        with self._rw.writing():
+            for name, table in pending:
+                if table is None:
+                    if name in self._indexed:
+                        self._keyword.remove_table(name)
+                        self._aurum.remove_table(name)
+                        self._indexed.discard(name)
+                elif name in self._indexed:
+                    self._keyword.remove_table(name)
+                    self._keyword.add_table(table)
+                    self._aurum.update_table(table)  # change-threshold aware
+                    self._m_updates.inc()
+                else:
+                    self._keyword.add_table(table)
+                    self._aurum.add_table(table)
+                    self._indexed.add(name)
+            self._aurum.build_delta()
 
     # -- query access (deltas applied first) --------------------------------------
 

@@ -288,7 +288,7 @@ class JobScheduler:
         while len(self._threads) < self.workers:
             # workers are context-neutral by design: each job's captured
             # context is re-bound per attempt in _run_one instead
-            thread = threading.Thread(  # lakelint: disable=context-propagation
+            thread = threading.Thread(
                 target=self._worker,
                 name=f"repro-maintenance-{len(self._threads)}",
                 daemon=True,

@@ -31,7 +31,10 @@ work through :meth:`LakeServer._guarded`, a per-tenant
 blowing up backend-side gets failed fast instead of burning workers.
 Data-shaped failures (unknown dataset, bad SQL, an expired deadline) are
 the caller's problem, not the backend's, and never trip the breaker.
-The ``serving-context`` lakelint rule keeps both funnels honest.
+Tests run both funnels: ``tests/serving/test_breaker_funnels.py`` opens
+a tenant's breaker and records which lake methods each op calls, and
+``tests/serving/test_server.py`` checks that every span of a request
+carries its tenant and request id.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ that policy over our local backends and keeps a placement catalog so the
 exploration tier can locate any dataset.
 
 Resilience (see ``docs/FAULTS.md``): every cross-backend call funnels
-through a per-backend :class:`~repro.faults.breaker.CircuitBreaker` (the
-``breaker-guard`` lint rule enforces this), failed calls are retried per
+through a per-backend :class:`~repro.faults.breaker.CircuitBreaker`
+(``tests/storage/test_breaker_funnels.py`` checks this on every backend
+by running each entry point), failed calls are retried per
 the :class:`~repro.faults.breaker.ResilienceConfig` retry policy, and when
 a primary backend stays down the polystore *degrades* instead of failing:
 
@@ -258,7 +259,8 @@ class Polystore:
 
         When the primary backend is unavailable and a fallback copy exists
         in the object store, the copy is served instead (counted on the
-        ``storage.failover.fetches`` metric).
+        ``storage.failover.fetches`` metric).  A dataset placed on the
+        object store has no copy elsewhere, so its failure is raised.
         """
         placement = self.placement(dataset_name)
         annotate(backend=placement.backend)
@@ -270,6 +272,8 @@ class Polystore:
                 f"{placement.backend!r} at location {placement.location!r}: {exc}"
             ) from None
         except BackendUnavailable:
+            if placement.backend == "objects":
+                raise  # the fallback copy lives on the failing backend too
             replica = self._replica_unguarded(dataset_name)
             if replica is None:
                 raise

@@ -7,15 +7,10 @@ from repro.analysis import LintEngine
 from repro.analysis.rules import (
     BareExceptRule,
     BenchDeterminismRule,
-    BreakerGuardRule,
-    CacheEpochRule,
-    ContextPropagationRule,
     ExceptionHygieneRule,
     LockAcrossBlockingRule,
     LockDisciplineRule,
-    RegistryCoordsRule,
     RuntimeTracedRule,
-    ServingContextRule,
     TracedManifestRule,
     default_rules,
 )
@@ -31,9 +26,6 @@ def _tree(tmp_path, files):
 
 def _run(rule, tmp_path):
     return LintEngine([rule]).run([tmp_path], root=tmp_path).findings
-
-
-VOCAB = ({"METADATA_EXTRACTION", "DATA_DISCOVERY"}, {"INDEXING", "PROFILING"})
 
 
 class TestLockDiscipline:
@@ -169,76 +161,6 @@ class TestLockDiscipline:
         assert {f.path for f in findings} == {"repro/runtime/counter.py"}
 
 
-class TestRegistryCoords:
-    def _rule(self, survey_map="searcher"):
-        return RegistryCoordsRule(vocabulary=VOCAB, survey_map=survey_map)
-
-    GOOD = """
-        from repro.core.registry import Function, Method, SystemInfo, register_system
-
-        @register_system(SystemInfo(
-            name="searcher",
-            functions=(Function.DATA_DISCOVERY,),
-            methods=(Method.INDEXING,),
-        ))
-        class Searcher:
-            pass
-    """
-
-    def test_valid_coordinates_are_clean(self, tmp_path):
-        _tree(tmp_path, {"repro/discovery/searcher.py": self.GOOD})
-        assert _run(self._rule(), tmp_path) == []
-
-    def test_unknown_coordinate_fires_with_file_and_line(self, tmp_path):
-        bad = self.GOOD.replace("Function.DATA_DISCOVERY", "Function.NOPE")
-        _tree(tmp_path, {"repro/discovery/searcher.py": bad})
-        findings = _run(self._rule(), tmp_path)
-        assert len(findings) == 1
-        assert findings[0].path == "repro/discovery/searcher.py"
-        assert findings[0].line == 6
-        assert "unknown function coordinate `Function.NOPE`" in findings[0].message
-
-    def test_missing_functions_tuple_fires(self, tmp_path):
-        bad = self.GOOD.replace("functions=(Function.DATA_DISCOVERY,),\n", "")
-        _tree(tmp_path, {"repro/discovery/searcher.py": bad})
-        findings = _run(self._rule(), tmp_path)
-        assert any("registers no `functions=`" in f.message for f in findings)
-
-    def test_duplicate_system_name_fires_on_second_site(self, tmp_path):
-        _tree(tmp_path, {
-            "repro/discovery/searcher.py": self.GOOD,
-            "repro/storage/searcher2.py": self.GOOD,
-        })
-        findings = _run(self._rule(survey_map="searcher searcher2"), tmp_path)
-        assert len(findings) == 1
-        assert findings[0].path == "repro/storage/searcher2.py"
-        assert "already registered at repro/discovery/searcher.py" in findings[0].message
-
-    def test_stale_systems_import_fires(self, tmp_path):
-        _tree(tmp_path, {
-            "repro/discovery/empty.py": "class NotRegistered:\n    pass\n",
-            "repro/systems.py": "import repro.discovery.empty\n",
-        })
-        findings = _run(self._rule(survey_map="empty"), tmp_path)
-        assert len(findings) == 1
-        assert "defines no @register_system" in findings[0].message
-
-    def test_registered_module_missing_from_manifest_fires(self, tmp_path):
-        _tree(tmp_path, {
-            "repro/discovery/searcher.py": self.GOOD,
-            "repro/systems.py": "import json\n",
-        })
-        findings = _run(self._rule(), tmp_path)
-        assert len(findings) == 1
-        assert "not imported by repro/systems.py" in findings[0].message
-
-    def test_module_absent_from_survey_map_fires(self, tmp_path):
-        _tree(tmp_path, {"repro/discovery/searcher.py": self.GOOD})
-        findings = _run(self._rule(survey_map="other modules only"), tmp_path)
-        assert len(findings) == 1
-        assert "not referenced in docs/SURVEY_MAP.md" in findings[0].message
-
-
 class TestBenchDeterminism:
     def _findings(self, tmp_path, source):
         _tree(tmp_path, {"benchmarks/bench_x.py": source})
@@ -356,73 +278,6 @@ class TestBareExcept:
         assert "repro/runtime/scheduler.py" in BareExceptRule.DEFAULT_ALLOWLIST
 
 
-class TestBreakerGuarded:
-    def _findings(self, tmp_path, body):
-        source = "class Polystore:\n" + textwrap.indent(
-            textwrap.dedent(body), "    ")
-        _tree(tmp_path, {"repro/storage/polystore.py": source})
-        return _run(BreakerGuardRule(), tmp_path)
-
-    def test_raw_backend_call_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            def fetch(self, name):
-                return self.relational.scan(name)
-        """)
-        assert len(findings) == 1
-        assert findings[0].rule == "breaker-guard"
-        assert "self.relational.scan" in findings[0].message
-
-    def test_call_inside_guard_thunk_is_clean(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def fetch(self, name):
-                return self._guarded("relational", "scan",
-                                     lambda: self.relational.scan(name))
-        """) == []
-
-    def test_public_guard_receiver_is_clean(self, tmp_path):
-        # the federation engine calls polystore.guarded(...)
-        assert self._findings(tmp_path, """
-            def subquery(self, name):
-                return self.polystore.guarded(
-                    "document", "find",
-                    lambda: self.polystore.document.find(name))
-        """) == []
-
-    def test_dotted_receiver_fires_too(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            def subquery(self, name):
-                return self.polystore.document.find(name)
-        """)
-        assert len(findings) == 1
-        assert "self.polystore.document.find" in findings[0].message
-
-    def test_unguarded_helper_is_sanctioned_raw_access(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def _replica_unguarded(self, name):
-                return self.objects.get("fallback", name)
-        """) == []
-
-    def test_init_wiring_is_sanctioned(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def __init__(self):
-                self.objects.create_bucket("raw")
-        """) == []
-
-    def test_non_backend_receivers_ignored(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def report(self):
-                return self.health.snapshot()
-        """) == []
-
-    def test_out_of_scope_files_ignored(self, tmp_path):
-        _tree(tmp_path, {"repro/cleaning/mod.py": """
-            class C:
-                def f(self):
-                    return self.relational.scan("t")
-        """})
-        assert _run(BreakerGuardRule(), tmp_path) == []
-
-
 class TestLockAcrossBlocking:
     RUNNER = """
         import threading
@@ -493,64 +348,6 @@ class TestLockAcrossBlocking:
         """)
         assert [(f.line, f.message) for f in findings] == [
             (5, "holding Reader._rw: backend I/O `self.lake.sql(...)`")]
-
-
-class TestCacheEpoch:
-    def _findings(self, tmp_path, body):
-        source = "class DataLake:\n" + textwrap.indent(
-            textwrap.dedent(body), "    ")
-        _tree(tmp_path, {"repro/core/lake.py": source})
-        return _run(CacheEpochRule(), tmp_path)
-
-    def test_raw_engine_query_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            def discover_related(self, table, k=5):
-                return self.discovery.related_tables(table, k=k)
-        """)
-        assert len(findings) == 1
-        assert findings[0].rule == "cache-epoch"
-        assert "related_tables" in findings[0].message
-        assert findings[0].path == "repro/core/lake.py"
-
-    def test_local_rebound_engine_fires_too(self, tmp_path):
-        # receivers are routinely re-bound; the method name is the signal
-        findings = self._findings(tmp_path, """
-            def keyword_search(self, keywords, k=10):
-                searcher = self._keyword_searcher()
-                return searcher.search(keywords, k=k)
-        """)
-        assert len(findings) == 1
-        assert "`search(...)`" in findings[0].message
-
-    def test_call_inside_cached_thunk_is_clean(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def discover_related(self, table, k=5):
-                return self._cached(
-                    ("related", table, k),
-                    lambda: self.discovery.related_tables(table, k=k))
-        """) == []
-
-    def test_uncached_helper_is_sanctioned(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def _related_uncached(self, table, k):
-                return self.discovery.related_tables(table, k=k)
-        """) == []
-
-    def test_non_query_methods_ignored(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def warm(self):
-                self.discovery.build()
-                return self.maintainer.engine()
-        """) == []
-
-    def test_out_of_scope_files_ignored(self, tmp_path):
-        # engine modules call their own query methods by design
-        _tree(tmp_path, {"repro/discovery/table_union.py": """
-            class TableUnionSearch:
-                def search(self, query, k=5):
-                    return self.top_k(query, k=k)
-        """})
-        assert _run(CacheEpochRule(), tmp_path) == []
 
 
 class TestTracedRules:
@@ -627,165 +424,6 @@ class TestTracedRules:
         assert "package not found" in findings[0].message
 
 
-class TestContextPropagation:
-    def _findings(self, tmp_path, body, rel="repro/runtime/scheduler.py"):
-        _tree(tmp_path, {rel: body})
-        return _run(ContextPropagationRule(), tmp_path)
-
-    def test_bare_pool_submit_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            def fan_out(pool, work):
-                return [pool.submit(work, item) for item in range(4)]
-        """)
-        assert len(findings) == 1
-        assert findings[0].rule == "context-propagation"
-        assert "pool.submit(...)" in findings[0].message
-        assert "RequestContext" in findings[0].message
-
-    def test_bare_thread_spawn_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            import threading
-
-            def spawn(fn):
-                thread = threading.Thread(target=fn, daemon=True)
-                thread.start()
-        """)
-        assert len(findings) == 1
-        assert "threading.Thread(...)" in findings[0].message
-
-    def test_with_context_wrapper_is_clean(self, tmp_path):
-        assert self._findings(tmp_path, """
-            from repro.obs import with_context
-
-            def fan_out(pool, work):
-                runner = with_context(work)
-                return [pool.submit(runner, item) for item in range(4)]
-        """) == []
-
-    def test_capture_and_bind_pair_is_clean(self, tmp_path):
-        assert self._findings(tmp_path, """
-            import threading
-            from repro.obs import bind_context, capture_context
-
-            def spawn(fn):
-                ctx = capture_context()
-
-                def run():
-                    with bind_context(ctx):
-                        fn()
-
-                threading.Thread(target=run, daemon=True).start()
-        """) == []
-
-    def test_helper_in_nested_lambda_satisfies_the_spawn_site(self, tmp_path):
-        assert self._findings(tmp_path, """
-            def fan_out(pool, work, obs):
-                return pool.submit(lambda: obs.with_context(work)())
-        """) == []
-
-    def test_self_submit_delegation_is_exempt(self, tmp_path):
-        assert self._findings(tmp_path, """
-            class Scheduler:
-                def enqueue(self, job):
-                    return self.submit(job)
-        """) == []
-
-    def test_pragma_suppresses_with_rationale(self, tmp_path):
-        assert self._findings(tmp_path, """
-            import threading
-
-            def spawn(fn):
-                # worker loop re-binds per job, not per thread
-                thread = threading.Thread(  # lakelint: disable=context-propagation
-                    target=fn, daemon=True)
-                thread.start()
-        """) == []
-
-    def test_out_of_scope_modules_ignored(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            def fan_out(pool, work):
-                return pool.submit(work)
-        """, rel="repro/storage/mover.py")
-        assert findings == []
-
-
-class TestServingContext:
-    def _findings(self, tmp_path, body, rel="repro/serving/server.py"):
-        _tree(tmp_path, {rel: body})
-        return _run(ServingContextRule(), tmp_path)
-
-    def test_unguarded_lake_call_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            class LakeServer:
-                def _handle_sql(self, tenant, request):
-                    return self.lake.sql(request.query)
-        """)
-        assert len(findings) == 1
-        assert findings[0].rule == "serving-context"
-        assert "self.lake.sql" in findings[0].message
-        assert "_guarded" in findings[0].message
-
-    def test_lake_call_inside_guard_thunk_is_clean(self, tmp_path):
-        assert self._findings(tmp_path, """
-            class LakeServer:
-                def _handle_sql(self, tenant, request):
-                    return self._guarded(tenant, lambda: self.lake.sql(request.query))
-        """) == []
-
-    def test_unguarded_helper_and_init_are_sanctioned(self, tmp_path):
-        assert self._findings(tmp_path, """
-            class LakeServer:
-                def __init__(self, lake):
-                    self.lake = lake
-                    self.lake.health()
-
-                def _catalog_unguarded(self, tenant):
-                    return list(self.lake.datasets())
-        """) == []
-
-    def test_dispatcher_without_request_context_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            class LakeServer:
-                def _run(self, tenant, request):
-                    handlers = {"sql": self._handle_sql}
-                    return handlers[request.op](tenant, request)
-        """)
-        assert len(findings) == 1
-        assert "_run" in findings[0].message
-        assert "request_context" in findings[0].message
-
-    def test_dispatcher_opening_context_is_clean(self, tmp_path):
-        assert self._findings(tmp_path, """
-            from repro.obs import request_context
-
-            class LakeServer:
-                def _run(self, tenant, request):
-                    with request_context(tenant=tenant):
-                        handlers = {"sql": self._handle_sql}
-                        return handlers[request.op](tenant, request)
-        """) == []
-
-    def test_anonymous_request_context_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """
-            from repro.obs import request_context
-
-            class LakeServer:
-                def _run(self, tenant, request):
-                    with request_context():
-                        handlers = {"sql": self._handle_sql}
-                        return handlers[request.op](tenant, request)
-        """)
-        assert len(findings) == 1
-        assert "tenant=" in findings[0].message
-
-    def test_out_of_scope_modules_ignored(self, tmp_path):
-        assert self._findings(tmp_path, """
-            class Anything:
-                def query(self, q):
-                    return self.lake.sql(q)
-        """, rel="repro/core/lake_client.py") == []
-
-
 class TestDefaultRules:
     def test_at_least_five_rules_and_fresh_instances(self):
         first, second = default_rules(), default_rules()
@@ -793,10 +431,8 @@ class TestDefaultRules:
         names = [rule.name for rule in first]
         assert len(names) == len(set(names))
         assert {"traced-manifest", "runtime-traced", "bare-except",
-                "exception-hygiene", "lock-discipline", "registry-coords",
-                "bench-determinism", "breaker-guard",
-                "lock-across-blocking",
-                "cache-epoch", "context-propagation",
-                "serving-context"} <= set(names)
+                "exception-hygiene", "lock-discipline",
+                "lock-across-blocking", "bench-determinism",
+                "durable-write"} <= set(names)
         assert "lock-order" not in names  # the lockset witness checks order
         assert all(a is not b for a, b in zip(first, second))

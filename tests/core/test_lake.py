@@ -77,6 +77,13 @@ class TestDiscovery:
         hits = lake.discover_related("orders", k=3)
         assert hits[0][0] == "customers"
 
+    def test_integer_beyond_float_range_is_profiled(self):
+        lake = DataLake()
+        lake.ingest_table("big", {"id": ["a", "b", "c"], "n": [10**400, 5, 7]})
+        lake.ingest_table("small", {"id": ["a", "b", "c"], "n": [5, 7, 9]})
+        assert [hit[0] for hit in lake.discover_related("small")] == ["big"]
+        assert lake.discover_joinable("big", "id")[0][0] == ("small", "id")
+
     def test_index_rebuilt_after_new_ingest(self, lake, products):
         lake.discover_joinable("orders", "customer_id")
         lake.ingest(Dataset("products", products))

@@ -1,5 +1,10 @@
 """Tests for the tier/function/method classification registry."""
 
+import ast
+import importlib
+import pathlib
+import pkgutil
+
 import pytest
 
 from repro.core.registry import (
@@ -10,6 +15,15 @@ from repro.core.registry import (
     SystemRegistry,
     Tier,
     default_registry,
+)
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: the packages whose modules implement surveyed systems
+SYSTEM_PACKAGES = (
+    "discovery", "storage", "integration", "ingestion", "modeling",
+    "organization", "enrichment", "cleaning", "evolution", "provenance",
+    "exploration",
 )
 
 
@@ -112,3 +126,39 @@ class TestByMethod:
         assert len(vault) == 1
         federated = {s.name for s in registry.by_method(Method.FEDERATED)}
         assert "Ontario / Squerall (federation)" in federated
+
+
+class TestRegistryCompleteness:
+    """Table 1 is what ``import repro.systems`` registers: no system
+    module is left out of it, and none of its imports registers nothing."""
+
+    @pytest.fixture(scope="class")
+    def registry(self):
+        for package in SYSTEM_PACKAGES:
+            path = importlib.import_module(f"repro.{package}").__path__
+            for module in pkgutil.iter_modules(path):
+                importlib.import_module(f"repro.{package}.{module.name}")
+        return default_registry()
+
+    @staticmethod
+    def _systems_imports():
+        source = (REPO_ROOT / "src" / "repro" / "systems.py").read_text()
+        return {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Import) for alias in node.names
+                if alias.name.startswith("repro.")}
+
+    def test_registering_modules_are_the_systems_imports(self, registry):
+        defining = {registry.system_class(info.name).__module__
+                    for info in registry.all()}
+        assert defining == self._systems_imports()
+
+    def test_every_system_module_is_in_the_survey_map(self, registry):
+        survey_map = (REPO_ROOT / "docs" / "SURVEY_MAP.md").read_text()
+        stems = {registry.system_class(info.name).__module__.rsplit(".", 1)[1]
+                 for info in registry.all()}
+        assert {stem for stem in stems if stem not in survey_map} == set()
+
+    def test_every_system_has_a_name_and_a_function(self, registry):
+        for info in registry.all():
+            assert info.name.strip()
+            assert info.functions, f"{info.name} sits at no tier of Table 1"

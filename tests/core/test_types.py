@@ -113,6 +113,9 @@ class TestNumericValues:
     def test_skips_booleans(self):
         assert numeric_values([True, False, 1]) == [1.0]
 
+    def test_skips_an_integer_beyond_float_range(self):
+        assert numeric_values([10**400, 5, "7"]) == [5.0, 7.0]
+
 
 class TestValuePattern:
     def test_collapses_runs(self):

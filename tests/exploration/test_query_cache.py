@@ -3,9 +3,11 @@
 The cache's one non-negotiable property: **a re-ingested table can never
 be answered from its pre-ingest cached entry** — epoch keys make stale
 entries unmatchable rather than relying on any scan-and-invalidate.
-Alongside it: LRU eviction under a small ``max_entries`` bound, exact
-hit/miss/eviction sequences, copy-on-return isolation, and the lake's
-``cache=`` argument accepting only the values it documents.
+Alongside it: every discovery entry point of the lake answers through
+the cache funnel (a repeated call is one hit), LRU eviction under a
+small ``max_entries`` bound, exact hit/miss/eviction sequences,
+copy-on-return isolation, and the lake's ``cache=`` argument accepting
+only the values it documents.
 """
 
 import pytest
@@ -127,6 +129,16 @@ class TestDiscoveryQuery:
             as_query(("garbage",))
 
 
+#: every public discovery entry point of the lake, one query each
+LAKE_QUERIES = {
+    "discover_related": lambda lake: lake.discover_related("facts"),
+    "discover_joinable": lambda lake: lake.discover_joinable("facts", "id"),
+    "discover_union": lambda lake: lake.discover_union("facts"),
+    "keyword_search": lambda lake: lake.keyword_search("alpha"),
+    "discover_batch": lambda lake: lake.discover_batch([("related", "other")]),
+}
+
+
 class TestLakeCoherence:
     """Ingest -> query -> re-ingest -> query must never serve the old answer."""
 
@@ -166,6 +178,18 @@ class TestLakeCoherence:
         assert stats() == (1, 3)  # epoch moved: cold again
         lake.keyword_search("alpha")
         assert stats() == (2, 3)  # warm at the new epoch
+
+    @pytest.mark.parametrize("entry", sorted(LAKE_QUERIES))
+    def test_repeated_query_is_one_cache_hit(self, entry):
+        # an entry point that computes past the cache funnel answers the
+        # repeat without a hit, and without the epoch check behind it
+        lake = self._lake()
+        first = LAKE_QUERIES[entry](lake)
+        before = lake.query_cache.stats()
+        assert LAKE_QUERIES[entry](lake) == first
+        after = lake.query_cache.stats()
+        assert (after["hits"] - before["hits"],
+                after["misses"] - before["misses"]) == (1, 0)
 
     def test_eviction_via_lake_knob(self):
         lake = self._lake(cache=QueryCache(max_entries=2))

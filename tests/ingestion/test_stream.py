@@ -69,6 +69,14 @@ class TestStreamIngester:
         assert column.variance == pytest.approx(4.0)
         assert (column.minimum, column.maximum) == (2.0, 9.0)
 
+    def test_integer_beyond_float_range_skips_the_statistics(self):
+        ingester = StreamIngester("m")
+        ingester.consume_many({"x": v} for v in (10**400, 2, 4))
+        column = ingester.column("x")
+        assert (column.count, column.numeric_count) == (3, 2)
+        assert column.mean == pytest.approx(3.0)
+        assert (column.minimum, column.maximum) == (2.0, 4.0)
+
     def test_nulls_counted_not_sketched(self):
         ingester = StreamIngester("m")
         ingester.consume_many([{"x": None}, {"x": ""}, {"x": "a"}])

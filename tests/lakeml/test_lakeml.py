@@ -7,6 +7,7 @@ import pytest
 from repro.core.dataset import Table
 from repro.core.errors import DataLakeError
 from repro.lakeml import LakeMLPipeline, ModelRegistry, TrainingDataAugmenter
+from repro.lakeml.pipeline import _featurize, _stable_bucket
 
 
 def churn_world(seed=5, n=200):
@@ -144,6 +145,14 @@ class TestRegistry:
         events = registry.recorder.events("train-model")
         assert events[0].inputs == ("sales",)
         assert events[0].outputs == (record.key,)
+
+
+class TestFeaturize:
+    def test_integer_beyond_float_range_is_bucketed_as_text(self):
+        table = Table.from_columns("t", {"n": [10**400, 5], "label": ["a", "b"]})
+        features, labels = _featurize(table, ["n"], "label")
+        assert features == [[_stable_bucket(str(10**400))], [5.0]]
+        assert labels == ["a", "b"]
 
 
 class TestPipeline:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.dataset import Table
 from repro.core.errors import DeadlineExceeded
+from repro.core.lake import DataLake
 from repro.discovery.aurum import Aurum
+from repro.discovery.profiles import TableProfiler
 from repro.obs import request_context
 from repro.runtime import DirtySet, IncrementalIndexMaintainer
 
@@ -52,6 +54,18 @@ class TestDirtySet:
         dirty.mark(make_table("x"))
         assert dirty.peek() == ["x"]
         assert len(dirty) == 1
+
+    def test_restore_keeps_mark_order_and_a_newer_change(self):
+        dirty = DirtySet()
+        a, b = make_table("a"), make_table("b")
+        dirty.mark(a)
+        dirty.mark(b)
+        taken = dirty.take()
+        dirty.mark_removed("b")  # marked again while the apply ran
+        dirty.mark(make_table("c"))
+        dirty.restore(taken)
+        assert dirty.peek() == ["a", "b", "c"]
+        assert dict(dirty.take())["b"] is None
 
 
 class TestIncrementalMaintainer:
@@ -145,6 +159,67 @@ class TestQueryRefreshDeadline:
         assert maintainer.dirty() == ["orders"]
         assert "orders" in maintainer.engine().table_names()
         assert {h.table for h in maintainer.searcher().search("orders")} == {"orders"}
+
+
+class TestFailedRefresh:
+    """A refresh that raises keeps its changes pending: the next refresh
+    applies them, and the lake answers as one that never failed."""
+
+    TABLES = {
+        "big": {"id": ["a", "b", "c", "d"], "city": ["oslo", "rome", "lima", "kyiv"]},
+        "other": {"id": ["b", "c", "d"], "tier": ["gold", "gold", "tin"]},
+        "third": {"id": ["c", "d", "e"], "city": ["lima", "kyiv", "bern"]},
+    }
+
+    @classmethod
+    def _filled(cls, lake):
+        for name, data in cls.TABLES.items():
+            lake.ingest_table(name, data)
+        return lake
+
+    @staticmethod
+    def _answers(lake):
+        return ([lake.discover_related(name) for name in ("big", "other", "third")],
+                lake.discover_joinable("other", "id"),
+                lake.discover_union("third"),
+                lake.keyword_search("d"))
+
+    @staticmethod
+    def _fail_once(monkeypatch, table_name):
+        original = TableProfiler.profile_column
+        failures = []
+
+        def profile_column(self, name, column):
+            if name == table_name and not failures:
+                failures.append(name)
+                raise RuntimeError(f"profiling {name} failed")
+            return original(self, name, column)
+
+        monkeypatch.setattr(TableProfiler, "profile_column", profile_column)
+        return failures
+
+    def test_sync_lake_answers_as_a_clean_one(self, monkeypatch):
+        expected = self._answers(self._filled(DataLake()))
+        lake = self._filled(DataLake())
+        self._fail_once(monkeypatch, "other")
+        with pytest.raises(RuntimeError, match="profiling other"):
+            lake.discover_related("big")
+        assert lake.maintainer.dirty() == ["big", "other", "third"]
+        assert self._answers(lake) == expected
+        assert lake.maintainer.dirty() == []
+
+    def test_async_retry_applies_the_restored_changes(self, monkeypatch):
+        expected = self._answers(self._filled(DataLake()))
+        lake = DataLake(async_maintenance=True)
+        failures = self._fail_once(monkeypatch, "other")
+        try:
+            self._filled(lake)
+            lake.drain()
+            assert failures == ["other"]
+            assert lake.runtime.dead_letter() == []
+            assert self._answers(lake) == expected
+        finally:
+            lake.close()
 
 
 class TestDeltaEquivalence:

@@ -7,7 +7,7 @@ from repro.core.errors import (AuthenticationError, CircuitOpen,
                                Throttled)
 from repro.core.lake import DataLake
 from repro.faults import ResilienceConfig
-from repro.obs import get_registry
+from repro.obs import SpanRecorder, get_registry, set_recorder
 from repro.serving import (AuthRegistry, LakeServer, ServingRequest,
                            ServingResponse, TenantQuota, qualify)
 
@@ -426,6 +426,49 @@ class TestBreakerPath:
             monkeypatch.setattr(server.lake, "sql", original)
             assert session.sql("SELECT a FROM t").error_type == "CircuitOpen"
             assert other.fetch("t").ok  # beta's breaker never saw a failure
+
+
+class TestRequestContext:
+    """A served request runs inside ``request_context(tenant=...)``, so
+    every span it records is attributed to the session's tenant.
+
+    The ``serving.request`` root tags the tenant itself; only the spans
+    below it show a context opened without ``tenant=``.
+    """
+
+    OPS = {
+        "ingest": lambda s: s.ingest("fresh", {"region": ["EU"]}),
+        "discover": lambda s: s.discover("related", "sales"),
+        "discover_batch": lambda s: s.discover_batch([
+            {"kind": "joinable", "table": "sales", "column": "region"},
+            {"kind": "keyword", "keywords": "gold"}]),
+        "sql": lambda s: s.sql("SELECT region FROM sales"),
+        "fetch": lambda s: s.fetch("customers"),
+        "health": lambda s: s.health(),
+    }
+
+    @pytest.fixture
+    def recorder(self):
+        recorder = SpanRecorder()
+        previous = set_recorder(recorder)
+        yield recorder
+        set_recorder(previous)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_every_span_of_a_request_carries_its_tenant(self, acme, recorder,
+                                                        op):
+        recorder.reset()
+        response = self.OPS[op](acme).raise_for_status()
+        [root] = [span for span in recorder.roots()
+                  if span.name == "serving.request"]
+        assert root.request_id == response.request_id
+        assert root.tags["tenant"] == acme.tenant
+        below = list(root.walk())[1:]
+        # fetch and health read the lake's in-memory state: no spans
+        assert bool(below) == (op not in ("fetch", "health"))
+        assert [span.name for span in below
+                if span.tags.get("tenant") != acme.tenant] == []
+        assert {span.request_id for span in below} <= {response.request_id}
 
 
 class TestServerLifecycle:

@@ -13,11 +13,7 @@ import sys
 import textwrap
 
 from repro.analysis import SCHEMA, LintEngine, default_rules
-from repro.analysis.rules import (
-    LockAcrossBlockingRule,
-    LockDisciplineRule,
-    RegistryCoordsRule,
-)
+from repro.analysis.rules import LockAcrossBlockingRule, LockDisciplineRule
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 LINT_PATHS = ["src", "benchmarks", "tools"]
@@ -67,25 +63,6 @@ class TestRulesHaveTeeth:
         assert finding.rule == "lock-discipline"
         assert finding.location == "repro/runtime/racy.py:10"
 
-    def test_seeded_coordinate_violation_fires(self, tmp_path):
-        self._seed(tmp_path, "repro/discovery/bogus.py", """
-            from repro.core.registry import Function, SystemInfo, register_system
-
-            @register_system(SystemInfo(
-                name="bogus",
-                functions=(Function.NOT_A_REAL_FUNCTION,),
-            ))
-            class Bogus:
-                pass
-        """)
-        rule = RegistryCoordsRule(survey_map="bogus")  # live registry vocabulary
-        result = LintEngine([rule]).run([tmp_path], root=tmp_path)
-        assert len(result.findings) == 1
-        finding = result.findings[0]
-        assert finding.rule == "registry-coords"
-        assert finding.location == "repro/discovery/bogus.py:6"
-        assert "Function.NOT_A_REAL_FUNCTION" in finding.message
-
     def test_stripped_server_ingest_pragma_fires(self, tmp_path):
         # the tree's one sanctioned lock-across-blocking site: serving
         # writes serialize on purpose, so the ingest runs under the lock
@@ -120,7 +97,7 @@ class TestCliContract:
         # rules that judge a file on its own; the whole-tree ones
         # (traced-manifest, runtime-traced, bare-except) need the repository
         rules = ("exception-hygiene", "lock-discipline", "durable-write",
-                 "lock-across-blocking", "breaker-guard")
+                 "lock-across-blocking", "bench-determinism")
         proc = _lakelint("--format", "json", "--rules", ",".join(rules),
                          self._clean_file(tmp_path))
         assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -151,16 +128,8 @@ class TestCliContract:
         assert proc.returncode == 0
         for name in ("traced-manifest", "runtime-traced", "bare-except",
                      "exception-hygiene", "lock-discipline", "durable-write",
-                     "lock-across-blocking", "breaker-guard",
-                     "registry-coords", "bench-determinism"):
+                     "lock-across-blocking", "bench-determinism"):
             assert name in proc.stdout
-
-    def test_retired_rule_name_still_selects_its_successor(self, tmp_path):
-        # old scripts say --rules breaker-guarded; the alias keeps them alive
-        proc = _lakelint("--rules", "breaker-guarded",
-                         self._clean_file(tmp_path))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "breaker-guard" in proc.stdout
 
     def test_changed_mode_exits_zero(self):
         # whatever the working tree holds right now must lint clean in

@@ -12,7 +12,7 @@ Run from the repository root::
 ``--changed`` lints only the files git reports as modified, staged or
 untracked (filtered to ``.py`` under the default trees) — the fast
 pre-commit loop.  Such a run is *partial*: whole-tree judgments (stale
-allowlists, manifest/registry completeness) are skipped, because a file
+allowlists, manifest completeness) are skipped, because a file
 subset cannot prove or refute a repo-wide property.
 
 Exit codes are stable: 0 = clean, 1 = findings, 2 = usage error (unknown
@@ -41,17 +41,13 @@ from repro.analysis import (  # noqa: E402
 
 DEFAULT_PATHS = ("src", "benchmarks", "tools")
 
-#: retired rule names still accepted on the CLI (old scripts, muscle memory)
-RULE_ALIASES = {"breaker-guarded": "breaker-guard"}
-
 
 def _select_rules(spec):
     rules = default_rules()
     if not spec:
         return rules
     by_name = {rule.name: rule for rule in rules}
-    wanted = [RULE_ALIASES.get(name.strip(), name.strip())
-              for name in spec.split(",") if name.strip()]
+    wanted = [name.strip() for name in spec.split(",") if name.strip()]
     unknown = [name for name in wanted if name not in by_name]
     if unknown:
         known = ", ".join(sorted(by_name))
