@@ -11,9 +11,12 @@ Run:  python examples/quickstart.py
 
 from repro import DataLake
 from repro.core.dataset import Dataset
+from repro.obs import SpanRecorder, get_registry, set_recorder
 
 
 def main() -> None:
+    # the process recorder keeps one request in 64: keep every span instead
+    set_recorder(SpanRecorder(registry=get_registry()))
     lake = DataLake.in_memory()
 
     # -- ingestion tier: raw data in its original formats -------------------

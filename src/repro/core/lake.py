@@ -56,8 +56,11 @@ class DataLake:
     ``polystore=`` supplies the storage tier (a default in-memory
     :class:`~repro.storage.polystore.Polystore` otherwise).
 
-    Every entry point is traced into the process-wide :mod:`repro.obs`
-    recorder.  Nothing else in observability is on by default: start a
+    Every entry point is traced: a call that starts a request mints a
+    :class:`~repro.obs.context.RequestContext`, and the process-wide
+    :mod:`repro.obs` recorder records one such request in 64 (install
+    ``SpanRecorder(registry=get_registry())`` to keep them all).
+    Nothing else in observability is on by default: start a
     :class:`~repro.obs.profiler.SamplingProfiler` or attach an
     :class:`~repro.obs.slo.SLOEngine` explicitly (see
     docs/OBSERVABILITY.md).

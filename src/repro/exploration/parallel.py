@@ -17,11 +17,13 @@ repeated questions cheap without ever serving a stale answer:
 - :class:`DiscoveryQuery` and :func:`as_query` — the normalized request
   that is the unit of caching and of ``DataLake.discover_batch``.
 
-Hit/miss/eviction counts are exposed both as per-engine labelled
-``repro.obs`` counters (``exploration.cache.hits{engine="aurum"}``) and
-as exact per-instance integers via :meth:`QueryCache.stats`, which the
-coherence tests assert against; every lookup and eviction also lands in
-the structured event log, and epoch bumps emit ``index.epoch_bump``.
+Hits, misses and evictions are counted once, as exact per-instance
+integers in :meth:`QueryCache.stats`, which the coherence tests assert
+against and ``DataLake.architecture_report()`` exports; a lookup adds
+no metric and no event.  The entry count is the
+``exploration.cache.entries`` gauge, each engine's epoch the
+``exploration.epoch{engine=...}`` gauge, and epoch bumps emit
+``index.epoch_bump``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from repro.obs import emit, get_registry
 
 #: the engines the cache and epoch clock know about, one epoch stream each
 ENGINES: Tuple[str, ...] = ("aurum", "keyword", "union")
+
+#: marks a cache miss (a cached answer may itself be None)
+_MISSING = object()
 
 #: query kind -> the engine whose index epoch guards its cached results
 ENGINE_OF_KIND: Dict[str, str] = {
@@ -102,8 +107,7 @@ class QueryCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._registry = get_registry()
-        self._g_entries = self._registry.gauge("exploration.cache.entries")
+        self._g_entries = get_registry().gauge("exploration.cache.entries")
 
     @staticmethod
     def _copy(value: Any) -> Any:
@@ -113,36 +117,23 @@ class QueryCache:
         """``(hit, value)`` for the exact (engine, query, epoch) coordinate."""
         key = (engine, query_key, epoch)
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                hit = True
-                value = self._copy(self._entries[key])
-            else:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
                 self._misses += 1
-                hit, value = False, None
-        if hit:
-            self._registry.counter("exploration.cache.hits", engine=engine).inc()
-            emit("cache.hit", engine=engine, epoch=epoch)
-            return True, value
-        self._registry.counter("exploration.cache.misses", engine=engine).inc()
-        emit("cache.miss", engine=engine, epoch=epoch)
-        return False, None
+                return False, None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return True, self._copy(value)
 
     def store(self, engine: str, query_key: Hashable, epoch: int, value: Any) -> None:
         key = (engine, query_key, epoch)
-        evicted = 0
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-                evicted += 1
             self._g_entries.set(len(self._entries))
-        for _ in range(evicted):
-            self._registry.counter("exploration.cache.evictions", engine=engine).inc()
-            emit("cache.evict", engine=engine)
 
     def fetch(self, engine: str, query_key: Hashable, epoch: int,
               compute: Callable[[], Any]) -> Any:
@@ -164,7 +155,7 @@ class QueryCache:
             return len(self._entries)
 
     def stats(self) -> Dict[str, Any]:
-        """Exact per-instance counters (the obs counters are process-wide)."""
+        """Exact per-instance counters: the cache's only record of its traffic."""
         with self._lock:
             lookups = self._hits + self._misses
             return {

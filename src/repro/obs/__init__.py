@@ -22,13 +22,18 @@ measurement substrate that makes them observable in the running lake:
 - :mod:`repro.obs.slo` — declarative per-operation objectives with
   multi-window burn-rate alerting, attached to a recorder explicitly.
 
-Spans, metrics and events are always recorded; the sampler and SLO
-evaluation run only when started or attached.
+Metrics and events are always recorded; the process recorder records
+the spans of one request in
+:data:`~repro.obs.instrument.ROOTS_PER_RECORDED`, and a recorder
+installed with :func:`set_recorder` keeps every span by default; the
+sampler and SLO evaluation run only when started or attached.
 
 Typical use::
 
     from repro import DataLake
+    from repro.obs import SpanRecorder, get_registry, set_recorder
 
+    set_recorder(SpanRecorder(registry=get_registry()))  # keep every span
     lake = DataLake.in_memory()
     lake.ingest_table("sales", {"region": ["EU", "US"], "amount": [10, 20]})
     print(lake.observability.span_tree())

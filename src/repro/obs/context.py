@@ -24,6 +24,14 @@ tenant.  The hand-off:
 Activation also maintains a thread-id → request-id map that the
 sampling profiler reads at tick time, so wall-clock samples are
 attributable without touching the sampled thread's context variables.
+
+A context also carries the random ``draw`` a span recorder applies its
+share to, once per request.  Binding the context on another thread
+carries the draw, so a request is recorded or skipped as a whole.
+Every ``@traced`` call that starts a request mints a context, recorded
+or not, so its events carry a request id and its deadline checkpoints
+work; minting is a tuple construction and activation a small class, not
+a generator.
 """
 
 from __future__ import annotations
@@ -31,16 +39,22 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import random
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional
 
 #: request ids are ``req-<pid>-<counter>``: unique within the process and
 #: distinguishable across processes sharing a log sink
 _IDS = itertools.count(1)
-_PID = os.getpid()
+_ID_FORMAT = f"req-{os.getpid()}-%06d"
+
+#: the per-request draw a recorder's share is applied to; a private
+#: generator, so the lake's seeded generators never see these draws
+_DRAWS = random.Random()
+
+_NO_BAGGAGE: Mapping[str, Any] = MappingProxyType({})
 
 _CURRENT: "contextvars.ContextVar[Optional[RequestContext]]" = contextvars.ContextVar(
     "repro_request_context", default=None)
@@ -50,20 +64,29 @@ _CURRENT: "contextvars.ContextVar[Optional[RequestContext]]" = contextvars.Conte
 #: possible from the sampler thread; this map is the sanctioned side door)
 _THREAD_REQUESTS: Dict[int, str] = {}
 
+_record = tuple.__new__
+_get_ident = threading.get_ident
 
-@dataclass(frozen=True)
-class RequestContext:
+
+class RequestContext(NamedTuple):
     """Identity and budget of one logical request through the lake.
 
-    ``deadline`` is an *absolute* ``time.monotonic()`` instant (use
-    :func:`new_context`'s ``timeout=`` to derive one); ``baggage`` is
-    free-form key/value metadata carried verbatim across every hop.
+    An immutable record.  ``deadline`` is an *absolute*
+    ``time.monotonic()`` instant (use :func:`new_context`'s ``timeout=``
+    to derive one); ``baggage`` is free-form key/value metadata carried
+    verbatim across every hop.
+
+    ``draw`` is a uniform number in [0, 1) drawn once per request: a
+    :class:`~repro.obs.spans.SpanRecorder` records the request when
+    ``draw`` falls below the recorder's share, so a request is recorded
+    or skipped as a whole on every thread that binds it.
     """
 
     request_id: str
     tenant: str = ""
     deadline: Optional[float] = None
-    baggage: Mapping[str, Any] = field(default_factory=dict)
+    baggage: Mapping[str, Any] = _NO_BAGGAGE
+    draw: float = 0.0
 
     def remaining(self) -> Optional[float]:
         """Seconds until the deadline (negative when past), or None."""
@@ -93,15 +116,22 @@ def new_context(
     timeout: Optional[float] = None,
     **baggage: Any,
 ) -> RequestContext:
-    """Mint a fresh context (no activation); ``timeout`` sets the deadline."""
+    """Mint a fresh context (no activation); ``timeout`` sets the deadline.
+
+    Minted while another context is active, the new one inherits that
+    context's draw, so a nested request is recorded exactly when its
+    parent is.
+    """
     if timeout is not None:
         if timeout < 0:
             raise ValueError("timeout must be non-negative")
         deadline = time.monotonic() + timeout
     if request_id is None:
-        request_id = f"req-{_PID}-{next(_IDS):06d}"
-    return RequestContext(request_id=request_id, tenant=tenant,
-                          deadline=deadline, baggage=dict(baggage))
+        request_id = _ID_FORMAT % next(_IDS)
+    parent = _CURRENT.get()
+    draw = _DRAWS.random() if parent is None else parent.draw
+    return _record(RequestContext, (request_id, tenant, deadline,
+                                    baggage or _NO_BAGGAGE, draw))
 
 
 def current_context() -> Optional[RequestContext]:
@@ -118,25 +148,37 @@ def capture_context() -> Optional[RequestContext]:
     return _CURRENT.get()
 
 
-def _activate(ctx: Optional[RequestContext]):
-    """Set *ctx* active; returns (token, thread-map restore value)."""
-    token = _CURRENT.set(ctx)
-    ident = threading.get_ident()
-    previous = _THREAD_REQUESTS.get(ident)
-    if ctx is not None:
-        _THREAD_REQUESTS[ident] = ctx.request_id
-    else:
-        _THREAD_REQUESTS.pop(ident, None)
-    return token, previous
+class _Activation:
+    """Makes one context active for a ``with`` block on this thread.
 
+    The one activation behind :func:`request_context`,
+    :func:`bind_context` and a ``@traced`` root: it sets the context
+    variable and the thread map on entry and restores both on exit.
+    """
 
-def _deactivate(token, previous: Optional[str]) -> None:
-    _CURRENT.reset(token)
-    ident = threading.get_ident()
-    if previous is not None:
-        _THREAD_REQUESTS[ident] = previous
-    else:
-        _THREAD_REQUESTS.pop(ident, None)
+    __slots__ = ("context", "_token", "_ident", "_previous")
+
+    def __init__(self, context: Optional[RequestContext]):
+        self.context = context
+
+    def __enter__(self) -> Optional[RequestContext]:
+        context = self.context
+        self._token = _CURRENT.set(context)
+        self._ident = ident = _get_ident()
+        self._previous = _THREAD_REQUESTS.get(ident)
+        if context is None:
+            _THREAD_REQUESTS.pop(ident, None)
+        else:
+            _THREAD_REQUESTS[ident] = context.request_id
+        return context
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _CURRENT.reset(self._token)
+        if self._previous is None:
+            _THREAD_REQUESTS.pop(self._ident, None)
+        else:
+            _THREAD_REQUESTS[self._ident] = self._previous
+        return False
 
 
 def thread_request_id(ident: int) -> Optional[str]:
@@ -174,37 +216,26 @@ def check_deadline(op: str = "") -> None:
         f"(over by {-remaining:.4f}s)")
 
 
-@contextmanager
 def request_context(
     tenant: str = "",
     request_id: Optional[str] = None,
     deadline: Optional[float] = None,
     timeout: Optional[float] = None,
     **baggage: Any,
-) -> Iterator[RequestContext]:
+) -> _Activation:
     """Activate a fresh :class:`RequestContext` for the ``with`` body."""
-    ctx = new_context(tenant=tenant, request_id=request_id,
-                      deadline=deadline, timeout=timeout, **baggage)
-    token, previous = _activate(ctx)
-    try:
-        yield ctx
-    finally:
-        _deactivate(token, previous)
+    return _Activation(new_context(tenant, request_id, deadline, timeout,
+                                   **baggage))
 
 
-@contextmanager
-def bind_context(ctx: Optional[RequestContext]) -> Iterator[Optional[RequestContext]]:
+def bind_context(ctx: Optional[RequestContext]) -> _Activation:
     """Re-activate a captured context on the current (worker) thread.
 
     Binding ``None`` is an explicit "no originating request" and clears
     any context the worker happened to inherit — a job submitted outside
     a request must not be attributed to whatever ran last.
     """
-    token, previous = _activate(ctx)
-    try:
-        yield ctx
-    finally:
-        _deactivate(token, previous)
+    return _Activation(ctx)
 
 
 def with_context(

@@ -1,8 +1,10 @@
 """Structured event log: the lake's bounded flight recorder.
 
 Spans measure *durations*; events record *moments* — an ingest
-committed, an index epoch bumped, a cache hit, a breaker tripping, a
-job dead-lettered, a degraded fetch.  The :class:`EventLog` is a
+committed, an index epoch bumped, a breaker tripping, a job
+dead-lettered, a degraded fetch.  Per-operation facts (a cache hit, a
+lookup) are counts, not events: they would flood the ring and push out
+the rare events it exists to keep.  The :class:`EventLog` is a
 fixed-size ring buffer of typed, timestamped records, cheap enough to
 leave on permanently and bounded so it can never grow without limit:
 when something goes wrong, the last N events *are* the story of how it
@@ -35,9 +37,6 @@ from repro.obs.context import current_context
 KNOWN_KINDS = (
     "ingest.committed",
     "index.epoch_bump",
-    "cache.hit",
-    "cache.miss",
-    "cache.evict",
     "breaker.transition",
     "job.retry",
     "job.dead_letter",
@@ -91,6 +90,7 @@ class EventLog:
         self._buffer: List[Event] = []
         self._start = 0  # ring head index into _buffer
         self._emitted = 0
+        self._dropped = 0  # events overwritten where the ring wrapped
 
     # -- writing -----------------------------------------------------------------
 
@@ -115,6 +115,7 @@ class EventLog:
             else:  # overwrite the oldest slot, advance the head
                 self._buffer[self._start] = event
                 self._start = (self._start + 1) % self.capacity
+                self._dropped += 1
         return event
 
     # -- reading -----------------------------------------------------------------
@@ -146,9 +147,9 @@ class EventLog:
 
     @property
     def dropped(self) -> int:
-        """Events evicted by the ring bound."""
+        """Events evicted by the ring bound (not those :meth:`reset` cleared)."""
         with self._lock:
-            return self._emitted - len(self._buffer)
+            return self._dropped
 
     def export_jsonl(self, events: Optional[Iterable[Event]] = None) -> str:
         """One JSON object per line, oldest first."""

@@ -7,10 +7,10 @@ per-instrument locks; histogram quantiles are estimated by linear
 interpolation inside fixed buckets, so their error is bounded by the
 bucket width (asserted by the test suite).
 
-Instruments may carry **labels** (``registry.counter("cache.hits",
-engine="aurum")``): each distinct label set is its own child instrument
+Instruments may carry **labels** (``registry.counter("serving.requests",
+tenant="acme")``): each distinct label set is its own child instrument
 under one *family* name, rendered Prometheus-style as
-``cache.hits{engine="aurum"}``.  A family's kind (counter / gauge /
+``serving.requests{tenant="acme"}``.  A family's kind (counter / gauge /
 histogram) is fixed by its first registration regardless of labels.
 """
 
@@ -69,6 +69,11 @@ class Counter:
     def snapshot(self) -> Dict[str, float]:
         return {"value": self._value}
 
+    def reset(self) -> None:
+        """Count from zero again (what :meth:`MetricsRegistry.reset` does)."""
+        with self._lock:
+            self._value = 0.0
+
 
 class Gauge:
     """A value that can go up and down (queue depth, dataset count, ...)."""
@@ -122,6 +127,15 @@ class Histogram:
         self._min: Optional[float] = None
         self._max: Optional[float] = None
         self._lock = threading.Lock()
+
+    def reset(self) -> None:
+        """Forget every observation (what :meth:`MetricsRegistry.reset` does)."""
+        with self._lock:
+            self._counts = [0] * (len(self.bounds) + 1)
+            self._sum = 0.0
+            self._count = 0
+            self._min = None
+            self._max = None
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -290,9 +304,17 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
+        """Start a fresh window: zero every counter and histogram in place.
+
+        Registrations survive, so an instrument a component bound at
+        construction keeps counting and exporting.  Gauges keep their
+        values: they describe state, not a window.
+        """
         with self._lock:
-            self._metrics.clear()
-            self._kinds.clear()
+            metrics = list(self._metrics.values())
+        for metric in metrics:
+            if metric.kind != "gauge":
+                metric.reset()
 
     def __len__(self) -> int:
         with self._lock:

@@ -22,6 +22,15 @@ pool threads stays attributable to the originating ``DataLake`` call; a
 span that exits via an exception records the exception type *and*
 message, so an errored trace is distinguishable from a clean one in
 every exporter.
+
+The request root decides what is recorded.  A recorder keeps a *share*
+of requests (every one by default; the process default recorder keeps
+one in 64): a span opened under a context is recorded when the
+context's draw falls below the share, when a listener is attached, or
+when a recorded span is already open on the thread.  Otherwise :meth:`SpanRecorder.span`
+returns the shared null context, which records nothing, so a skipped
+request costs no ``Span``, no histogram update and no ring slot.  A
+span opened with no context at all is recorded.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ import time
 from collections import deque
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.obs.context import current_context
+from repro.obs.context import RequestContext, current_context
 
 #: error messages recorded on spans are clipped to this many characters
 MAX_ERROR_CHARS = 240
@@ -108,14 +117,16 @@ class Span:
 class _ActiveSpan:
     """Context manager binding one span to its recorder's thread stack."""
 
-    __slots__ = ("_recorder", "_span")
+    __slots__ = ("_recorder", "_span", "_context")
 
-    def __init__(self, recorder: "SpanRecorder", span: Span):
+    def __init__(self, recorder: "SpanRecorder", span: Span,
+                 context: Optional[RequestContext]):
         self._recorder = recorder
         self._span = span
+        self._context = context
 
     def __enter__(self) -> Span:
-        context = current_context()
+        context = self._context
         if context is not None:
             self._span.request_id = context.request_id
             if context.tenant:
@@ -139,19 +150,26 @@ class _ActiveSpan:
 class SpanRecorder:
     """Collects span trees; thread-safe, bounded, optionally metric-backed.
 
-    When *registry* is given, every finished span also feeds a
-    ``span_ms.<name>`` histogram so quantiles survive even after the
-    bounded root buffer evicts old traces.
+    *share* is the fraction of requests recorded, applied to each
+    request's draw (see the module docstring); the default records
+    every request.  When *registry* is given, every recorded span also
+    feeds a ``span_ms.<name>`` histogram, bound once per name, so
+    quantiles survive even after the bounded root buffer evicts old
+    traces.
     """
 
     enabled = True
 
-    def __init__(self, max_roots: int = 4096, registry=None):
+    def __init__(self, max_roots: int = 4096, registry=None, share: float = 1.0):
+        if not 0.0 <= share <= 1.0:
+            raise ValueError(f"share must be in [0, 1], got {share}")
         self._roots: deque = deque(maxlen=max_roots)
         self._lock = threading.Lock()
         self._local = threading.local()
         self.registry = registry
+        self.share = share
         self._listeners: List[Any] = []
+        self._histograms: Dict[str, Any] = {}
 
     # -- span lifecycle ----------------------------------------------------------
 
@@ -162,10 +180,18 @@ class SpanRecorder:
         system: Optional[str] = None,
         function: Optional[str] = None,
         **tags: Any,
-    ) -> _ActiveSpan:
-        """Open a span as a context manager; nests under the active span."""
-        return _ActiveSpan(self, Span(name, tier=tier, system=system,
-                                      function=function, tags=tags or None))
+    ) -> "_ActiveSpan | _NullSpanContext":
+        """Open a span as a context manager; nests under the active span.
+
+        Returns the shared null context, which yields ``None``, when the
+        active request is not recorded.
+        """
+        context = current_context()
+        if (context is not None and context.draw >= self.share
+                and not self._listeners
+                and not getattr(self._local, "stack", None)):
+            return _NULL_CONTEXT
+        return _ActiveSpan(self, Span(name, tier, system, function, tags), context)
 
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
@@ -188,7 +214,10 @@ class SpanRecorder:
             with self._lock:
                 self._roots.append(span)
         if self.registry is not None:
-            self.registry.histogram(f"span_ms.{span.name}").observe(span.duration_ms)
+            histogram = self._histograms.get(span.name)
+            if histogram is None:
+                histogram = self._bind_histogram(span.name)
+            histogram.observe(span.duration_ms)
         for listener in self._listeners:
             try:
                 listener(span)
@@ -196,10 +225,22 @@ class SpanRecorder:
                 if self.registry is not None:
                     self.registry.counter("obs.span_listener_errors").inc()
 
+    def _bind_histogram(self, name: str):
+        with self._lock:
+            histogram = self._histograms.get(name)
+            if histogram is None:
+                histogram = self._histograms[name] = self.registry.histogram(
+                    f"span_ms.{name}")
+            return histogram
+
     # -- listeners ---------------------------------------------------------------
 
     def add_listener(self, listener) -> None:
-        """Call *listener(span)* for every finished span (SLO feed etc.)."""
+        """Call *listener(span)* for every finished span (SLO feed etc.).
+
+        While a listener is attached the recorder records every request,
+        whatever its share, so the listener sees every span.
+        """
         with self._lock:
             if listener not in self._listeners:
                 self._listeners = self._listeners + [listener]

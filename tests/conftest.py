@@ -65,6 +65,23 @@ def lockset_witness():
 
 
 @pytest.fixture
+def keep_every_span():
+    """Install a recorder that records every request, for one test.
+
+    The process recorder records one request in 64, so a test that reads
+    the spans of plain lake calls opts in here.
+    """
+    from repro.obs import SpanRecorder, get_registry, set_recorder
+
+    recorder = SpanRecorder(registry=get_registry())
+    previous = set_recorder(recorder)
+    try:
+        yield recorder
+    finally:
+        set_recorder(previous)
+
+
+@pytest.fixture
 def customers() -> Table:
     rng = random.Random(0)
     ids = [f"cust-{i:04d}" for i in range(150)]

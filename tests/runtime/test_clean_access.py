@@ -6,17 +6,19 @@ nothing was dirty — so a read-heavy workload burned maintenance spans
 per query.
 These tests pin the fixed behavior through the observability layer:
 span counts for the maintenance paths stay flat across repeated clean
-queries while the ``runtime.index.clean_accesses`` counter grows.
-
-Note: ``obs.reset()`` replaces the metric objects held by existing
-lakes, so every test resets *first* and builds its lake after.
+queries while the ``runtime.index.clean_accesses`` counter grows.  Each
+test runs under a recorder that keeps every span.
 """
 
 import threading
 
+import pytest
+
 from repro.core.lake import DataLake
 from repro.discovery.table_union import TableUnionSearch
 from repro.obs import get_recorder, get_registry, reset
+
+pytestmark = pytest.mark.usefixtures("keep_every_span")
 
 
 def _span_count(name):
@@ -142,3 +144,21 @@ def test_reader_of_an_older_epoch_takes_the_newer_index(monkeypatch):
     assert not reader.is_alive()
     assert _span_count("maintenance.union.index_build") == builds, (
         "the late reader built an index for an epoch already superseded")
+
+
+def test_reset_keeps_the_instruments_a_live_lake_holds():
+    """``obs.reset()`` starts a fresh window for a lake built before it:
+    its gauges keep exporting and its counters count from zero."""
+    lake = _populate(DataLake())
+    lake.discover_related("orders")
+    reset()
+    epoch = 'exploration.epoch{engine="aurum"}'
+    metrics = get_registry().metrics()
+    assert metrics[epoch].value == lake.epochs.epoch("aurum") > 0
+    assert metrics["exploration.cache.entries"].value == len(lake.query_cache) == 1
+    assert metrics["runtime.index.clean_accesses"].value == 0
+    for k in (2, 3, 4):  # cache misses: each reads the clean index
+        lake.discover_related("orders", k=k)
+    assert get_registry().metrics()["runtime.index.clean_accesses"].value >= 3
+    lake.ingest_table("late", {"id": [9], "city": ["z"]})
+    assert get_registry().metrics()[epoch].value == lake.epochs.epoch("aurum")

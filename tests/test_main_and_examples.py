@@ -1,6 +1,7 @@
 """Smoke tests: the demo CLI and every example script run cleanly."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -31,6 +32,17 @@ class TestExamples:
         result = run_script(str(script))
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip(), f"{script.name} printed nothing"
+
+    def test_quickstart_trace_covers_every_tier(self):
+        result = run_script(str(ROOT / "examples" / "quickstart.py"))
+        assert result.returncode == 0, result.stderr
+        trace = result.stdout.split("== trace of everything above (repro.obs) ==")[1]
+        trace = trace.split("== bulk ingest")[0]
+        spans = re.findall(r"[└├]─ (\S+) .*tier=(\w+)", trace)
+        assert {tier for _, tier in spans} >= {
+            "storage", "ingestion", "maintenance", "exploration"}
+        assert {"ingestion.lake.ingest", "exploration.lake.sql",
+                "exploration.lake.keyword_search"} <= {name for name, _ in spans}
 
     def test_expected_examples_present(self):
         names = {p.stem for p in EXAMPLES}

@@ -60,6 +60,37 @@ class TestRequestContext:
         assert out["tenant"] == "acme"
         assert out["baggage"] == {"shard": "eu-1"}
         assert out["request_id"] == ctx.request_id
+        assert "baggage" not in new_context().to_dict()
+
+    def test_context_is_immutable(self):
+        ctx = new_context(tenant="acme")
+        with pytest.raises(AttributeError):
+            ctx.tenant = "other"
+
+
+class TestRecordingDecision:
+    def test_each_root_draws_in_the_unit_interval(self):
+        draws = {new_context().draw for _ in range(200)}
+        assert len(draws) > 190
+        assert all(0.0 <= draw < 1.0 for draw in draws)
+
+    def test_nested_context_inherits_the_draw(self):
+        with request_context() as outer:
+            inner = new_context(tenant="t")
+            with request_context() as nested:
+                assert nested.request_id != outer.request_id
+                assert nested.draw == outer.draw
+        assert inner.draw == outer.draw
+
+    def test_bound_context_keeps_its_draw_on_another_thread(self):
+        seen = []
+        with request_context() as ctx:
+            thread = threading.Thread(
+                target=with_context(lambda: seen.append(current_context())))
+            thread.start()
+            thread.join(5)
+        assert not thread.is_alive()
+        assert seen[0] == ctx
 
 
 class TestActivation:

@@ -100,6 +100,16 @@ class TestEventLog:
         log.emit("b")
         assert log.events()[0].seq == 2
 
+    def test_reset_is_not_counted_as_dropped(self):
+        log = EventLog(capacity=8)
+        for i in range(5):
+            log.emit("k", i=i)
+        log.reset()
+        assert log.dropped == 0 and log.emitted == 5
+        for i in range(10):
+            log.emit("k", i=i)
+        assert log.dropped == 2  # only the ring's own overwrites
+
     def test_noop_log_swallows_everything(self):
         NOOP_EVENT_LOG.emit("k", x=1)
         assert NOOP_EVENT_LOG.events() == []
@@ -174,3 +184,28 @@ class TestEventLogConcurrency:
         for t in writers:
             t.join()
         assert errors == []
+
+
+class TestFlightRecorderUnderTraffic:
+    def test_breaker_transition_survives_warm_cache_hits(self):
+        """Per-lookup facts are counts, not events: 10,000 warm hits leave
+        a breaker transition in the dump-on-error view."""
+        from repro import DataLake
+        from repro.faults.breaker import CircuitBreaker
+
+        lake = DataLake.in_memory()
+        try:
+            lake.ingest_table("sales", {"region": ["EU", "US"], "amount": [1, 2]})
+            lake.ingest_table("regions", {"region": ["EU", "US"], "name": ["e", "u"]})
+            lake.discover_related("sales", k=3)  # fills the cache
+            CircuitBreaker("relational", failure_threshold=1).record_failure()
+            hits = lake.query_cache.stats()["hits"]
+            for _ in range(10_000):
+                lake.discover_related("sales", k=3)
+            assert lake.query_cache.stats()["hits"] == hits + 10_000
+            dump = [json.loads(line) for line in lake.flight_recorder().splitlines()]
+            transitions = [event for event in dump
+                           if event["kind"] == "breaker.transition"]
+            assert [event["to_state"] for event in transitions] == ["open"]
+        finally:
+            lake.close()

@@ -39,6 +39,7 @@ def small_lake() -> DataLake:
     return lake
 
 
+@pytest.mark.usefixtures("keep_every_span")
 class TestEndToEndInstrumentation:
     def test_ingest_plus_discovery_covers_three_tiers(self):
         lake = small_lake()
@@ -138,6 +139,7 @@ class TestExportFunctions:
         assert aggregates["span_count"] == 1
         assert aggregates["error_count"] == 1
 
+    @pytest.mark.usefixtures("keep_every_span")
     def test_failed_discovery_still_recorded(self):
         lake = small_lake()
         from repro.core.errors import DatasetNotFound

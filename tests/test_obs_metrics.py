@@ -120,10 +120,28 @@ class TestMetricsRegistry:
         assert snapshot["lat"]["count"] == 1
 
     def test_reset(self):
+        """Reset zeroes counters and histograms in place and keeps every
+        registration, so an instrument bound before it keeps exporting;
+        a gauge keeps its value."""
         registry = MetricsRegistry()
-        registry.counter("ops").inc()
+        ops = registry.counter("ops")
+        ops.inc(3)
+        lat = registry.histogram("lat")
+        lat.observe(2.5)
+        depth = registry.gauge("depth")
+        depth.set(7)
         registry.reset()
-        assert len(registry) == 0
+        assert len(registry) == 3
+        assert registry.counter("ops") is ops and ops.value == 0
+        assert registry.histogram("lat") is lat
+        assert lat.summary() == registry.histogram("fresh").summary()
+        assert lat.bucket_counts()[-1] == (float("inf"), 0)
+        assert registry.gauge("depth") is depth and depth.value == 7
+        ops.inc()
+        lat.observe(1.0)
+        snapshot = registry.snapshot()
+        assert snapshot["ops"]["value"] == 1
+        assert snapshot["lat"]["count"] == 1 and snapshot["lat"]["min"] == 1.0
 
     def test_concurrent_increments_are_exact(self):
         registry = MetricsRegistry()

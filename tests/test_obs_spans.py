@@ -6,12 +6,16 @@ import pytest
 
 from repro.obs import (
     NOOP_RECORDER,
+    MetricsRegistry,
     NoopRecorder,
+    RequestContext,
     SpanRecorder,
+    bind_context,
     disable,
     enable,
     get_recorder,
     get_registry,
+    request_context,
     reset,
     traced,
 )
@@ -150,6 +154,80 @@ class TestThreadSafety:
         assert seen["other"] is None
 
 
+class TestRecordingShare:
+    """A request is recorded when its draw is below the recorder's share;
+    a span with no context, under a recorded span or heard by a listener
+    is always recorded."""
+
+    def test_unrecorded_request_opens_no_span(self):
+        recorder = SpanRecorder(share=0.0)
+        with request_context():
+            with recorder.span("skipped") as span:
+                assert span is None
+                assert recorder.current() is None
+        assert recorder.roots() == []
+
+    def test_contextless_span_is_recorded(self):
+        recorder = SpanRecorder(share=0.0)
+        with recorder.span("no_context"):
+            with recorder.span("child"):
+                pass
+        (plain,) = recorder.roots()
+        assert plain.name == "no_context" and plain.request_id is None
+        assert [child.name for child in plain.children] == ["child"]
+
+    def test_span_under_a_recorded_span_is_recorded(self):
+        recorder = SpanRecorder(share=0.0)
+        with recorder.span("outer"):
+            with request_context():
+                with recorder.span("inner"):
+                    pass
+        (outer,) = recorder.roots()
+        assert [child.name for child in outer.children] == ["inner"]
+
+    def test_listener_records_every_request(self):
+        recorder = SpanRecorder(share=0.0)
+        seen = []
+        recorder.add_listener(seen.append)
+        with request_context():
+            with recorder.span("heard"):
+                pass
+        recorder.remove_listener(seen.append)
+        with request_context():
+            with recorder.span("unheard"):
+                pass
+        assert [span.name for span in seen] == ["heard"]
+        assert [root.name for root in recorder.roots()] == ["heard"]
+
+    def test_share_is_applied_to_the_draw(self):
+        recorder = SpanRecorder(share=0.5)
+        for draw, recorded in ((0.49, True), (0.5, False)):
+            with bind_context(RequestContext("req-draw", draw=draw)):
+                with recorder.span("op") as span:
+                    assert (span is not None) is recorded
+                    with recorder.span("child"):
+                        pass
+        (root,) = recorder.roots()
+        assert root.request_id == "req-draw"
+        assert [child.name for child in root.children] == ["child"]
+
+    def test_share_must_be_a_fraction(self):
+        for share in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                SpanRecorder(share=share)
+
+    def test_span_histogram_survives_a_registry_reset(self):
+        registry = MetricsRegistry()
+        recorder = SpanRecorder(registry=registry)
+        with recorder.span("op"):
+            pass
+        registry.reset()
+        with recorder.span("op"):
+            pass
+        assert registry.histogram("span_ms.op").count == 1
+
+
+@pytest.mark.usefixtures("keep_every_span")
 class TestTracedDecorator:
     def test_decorator_records_span_with_metadata(self):
         reset()
