@@ -423,10 +423,11 @@ class DataLake:
     # tests/exploration/test_query_cache.py checks that a repeated call of
     # each discovery entry point is answered by a cache hit.
 
-    def _cached(self, query):
+    def _cached(self, query, key=None):
         """Single epoch-checked entry point for every discovery answer.
 
-        Also the lake-side deadline checkpoint: a request whose
+        *key* is ``query.key()``, for a caller that already has it.  Also
+        the lake-side deadline checkpoint: a request whose
         :class:`~repro.obs.context.RequestContext` deadline has already
         passed is cut short here with
         :class:`~repro.core.errors.DeadlineExceeded` instead of paying
@@ -436,7 +437,7 @@ class DataLake:
         cache = self._query_cache
         if cache is None:
             return self._run_discovery_uncached(query)
-        return cache.fetch(query.engine, query.key(),
+        return cache.fetch(query.engine, query.key() if key is None else key,
                            self._epochs.epoch(query.engine),
                            lambda: self._run_discovery_uncached(query))
 
@@ -526,13 +527,14 @@ class DataLake:
             function="keyword_search")
     def keyword_search(self, keywords: str, k: int = 10):
         """Keyword search over schemata and values (Sec. 7.2, Constance)."""
-        from repro.exploration.parallel import DiscoveryQuery
+        from repro.exploration.parallel import DiscoveryQuery, keyword_key
         from repro.ml.text import tokenize
 
-        if not tokenize(keywords):
+        terms = tokenize(keywords)
+        if not terms:
             return []  # term-free queries match nothing and are never cached
         query = DiscoveryQuery(kind="keyword", keywords=keywords, k=k)
-        return self._cached(query)
+        return self._cached(query, keyword_key(terms, k))
 
     def _keyword_searcher(self):
         """The lake's keyword index: the maintainer's persistent,

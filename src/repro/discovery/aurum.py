@@ -19,21 +19,26 @@ Implemented here:
   deliberately corpus-free, so every edge score is a pure pairwise
   function of its two columns and incremental deltas reproduce a
   from-scratch build exactly, however ingests are batched;
-- posting maps from name tokens and from values to columns, so the schema
-  and PK-FK passes probe only the column pairs that can gain an edge (the
-  way JOSIE probes overlap through posting lists), never every indexed
-  column;
+- schema similarity per *name class*, the columns that share one
+  name-token vector: a class's cosines are computed once, when it first
+  appears, against itself and every class sharing a token, and stored as
+  EKG class links that the EKG expands to column pairs when a query reads
+  them, so a repeated name costs no cosine and stores no edge;
+- posting maps from name tokens to classes and from values to columns, so
+  the schema and PK-FK passes probe only the pairs that can gain an edge
+  (the way JOSIE probes overlap through posting lists), never every
+  indexed column;
 - EKG construction (:class:`~repro.modeling.ekg.EnterpriseKnowledgeGraph`)
-  with ``content_sim``, ``schema_sim`` and ``pkfk`` edges;
+  with ``content_sim`` and ``pkfk`` edges and ``schema_sim`` class links;
 - incremental ``update_table`` honoring the change threshold, and
-  ``remove_table``;
+  ``remove_table``; re-adding an indexed table replaces it;
 - top-k joinable-column and related-table queries.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, TypeVar
 
 from repro.core.dataset import Table
 from repro.core.errors import DatasetNotFound
@@ -45,22 +50,30 @@ from repro.modeling.ekg import ColumnRef, EnterpriseKnowledgeGraph
 from repro.obs import annotate, traced
 
 
-def _name_vector(tokens: Sequence[str]) -> Dict[str, float]:
-    """Sparse term-frequency vector of a column's name tokens.
+#: a name class: a column name's token counts as sorted (token, count) pairs
+NameClass = Tuple[Tuple[str, int], ...]
 
-    Corpus-free on purpose: a schema edge's cosine then depends only on
+_T = TypeVar("_T")
+
+
+def _name_class(tokens: Sequence[str]) -> NameClass:
+    """The name class of a column: its name-token count vector, hashable.
+
+    Corpus-free on purpose: a schema link's cosine then depends only on
     the two names compared, never on what else is indexed — which is
     what makes :meth:`Aurum.build_delta` reproduce :meth:`Aurum.build`
     bit-for-bit regardless of how ingests are partitioned into deltas.
+    ``customerId`` and ``customer_id`` share a class.  The counts are
+    integers, so the cosine of two classes is exact and symmetric.
     """
-    return dict(Counter(tokens))
+    return tuple(sorted(Counter(tokens).items()))
 
 
-def _unlist(postings: Dict[str, List[ColumnRef]], key: str, ref: ColumnRef) -> None:
-    """Remove *ref* from the posting list under *key*; drop the list when empty."""
-    refs = postings[key]
-    refs.remove(ref)
-    if not refs:
+def _unlist(postings: Dict[str, List[_T]], key: str, item: _T) -> None:
+    """Remove *item* from the posting list under *key*; drop the list when empty."""
+    items = postings[key]
+    items.remove(item)
+    if not items:
         del postings[key]
 
 
@@ -103,22 +116,24 @@ class Aurum:
         self._tables: Dict[str, Table] = {}
         self._built = False
         self._fresh: set = set()  # refs staged since the last (full or delta) build
-        # kept per column at add_table, so the schema and PK-FK passes probe
-        # postings instead of scanning every indexed column
-        self._name_vectors: Dict[ColumnRef, Dict[str, float]] = {}
-        self._by_token: Dict[str, List[ColumnRef]] = {}
+        # the schema pass probes the name classes in the EKG by token, and the
+        # PK-FK pass the columns by value, instead of scanning every column
+        self._by_token: Dict[str, List[NameClass]] = {}
         self._by_value: Dict[str, List[ColumnRef]] = {}  # lists: smaller than sets
         self._keys: Set[ColumnRef] = set()
 
     # -- construction -----------------------------------------------------------
 
     def add_table(self, table: Table) -> None:
-        """Profile *table* and stage its columns for the EKG."""
+        """Profile *table* and stage its columns for the EKG.
+
+        Re-adding an indexed name replaces that table: its old columns,
+        postings and edges are dropped first, as :meth:`remove_table` does.
+        """
+        self.remove_table(table.name)
         self._tables[table.name] = table
         for profile in self.profiler.profile_table(table):
             ref = profile.ref
-            if ref in self._profiles:
-                self._unpost(self._profiles[ref])
             self._profiles[ref] = profile
             self._post(profile)
             self._fresh.add(ref)
@@ -133,11 +148,8 @@ class Aurum:
         self._built = False
 
     def _post(self, profile: ColumnProfile) -> None:
-        """Index one column under its name tokens, values and key status."""
+        """Index one column under its values and key status."""
         ref = profile.ref
-        vector = self._name_vectors[ref] = _name_vector(profile.name_tokens)
-        for token in vector:
-            self._by_token.setdefault(token, []).append(ref)
         for value in profile.distinct:
             self._by_value.setdefault(value, []).append(ref)
         if profile.is_key_candidate:
@@ -146,8 +158,6 @@ class Aurum:
     def _unpost(self, profile: ColumnProfile) -> None:
         """Undo :meth:`_post` for one column."""
         ref = profile.ref
-        for token in self._name_vectors.pop(ref):
-            _unlist(self._by_token, token, ref)
         for value in profile.distinct:
             _unlist(self._by_value, value, ref)
         self._keys.discard(ref)
@@ -179,14 +189,13 @@ class Aurum:
         self.ekg.add_relation(key, foreign, "pkfk", round(contained, 4))
 
     def _link(self, fresh: List[ColumnRef]) -> None:
-        """Add every edge with an endpoint in *fresh* (sorted refs).
+        """Add every relation with an endpoint in *fresh* (sorted refs).
 
-        Content candidates come from LSH.  Schema candidates share a name
-        token: the cosine over disjoint token sets is 0, below any
-        ``schema_threshold``.  PK-FK candidates share a value: containment
-        >= 0.8 needs one.  Candidates are probed in sorted order, so edges
-        are written in the order a scan over all columns would write them.
-        A pair with both endpoints fresh is counted once.
+        Content candidates come from LSH.  PK-FK candidates share a value:
+        containment >= 0.8 needs one.  Candidates are probed in sorted
+        order, so edges are written in the order a scan over all columns
+        would write them.  A pair with both endpoints fresh is counted
+        once.  Schema similarity is linked per name class (:meth:`_link_class`).
         """
         fresh_set = set(fresh)
         # content-similarity edges via LSH (no all-pairs scan)
@@ -199,16 +208,11 @@ class Aurum:
                     continue  # both endpoints fresh: count the pair once
                 left, right = (ref, other) if ref < other else (other, ref)
                 self.ekg.add_relation(left, right, "content_sim", round(estimate, 4))
-        # schema-similarity edges: name-token cosine against columns sharing a token
+        # schema similarity: a column whose class is already linked costs nothing
         for ref in fresh:
-            vector = self._name_vectors[ref]
-            for other in self._partners(self._by_token, vector, ref):
-                if other in fresh_set and not ref < other:
-                    continue
-                similarity = cosine_similarity(vector, self._name_vectors[other])
-                if similarity >= self.schema_threshold:
-                    left, right = (ref, other) if ref < other else (other, ref)
-                    self.ekg.add_relation(left, right, "schema_sim", round(similarity, 4))
+            name_class = _name_class(self._profiles[ref].name_tokens)
+            if self.ekg.join_class(ref, name_class):
+                self._link_class(name_class)
         # PK-FK candidate edges against columns sharing a value
         for ref in fresh:
             partners = self._partners(self._by_value, self._profiles[ref].distinct, ref)
@@ -219,16 +223,30 @@ class Aurum:
                 if other in self._keys and other not in fresh_set:
                     self._add_pkfk(other, ref)
 
+    def _link_class(self, name_class: NameClass) -> None:
+        """Link a new class to itself and to every class sharing a token.
+
+        Disjoint token sets have cosine 0, below any ``schema_threshold``.
+        Each pair of classes is compared once, when the second appears.
+        """
+        vector = dict(name_class)
+        for token in vector:
+            self._by_token.setdefault(token, []).append(name_class)
+        for other in {other for token in vector for other in self._by_token[token]}:
+            similarity = cosine_similarity(vector, dict(other))
+            if similarity >= self.schema_threshold:
+                self.ekg.link_classes(name_class, other, "schema_sim", round(similarity, 4))
+
     @traced("maintenance.aurum.build", tier="maintenance", system="Aurum",
             function="related_dataset_discovery")
     def build(self) -> EnterpriseKnowledgeGraph:
         """Materialize all EKG edges from the staged profiles.
 
         Content edges come from LSH candidates only (the linear-complexity
-        path); schema edges from cosine over attribute-name token counts,
-        probed through a token posting map; PK-FK edges from key candidates
-        whose values are contained in another column, probed through a
-        value posting map.
+        path); schema links from cosine over attribute-name token counts,
+        once per pair of name classes, probed through a token posting map;
+        PK-FK edges from key candidates whose values are contained in
+        another column, probed through a value posting map.
         """
         if self._built:
             return self.ekg
@@ -248,13 +266,15 @@ class Aurum:
         The incremental counterpart of :meth:`build`: instead of re-deriving
         every edge, only pairs with at least one *fresh* endpoint are probed,
         and of those only the candidates each pass can edge: LSH bucket
-        mates, columns sharing a name token, columns sharing a value.  The
-        cost per fresh column follows the edges it can gain, not the number
-        of indexed columns.  Every edge score (MinHash estimate, name-token
-        cosine, containment) is a pure pairwise function of its two columns,
-        so a sequence of deltas produces exactly the edges a from-scratch
-        :meth:`build` would — no matter how the same ingests are partitioned
-        into batches.
+        mates, columns sharing a value, and — for a fresh column whose name
+        class is new — the classes sharing a name token.  The cost per
+        fresh column follows the edges it can gain, not the number of
+        indexed columns, and a repeated name costs no schema work.  Every
+        relation score (MinHash estimate, name-token cosine, containment)
+        is a pure pairwise function of its two columns, so a sequence of
+        deltas produces exactly the relations a from-scratch :meth:`build`
+        would — no matter how the same ingests are partitioned into
+        batches.
         """
         fresh = sorted(ref for ref in self._fresh if ref in self._profiles)
         if self._built and not fresh:
@@ -278,8 +298,8 @@ class Aurum:
         Honors Aurum's change threshold: when every column's new value set
         is within ``change_threshold`` Jaccard distance of the old one, the
         existing signatures are kept and no work is done.  Otherwise the
-        table's columns are unposted and restaged, and :meth:`build_delta`
-        re-derives only the edges touching them.
+        table is re-added (its old columns dropped), and :meth:`build_delta`
+        re-derives only the relations touching it.
         """
         if table.name not in self._tables:
             self.add_table(table)
@@ -297,10 +317,9 @@ class Aurum:
                 significant = True
                 break
         if not significant and set(table.column_names) == {
-            ref[1] for ref in self._profiles if ref[0] == table.name
+            column for _, column in self.ekg.columns(table.name)
         }:
             return False
-        self.remove_table(table.name)
         self.add_table(table)
         self.build_delta()
         return True
@@ -308,17 +327,21 @@ class Aurum:
     def remove_table(self, name: str) -> bool:
         """Drop table *name*'s columns, postings and EKG nodes and edges.
 
-        Returns True when the table was indexed.  Every remaining edge is a
-        pure pairwise function of its two columns, so the EKG left behind
-        is the one a build without the table would produce.
+        Returns True when the table was indexed.  Every remaining relation
+        is a pure pairwise function of its two columns, so the EKG left
+        behind is the one a build without the table would produce; a name
+        class that loses its last column goes with its links.
         """
         if name not in self._tables:
             return False
-        for ref in [r for r in self._profiles if r[0] == name]:
+        for ref in self.ekg.columns(name):
             self._unpost(self._profiles.pop(ref))
             self._fresh.discard(ref)
             self.lsh.remove(ref)
-            self.ekg.remove_column(*ref)
+            dropped = self.ekg.remove_column(*ref)
+            if dropped is not None:
+                for token, _ in dropped:
+                    _unlist(self._by_token, token, dropped)
         del self._tables[name]
         return True
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 from repro.ml.text import tokenize
 from repro.obs import emit, get_registry
@@ -168,15 +167,10 @@ class QueryCache:
             }
 
 
-@dataclass(frozen=True)
-class DiscoveryQuery:
-    """One normalized discovery request, the unit of caching and batching.
+_record = tuple.__new__
 
-    ``kind`` is one of ``joinable`` / ``related`` / ``union`` /
-    ``keyword``; the other fields are kind-specific (``table``+``column``
-    for joinable, ``table`` for related/union, ``keywords`` for keyword).
-    """
 
+class _QueryFields(NamedTuple):
     kind: str
     table: str = ""
     column: str = ""
@@ -184,19 +178,40 @@ class DiscoveryQuery:
     k: int = 5
     min_score: float = 0.3  # union only
 
-    def __post_init__(self) -> None:
-        if self.kind not in ENGINE_OF_KIND:
+
+class DiscoveryQuery(_QueryFields):
+    """One normalized discovery request, the unit of caching and batching.
+
+    ``kind`` is one of ``joinable`` / ``related`` / ``union`` /
+    ``keyword``; the other fields are kind-specific (``table``+``column``
+    for joinable, ``table`` for related/union, ``keywords`` for keyword).
+    An immutable tuple, validated whenever one is built, by ``_replace``
+    too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, table: str = "", column: str = "",
+                keywords: str = "", k: int = 5,
+                min_score: float = 0.3) -> "DiscoveryQuery":
+        if kind not in ENGINE_OF_KIND:
             raise ValueError(
-                f"unknown discovery kind {self.kind!r}; "
+                f"unknown discovery kind {kind!r}; "
                 f"expected one of {sorted(ENGINE_OF_KIND)}")
-        if self.kind in ("joinable", "related", "union") and not self.table:
-            raise ValueError(f"{self.kind} queries need table=")
-        if self.kind == "joinable" and not self.column:
+        if kind == "keyword":
+            if not keywords:
+                raise ValueError("keyword queries need keywords=")
+        elif not table:
+            raise ValueError(f"{kind} queries need table=")
+        elif kind == "joinable" and not column:
             raise ValueError("joinable queries need column=")
-        if self.kind == "keyword" and not self.keywords:
-            raise ValueError("keyword queries need keywords=")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
+        return _record(cls, (kind, table, column, keywords, k, min_score))
+
+    def _replace(self, **changes: Any) -> "DiscoveryQuery":
+        """A copy with *changes*, validated like a new query."""
+        return DiscoveryQuery(**{**self._asdict(), **changes})
 
     @property
     def engine(self) -> str:
@@ -206,12 +221,17 @@ class DiscoveryQuery:
     def key(self) -> Tuple[Hashable, ...]:
         """The normalized cache key (keyword text canonicalized by token)."""
         if self.kind == "keyword":
-            return ("keyword", tuple(tokenize(self.keywords)), self.k)
+            return keyword_key(tokenize(self.keywords), self.k)
         if self.kind == "joinable":
             return ("joinable", self.table, self.column, self.k)
         if self.kind == "union":
             return ("union", self.table, self.k, self.min_score)
         return ("related", self.table, self.k)
+
+
+def keyword_key(terms: Sequence[str], k: int) -> Tuple[Hashable, ...]:
+    """The cache key of a keyword query whose text tokenizes to *terms*."""
+    return ("keyword", tuple(terms), k)
 
 
 def as_query(spec: Any) -> DiscoveryQuery:

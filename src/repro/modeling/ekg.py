@@ -10,12 +10,28 @@ This module provides the hypergraph data structure plus the discovery-
 primitive query language of Sec. 7.1: keyword search over schemata and
 values, neighbor expansion by relation type, and discovery *path* queries
 accelerated by precomputed adjacency (Aurum's "graph index").
+
+Relations between columns live in two places:
+
+- *stored edges* (a networkx graph), one per related column pair, for
+  relations scored per pair (Aurum's ``content_sim`` and ``pkfk``);
+- *name classes*, the columns that share one name key (a hyperedge in
+  the survey's sense, kept apart from :meth:`hyperedges`), and weighted
+  *class links* between classes (Aurum's ``schema_sim``).  A link
+  between classes A and B relates every column of A to every column of
+  B in another table; a column joins its class with one dict insert,
+  and no per-pair edge is stored.
+
+Every read (``neighbors``, ``relations_between``, ``paths``,
+``num_edges``) merges the two, so a column's neighbours are the same as
+if each class link were stored as one edge per column pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 import networkx as nx
 
@@ -38,12 +54,18 @@ class EnterpriseKnowledgeGraph:
     def __init__(self) -> None:
         self._graph = nx.Graph()
         self._hyperedges: List[HyperEdge] = []
+        self._by_table: Dict[str, Set[ColumnRef]] = {}
+        self._class_of: Dict[ColumnRef, Hashable] = {}
+        self._classes: Dict[Hashable, Set[ColumnRef]] = {}
+        # class -> linked class -> relation -> weight, stored both ways
+        self._links: Dict[Hashable, Dict[Hashable, Dict[str, float]]] = {}
 
     # -- construction --------------------------------------------------------------
 
     def add_column(self, table: str, column: str, **attributes: Any) -> ColumnRef:
         node: ColumnRef = (table, column)
         self._graph.add_node(node, **attributes)
+        self._by_table.setdefault(table, set()).add(node)
         return node
 
     def add_relation(
@@ -65,11 +87,65 @@ class EnterpriseKnowledgeGraph:
         else:
             self._graph.add_edge(left, right, relations={relation: weight})
 
-    def remove_column(self, table: str, column: str) -> None:
+    def join_class(self, node: ColumnRef, name_class: Hashable) -> bool:
+        """Put *node* in *name_class*; True when that creates the class.
+
+        A column belongs to one class; joining the same one again is a
+        no-op.  A new class has no links until :meth:`link_classes` adds
+        them.
+        """
+        if node not in self._graph:
+            raise KeyError(f"{node} must be an EKG node")
+        current = self._class_of.get(node)
+        if current is not None:
+            if current != name_class:
+                raise ValueError(f"{node} is already in class {current!r}")
+            return False
+        self._class_of[node] = name_class
+        members = self._classes.get(name_class)
+        if members is None:
+            self._classes[name_class] = {node}
+            self._links[name_class] = {}
+            return True
+        members.add(node)
+        return False
+
+    def link_classes(self, left: Hashable, right: Hashable, relation: str,
+                     weight: float) -> None:
+        """Relate every column of class *left* to every column of *right*
+        in another table (*left* may equal *right*)."""
+        if left not in self._classes or right not in self._classes:
+            raise KeyError(f"both {left!r} and {right!r} must be name classes")
+        relations = self._links[left].setdefault(right, {})
+        self._links[right][left] = relations
+        relations[relation] = weight
+
+    def remove_column(self, table: str, column: str) -> Optional[Hashable]:
+        """Drop a column with its edges; returns its class if that emptied it.
+
+        A class whose last column goes is dropped with its links.
+        """
         node = (table, column)
         if node in self._graph:
             self._graph.remove_node(node)
+        members = self._by_table.get(table)
+        if members is not None:
+            members.discard(node)
+            if not members:
+                del self._by_table[table]
         self._hyperedges = [h for h in self._hyperedges if node not in h.members]
+        name_class = self._class_of.pop(node, None)
+        if name_class is None:
+            return None
+        members = self._classes[name_class]
+        members.discard(node)
+        if members:
+            return None
+        del self._classes[name_class]
+        for linked in self._links.pop(name_class):
+            if linked != name_class:
+                del self._links[linked][name_class]
+        return name_class
 
     def add_hyperedge(self, label: str, members: Iterable[ColumnRef]) -> HyperEdge:
         hyperedge = HyperEdge(label, frozenset(members))
@@ -84,8 +160,7 @@ class EnterpriseKnowledgeGraph:
         """
         label = f"table:{table}"
         self._hyperedges = [h for h in self._hyperedges if h.label != label]
-        members = [node for node in self._graph.nodes if node[0] == table]
-        return self.add_hyperedge(label, members)
+        return self.add_hyperedge(label, self._by_table.get(table, ()))
 
     # -- structure access -----------------------------------------------------------
 
@@ -95,24 +170,50 @@ class EnterpriseKnowledgeGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._graph.number_of_edges()
+        """Related column pairs, whether stored or expanded from a class link."""
+        expanded = sum(
+            1 for node in self._class_of for other, _ in self._class_neighbors(node)
+            if node < other and not self._graph.has_edge(node, other))
+        return self._graph.number_of_edges() + expanded
 
     def columns(self, table: Optional[str] = None) -> List[ColumnRef]:
-        nodes = list(self._graph.nodes)
-        if table is not None:
-            nodes = [n for n in nodes if n[0] == table]
-        return sorted(nodes)
+        if table is None:
+            return sorted(self._graph.nodes)
+        return sorted(self._by_table.get(table, ()))
 
     def relations_between(self, left: ColumnRef, right: ColumnRef) -> Dict[str, float]:
-        if not self._graph.has_edge(left, right):
-            return {}
-        return dict(self._graph[left][right]["relations"])
+        relations: Dict[str, float] = {}
+        if self._graph.has_edge(left, right):
+            relations.update(self._graph[left][right]["relations"])
+        if left[0] != right[0] and left in self._class_of and right in self._class_of:
+            relations.update(
+                self._links[self._class_of[left]].get(self._class_of[right], {}))
+        return relations
 
     def hyperedges(self, label_prefix: str = "") -> List[HyperEdge]:
         return [h for h in self._hyperedges if h.label.startswith(label_prefix)]
 
     def node_attributes(self, node: ColumnRef) -> Dict[str, Any]:
         return dict(self._graph.nodes[node])
+
+    def _class_neighbors(self, node: ColumnRef) -> Iterator[Tuple[ColumnRef, Dict[str, float]]]:
+        """Columns of other tables related to *node* through its class links."""
+        name_class = self._class_of.get(node)
+        if name_class is None:
+            return
+        table = node[0]
+        for linked, relations in self._links[name_class].items():
+            for member in self._classes[linked]:
+                if member[0] != table:
+                    yield member, relations
+
+    def _adjacency(self, node: ColumnRef) -> Dict[ColumnRef, Dict[str, float]]:
+        """Every neighbour of *node* with its relations (do not mutate them)."""
+        adjacency = {other: data["relations"] for other, data in self._graph[node].items()}
+        for other, relations in self._class_neighbors(node):
+            stored = adjacency.get(other)
+            adjacency[other] = relations if stored is None else {**stored, **relations}
+        return adjacency
 
     # -- discovery primitives (the Aurum query language, Sec. 7.1) -------------------
 
@@ -140,12 +241,15 @@ class EnterpriseKnowledgeGraph:
         relation: Optional[str] = None,
         min_weight: float = 0.0,
     ) -> List[Tuple[ColumnRef, float]]:
-        """Related columns via *relation*, strongest first."""
+        """Related columns via *relation*, strongest first.
+
+        A neighbour related in several ways weighs the max of its
+        relations; ties go by column ref.
+        """
         if node not in self._graph:
             return []
         out = []
-        for neighbor in self._graph[node]:
-            relations = self._graph[node][neighbor]["relations"]
+        for neighbor, relations in self._adjacency(node).items():
             if relation is None:
                 weight = max(relations.values())
             elif relation in relations:
@@ -164,40 +268,56 @@ class EnterpriseKnowledgeGraph:
         max_hops: int = 3,
         relation: Optional[str] = None,
     ) -> List[List[ColumnRef]]:
-        """All simple relation paths up to *max_hops* (discovery path query)."""
-        if source not in self._graph or target not in self._graph:
+        """All simple relation paths up to *max_hops*, sorted (discovery path query).
+
+        A depth-first walk over each column's neighbours (via *relation*
+        only, when given); a path ends at *target*, never passes it.  A
+        column's path to itself is the one-node path, if the column has a
+        *relation* edge.
+        """
+        if source not in self._graph or target not in self._graph or max_hops < 0:
             return []
-        if relation is None:
-            view = self._graph
-        else:
-            keep = [
-                (u, v) for u, v, data in self._graph.edges(data=True)
-                if relation in data["relations"]
-            ]
-            view = self._graph.edge_subgraph(keep) if keep else nx.Graph()
-        if source not in view or target not in view:
-            return []
-        return [
-            list(path)
-            for path in nx.all_simple_paths(view, source, target, cutoff=max_hops)
-        ]
+        if source == target:
+            related = relation is None or any(
+                relation in relations for relations in self._adjacency(source).values())
+            return [[source]] if related else []
+        found: List[List[ColumnRef]] = []
+        path = [source]
+
+        def walk(node: ColumnRef) -> None:
+            for neighbor, relations in self._adjacency(node).items():
+                if relation is not None and relation not in relations:
+                    continue
+                if neighbor == target:
+                    found.append(path + [target])
+                elif len(path) < max_hops and neighbor not in path:
+                    path.append(neighbor)
+                    walk(neighbor)
+                    path.pop()
+
+        if max_hops >= 1:
+            walk(source)
+        return sorted(found)
 
     def join_path_tables(self, start_table: str, max_hops: int = 2) -> Set[str]:
         """Tables reachable from *start_table* via content-similarity edges.
 
         D3L observed that "using LSH to discover joining paths leads to
         accurate discovery of more related tables"; this primitive walks
-        those join paths at table granularity.
+        those join paths at table granularity: each hop follows the
+        ``content_sim`` edges of every column of the tables reached so far.
         """
-        frontier = {node for node in self._graph.nodes if node[0] == start_table}
         seen_tables = {start_table}
+        frontier = {start_table}
         for _ in range(max_hops):
-            next_frontier: Set[ColumnRef] = set()
-            for node in frontier:
-                for neighbor in self._graph[node]:
-                    if neighbor[0] not in seen_tables:
-                        seen_tables.add(neighbor[0])
-                        next_frontier.add(neighbor)
-            frontier = next_frontier
+            reached: Set[str] = set()
+            for table in frontier:
+                for node in self._by_table.get(table, ()):
+                    for neighbor, data in self._graph[node].items():
+                        if ("content_sim" in data["relations"]
+                                and neighbor[0] not in seen_tables):
+                            reached.add(neighbor[0])
+            seen_tables |= reached
+            frontier = reached
         seen_tables.discard(start_table)
         return seen_tables

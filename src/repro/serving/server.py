@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import threading
 import time
-import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
@@ -53,8 +52,8 @@ from repro.core.errors import (AuthenticationError, CircuitOpen, DataLakeError,
                                QueryError, QuotaExceeded, SchemaError,
                                ServingError, Throttled, ValidationError)
 from repro.faults import HealthRegistry, ResilienceConfig
-from repro.obs import (check_deadline, emit, get_recorder, get_registry,
-                       request_context)
+from repro.obs import (Counter, Histogram, check_deadline, emit, get_recorder,
+                       get_registry, request_context)
 from repro.serving.auth import NAMESPACE_SEPARATOR, AuthRegistry
 from repro.serving.quotas import AdmissionController, TenantQuota
 
@@ -265,6 +264,9 @@ class LakeServer:
         self._ingest_lock = threading.Lock()  # writes serialize at this tier
         self._closed = False
         self._registry = get_registry()
+        # tenant -> (serving.requests counter, serving.latency_ms histogram),
+        # bound on the tenant's first request instead of looked up per request
+        self._tenant_meters: Dict[str, Tuple[Counter, Histogram]] = {}
         # per-dataset schema widths for _internal_k, invalidated when the
         # lake's catalog epoch moves (any table change bumps it)
         self._schema_widths: Dict[str, int] = {}
@@ -299,7 +301,8 @@ class LakeServer:
         except AuthenticationError as exc:
             self._registry.counter("serving.unauthenticated").inc()
             return self._error(request.op, "", exc, started)
-        self._registry.counter("serving.requests", tenant=tenant).inc()
+        requests, latency = self._meters(tenant)
+        requests.inc()
         timeout = request.timeout if request.timeout is not None else self.default_timeout
         # always the monotonic domain: RequestContext.remaining() reads
         # time.monotonic(), while self._clock may be a test fake driving
@@ -345,9 +348,17 @@ class LakeServer:
         else:
             ticket.release()
         response.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        self._registry.histogram("serving.latency_ms", tenant=tenant).observe(
-            response.elapsed_ms)
+        latency.observe(response.elapsed_ms)
         return response
+
+    def _meters(self, tenant: str) -> Tuple[Counter, Histogram]:
+        """*tenant*'s request counter and latency histogram, bound once."""
+        meters = self._tenant_meters.get(tenant)
+        if meters is None:
+            meters = self._tenant_meters[tenant] = (
+                self._registry.counter("serving.requests", tenant=tenant),
+                self._registry.histogram("serving.latency_ms", tenant=tenant))
+        return meters
 
     def _error(self, op: str, tenant: str, exc: BaseException,
                started: float) -> ServingResponse:
@@ -507,7 +518,7 @@ class LakeServer:
                 "k": self._internal_k(tenant, query.kind, query.k)}
             if query.table:
                 replace["table"] = qualify(tenant, query.table)
-            specs.append(dataclasses.replace(query, **replace))
+            specs.append(query._replace(**replace))
         answers = self._guarded(
             tenant, lambda: self.lake.discover_batch(specs))
         return [self._visible(tenant, query.kind, answer, k)

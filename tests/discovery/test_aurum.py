@@ -11,6 +11,7 @@ from repro.discovery.aurum import Aurum
 from repro.discovery.profiles import TableProfiler
 from repro.ml.lsh import choose_banding
 from repro.ml.text import cosine_similarity
+from repro.modeling.ekg import EnterpriseKnowledgeGraph
 
 
 @pytest.fixture
@@ -158,9 +159,34 @@ class TestIncrementalUpdates:
         rebuilt = Aurum()
         for table in small_lake[:1] + small_lake[2:] + [narrowed]:
             rebuilt.add_table(table)
+        rebuilt.build()
         assert _postings(engine) == _postings(rebuilt)
         assert _edge_map(engine) == brute_force_edges(
             small_lake[:1] + small_lake[2:] + [narrowed])
+
+    def test_re_adding_a_table_replaces_it(self):
+        """add_table on an indexed name drops the old version's columns and
+        edges, so the EKG and the answers equal a fresh build's."""
+        a = Table.from_columns("a", {"k": [f"v{i}" for i in range(30)]})
+        b = Table.from_columns("b", {"x": [f"v{i}" for i in range(30)],
+                                     "y": [f"w{i}" for i in range(30)]})
+        new_b = Table.from_columns("b", {"z": [f"u{i}" for i in range(30)]})
+        engine = Aurum()
+        engine.add_table(a)
+        engine.add_table(b)
+        engine.build()
+        assert engine.related_tables("a") == [("b", 1.0)]
+        engine.add_table(new_b)
+        engine.build_delta()
+        fresh = Aurum()
+        fresh.add_table(a)
+        fresh.add_table(new_b)
+        fresh.build()
+        assert engine.ekg.columns("b") == fresh.ekg.columns("b") == [("b", "z")]
+        assert _edge_map(engine) == _edge_map(fresh) == brute_force_edges([a, new_b])
+        assert engine.related_tables("a") == fresh.related_tables("a") == []
+        assert engine.pkfk_candidates() == fresh.pkfk_candidates()
+        assert _postings(engine) == _postings(fresh)
 
     def test_removed_table_leaves_no_trace(self, small_lake):
         engine = Aurum()
@@ -174,6 +200,7 @@ class TestIncrementalUpdates:
         rebuilt = Aurum()
         for table in rest:
             rebuilt.add_table(table)
+        rebuilt.build()
         assert engine.table_names() == rebuilt.table_names()
         assert _postings(engine) == _postings(rebuilt)
         assert _edge_map(engine) == brute_force_edges(rest)
@@ -302,14 +329,29 @@ def brute_force_edges(tables, content_threshold=0.5, schema_threshold=0.6, num_p
 NAME_TOKENS = ["id", "name", "code", "key"]
 
 
+def _respelled(name):
+    """Another spelling of *name* with the same tokens: key_id -> keyId, id -> ID."""
+    first, *rest = name.split("_")
+    return first + "".join(part.capitalize() for part in rest) if rest else name.upper()
+
+
 @st.composite
 def lake_table(draw, name, shared_token):
-    """A small table whose names and values collide often across tables."""
+    """A small table whose names and values collide often across tables.
+
+    Some tables spell one name vector twice (``key_id`` and ``keyId``) or
+    carry a name with no tokens at all.
+    """
     names = draw(st.lists(
         st.lists(st.sampled_from(NAME_TOKENS), min_size=1, max_size=2).map("_".join),
         min_size=1, max_size=3, unique=True))
     if shared_token:
         names = [f"{n}_id" for n in names]
+    extra = draw(st.sampled_from(["", "respelled", "tokenless"]))
+    if extra == "respelled":
+        names.append(_respelled(names[0]))
+    elif extra == "tokenless":
+        names.append("_")
     rows = draw(st.integers(1, 12))
     columns = {}
     for column in names:
@@ -327,9 +369,9 @@ def lake_table(draw, name, shared_token):
 
 
 def _postings(engine):
-    return ({token: sorted(refs) for token, refs in engine._by_token.items()},
+    return ({token: sorted(classes) for token, classes in engine._by_token.items()},
             {value: sorted(refs) for value, refs in engine._by_value.items()},
-            set(engine._keys), dict(engine._name_vectors))
+            set(engine._keys))
 
 
 class TestPostingProbes:
@@ -374,4 +416,119 @@ class TestPostingProbes:
         rebuilt = Aurum()
         for table in current.values():
             rebuilt.add_table(table)
+        rebuilt.build()
         assert _postings(delta) == _postings(rebuilt)
+
+
+RELATIONS = [None, "content_sim", "schema_sim", "pkfk"]
+
+
+def reference_engine(tables):
+    """An Aurum answering from a plain EKG that stores every brute-force edge.
+
+    Each relation of each column pair is written with ``add_relation``: one
+    stored edge per related pair, schema similarity included.  Once built,
+    ``related_tables``, ``joinable`` and ``pkfk_candidates`` read only the
+    EKG and the profiles, so they answer from that per-pair storage.
+    """
+    engine = Aurum()
+    for table in tables:
+        engine.add_table(table)
+    engine.build()
+    ekg = EnterpriseKnowledgeGraph()
+    for table in tables:
+        for column in table.column_names:
+            ekg.add_column(table.name, column)
+    for (left, right), relations in brute_force_edges(tables).items():
+        for relation, weight in relations.items():
+            ekg.add_relation(left, right, relation, weight)
+    engine.ekg = ekg
+    return engine
+
+
+def assert_same_answers(engine, reference, data):
+    refs = reference.ekg.columns()
+    assert engine.ekg.columns() == refs
+    assert engine.ekg.num_edges == reference.ekg.num_edges
+    k = len(refs) + 1
+    for table in reference.table_names():
+        assert engine.related_tables(table, k=k) == reference.related_tables(table, k=k)
+    assert engine.pkfk_candidates() == reference.pkfk_candidates()
+    min_weight = data.draw(st.sampled_from([0.0, 0.6, 0.95]))
+    for ref in refs:
+        assert engine.joinable(*ref, k=k) == reference.joinable(*ref, k=k)
+        for relation in RELATIONS:
+            assert (engine.ekg.neighbors(ref, relation, min_weight)
+                    == reference.ekg.neighbors(ref, relation, min_weight))
+        for other in refs:
+            assert (engine.ekg.relations_between(ref, other)
+                    == reference.ekg.relations_between(ref, other))
+    for _ in range(3 if refs else 0):
+        source, target = data.draw(st.sampled_from(refs)), data.draw(st.sampled_from(refs))
+        relation = data.draw(st.sampled_from(RELATIONS))
+        hops = data.draw(st.integers(0, 3))
+        assert (engine.ekg.paths(source, target, hops, relation)
+                == reference.ekg.paths(source, target, hops, relation))
+
+
+class TestNameClasses:
+    """Schema similarity stored once per name class answers every query as
+    one stored edge per similar column pair does."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_answers_match_edge_materializing_reference(self, data):
+        shared_token = data.draw(st.booleans())
+        count = data.draw(st.integers(2, 5))
+        tables = {f"t{i}": data.draw(lake_table(f"t{i}", shared_token)) for i in range(count)}
+        order = data.draw(st.permutations(sorted(tables)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, count - 1))))
+        engine = Aurum()
+        for start, stop in zip([0] + cuts, cuts + [count]):
+            for name in order[start:stop]:
+                engine.add_table(tables[name])
+            engine.build_delta()
+        steps = data.draw(st.lists(st.tuples(
+            st.sampled_from(["update", "add", "remove"]), st.integers(0, count)), max_size=4))
+        for action, index in steps:
+            name = f"t{index}"
+            if action == "remove":
+                engine.remove_table(name)
+                tables.pop(name, None)
+                continue
+            table = data.draw(lake_table(name, shared_token))
+            if action == "add":
+                engine.add_table(table)
+                engine.build_delta()
+                tables[name] = table
+            elif engine.update_table(table):
+                tables[name] = table
+        assert_same_answers(engine, reference_engine(list(tables.values())), data)
+
+    def test_repeated_name_costs_no_schema_work(self, monkeypatch):
+        """A column whose name class is already linked computes no cosine and
+        stores no edge, yet relates to every same-named column."""
+        import repro.discovery.aurum as aurum_module
+
+        def note_table(i):
+            return Table.from_columns(f"t{i}", {"note": [f"n{i}-{r}" for r in range(5)]})
+
+        engine = Aurum()
+        for i in range(50):
+            engine.add_table(note_table(i))
+        engine.build()
+        calls = []
+
+        def spy(left, right):
+            calls.append((left, right))
+            return cosine_similarity(left, right)
+
+        monkeypatch.setattr(aurum_module, "cosine_similarity", spy)
+        engine.add_table(note_table(50))
+        engine.build_delta()
+        assert calls == []
+        stored = [data["relations"] for *_, data in engine.ekg._graph.edges(data=True)]
+        assert not any("schema_sim" in relations for relations in stored)
+        for i in range(50):
+            assert engine.ekg.relations_between(("t50", "note"), (f"t{i}", "note")) == {
+                "schema_sim": 1.0}

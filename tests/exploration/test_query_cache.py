@@ -119,6 +119,14 @@ class TestDiscoveryQuery:
         with pytest.raises(ValueError):
             DiscoveryQuery(**bad)
 
+    def test_replace_validates(self):
+        query = DiscoveryQuery(kind="related", table="t")
+        assert query._replace(k=3) == DiscoveryQuery(kind="related", table="t", k=3)
+        with pytest.raises(ValueError):
+            query._replace(k=0)
+        with pytest.raises(ValueError):
+            query._replace(table="")
+
     def test_as_query_coercions(self):
         assert as_query(("joinable", "t", "c", 3)).k == 3
         assert as_query(("keyword", "hello", 7)).keywords == "hello"
@@ -210,6 +218,33 @@ class TestLakeCoherence:
         shared = QueryCache(max_entries=16)
         lake = DataLake(cache=shared)
         assert lake.query_cache is shared
+
+    @pytest.mark.parametrize("call", [
+        lambda lake: lake.discover_related("facts", k=0),
+        lambda lake: lake.discover_related(""),
+        lambda lake: lake.discover_joinable("facts", "id", k=0),
+        lambda lake: lake.discover_joinable("", "id"),
+        lambda lake: lake.discover_joinable("facts", ""),
+        lambda lake: lake.discover_union("facts", k=0),
+        lambda lake: lake.discover_union(""),
+        lambda lake: lake.keyword_search("alpha", k=0),
+        lambda lake: lake.discover_batch([("related", "facts", 0)]),
+        lambda lake: lake.discover_batch([{"kind": "joinable", "table": "facts",
+                                           "column": ""}]),
+    ])
+    def test_entry_points_reject_bad_arguments(self, call):
+        lake = self._lake()
+        with pytest.raises(ValueError):
+            call(lake)
+        assert lake.query_cache.stats()["misses"] == 0
+
+    @pytest.mark.parametrize("text", ["", "  ", "!?"])
+    def test_term_free_keyword_search_is_empty_and_uncached(self, text):
+        lake = self._lake()
+        assert lake.keyword_search(text) == []
+        assert lake.keyword_search(text, k=0) == []
+        stats = lake.query_cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 0)
 
     @pytest.mark.parametrize("bad", ["on", 2.0, [1], 2, None])
     def test_unrecognised_cache_value_is_rejected(self, bad):

@@ -1,6 +1,8 @@
 """Tests for the enterprise knowledge graph."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.modeling.ekg import EnterpriseKnowledgeGraph
 
@@ -93,3 +95,104 @@ class TestDiscoveryPrimitives:
 
     def test_join_path_tables(self, ekg):
         assert ekg.join_path_tables("customers") == {"orders"}
+
+    def test_join_path_tables_follows_content_edges_only(self):
+        g = EnterpriseKnowledgeGraph()
+        for table, column in [("a", "note"), ("a", "id"), ("b", "note"), ("c", "id")]:
+            g.add_column(table, column)
+        g.add_relation(("a", "note"), ("b", "note"), "schema_sim", 1.0)
+        g.add_relation(("a", "id"), ("c", "id"), "pkfk", 1.0)
+        assert g.join_path_tables("a") == set()
+
+    def test_join_path_tables_walks_whole_tables(self):
+        g = EnterpriseKnowledgeGraph()
+        for table, column in [("a", "x"), ("b", "p"), ("b", "q"), ("c", "z")]:
+            g.add_column(table, column)
+        g.add_relation(("a", "x"), ("b", "p"), "content_sim", 0.9)
+        g.add_relation(("b", "q"), ("c", "z"), "content_sim", 0.9)
+        assert g.join_path_tables("a", max_hops=1) == {"b"}
+        assert g.join_path_tables("a") == {"b", "c"}
+
+
+@pytest.fixture
+def classes():
+    """Three tables; ``note`` twice in t1, and two classes linked to each other."""
+    g = EnterpriseKnowledgeGraph()
+    for table, column in [("t1", "note"), ("t1", "Note"), ("t2", "note"),
+                          ("t3", "note"), ("t3", "notes")]:
+        g.add_column(table, column)
+    for ref in [("t1", "note"), ("t1", "Note"), ("t2", "note"), ("t3", "note")]:
+        g.join_class(ref, "note")
+    assert g.join_class(("t3", "notes"), "notes")
+    g.link_classes("note", "note", "schema_sim", 1.0)
+    g.link_classes("note", "notes", "schema_sim", 0.7)
+    return g
+
+
+class TestNameClasses:
+    def test_join_reports_a_new_class_once(self):
+        g = EnterpriseKnowledgeGraph()
+        g.add_column("a", "x")
+        g.add_column("b", "x")
+        assert g.join_class(("a", "x"), "x") is True
+        assert g.join_class(("b", "x"), "x") is False
+        assert g.join_class(("b", "x"), "x") is False  # already a member
+        with pytest.raises(ValueError):
+            g.join_class(("b", "x"), "y")
+        with pytest.raises(KeyError):
+            g.join_class(("ghost", "x"), "x")
+
+    def test_links_expand_to_other_tables_only(self, classes):
+        assert classes.neighbors(("t1", "note")) == [
+            (("t2", "note"), 1.0), (("t3", "note"), 1.0), (("t3", "notes"), 0.7)]
+        assert classes.relations_between(("t1", "note"), ("t1", "Note")) == {}
+        assert classes.relations_between(("t3", "note"), ("t3", "notes")) == {}
+        assert classes.num_edges == 8
+        assert classes.paths(("t1", "note"), ("t2", "note"), max_hops=1) == [
+            [("t1", "note"), ("t2", "note")]]
+
+    def test_link_stacks_with_a_stored_edge(self, classes):
+        classes.add_relation(("t1", "note"), ("t2", "note"), "content_sim", 0.5)
+        assert classes.relations_between(("t2", "note"), ("t1", "note")) == {
+            "content_sim": 0.5, "schema_sim": 1.0}
+        assert classes.neighbors(("t1", "note"), relation="content_sim") == [
+            (("t2", "note"), 0.5)]
+        assert classes.num_edges == 8
+
+    def test_removing_the_last_member_drops_class_and_links(self, classes):
+        assert classes.remove_column("t3", "note") is None
+        assert classes.remove_column("t3", "notes") == "notes"
+        assert classes.neighbors(("t1", "note")) == [(("t2", "note"), 1.0)]
+        assert classes.columns("t3") == []
+        for ref in [("t1", "note"), ("t1", "Note"), ("t2", "note")]:
+            classes.remove_column(*ref)
+        assert classes._classes == {} and classes._links == {}
+        with pytest.raises(KeyError):
+            classes.link_classes("note", "note", "schema_sim", 1.0)
+
+
+NODES = [(table, column) for table in "abc" for column in "xy"]
+
+
+@given(edges=st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES),
+                                st.sampled_from(["content_sim", "pkfk"])), max_size=12),
+       source=st.sampled_from(NODES), target=st.sampled_from(NODES),
+       relation=st.sampled_from([None, "content_sim", "pkfk"]),
+       max_hops=st.integers(-1, 4))
+@settings(max_examples=200, deadline=None)
+def test_paths_match_networkx(edges, source, target, relation, max_hops):
+    """The depth-first walk finds the paths networkx's all_simple_paths does."""
+    g = EnterpriseKnowledgeGraph()
+    for node in NODES:
+        g.add_column(*node)
+    reference = nx.Graph()
+    reference.add_nodes_from(NODES)
+    for left, right, kind in edges:
+        g.add_relation(left, right, kind, 0.5)
+        if relation is None or kind == relation:
+            reference.add_edge(left, right)
+    if relation is not None:
+        reference = reference.edge_subgraph(reference.edges)
+    expected = (sorted(map(list, nx.all_simple_paths(reference, source, target, cutoff=max_hops)))
+                if source in reference and target in reference else [])
+    assert g.paths(source, target, max_hops, relation) == expected

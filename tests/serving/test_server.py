@@ -297,6 +297,27 @@ class TestQuotaEnforcement:
         assert throttled.value - shed_before == 1
         assert requests.value - seen_before == 3  # ingest + 2 fetches
 
+    def test_tenant_instruments_are_bound_once(self, server, acme, monkeypatch):
+        """After a tenant's first request, a successful request looks up no
+        serving instrument in the registry, and is still counted and timed.
+        (A span's histogram is bound when its recorder first records the
+        span name, which the recorder's sampling decides.)"""
+        registry = get_registry()
+        requests = registry.counter("serving.requests", tenant="acme")
+        latency = registry.histogram("serving.latency_ms", tenant="acme")
+        seen_before, timed_before = requests.value, latency.count
+        lookups = []
+        get_or_create = registry._get_or_create
+        monkeypatch.setattr(registry, "_get_or_create",
+                            lambda *args: lookups.append(args[0]) or get_or_create(*args))
+        for _ in range(3):
+            acme.fetch("sales").raise_for_status()
+            acme.sql("SELECT region FROM sales").raise_for_status()
+            acme.discover("related", table="sales").raise_for_status()
+        assert [name for name in lookups if name.startswith("serving.")] == []
+        assert requests.value - seen_before == 9
+        assert latency.count - timed_before == 9
+
     def test_result_rows_are_truncated_not_rejected(self, server):
         token = server.register_tenant("tiny", quota=TenantQuota(
             max_result_rows=2))
