@@ -18,29 +18,43 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.core.errors import SchemaError
 from repro.core.types import DataType, infer_column_type, is_null
 
 
 class Column:
-    """A named column of raw values, typed on first read of :attr:`dtype`.
+    """A named column of raw values, typed and summarized on first read.
 
     A ``dtype`` passed to the constructor is kept as given.  Otherwise the
     type is :func:`~repro.core.types.infer_column_type` of ``values``,
     computed the first time ``dtype`` is read and then cached, so a column
-    whose type nobody reads is never typed.  The cache is sound because
-    nothing mutates a column's value list after construction; two threads
-    racing on the first read compute the same type.
+    whose type nobody reads is never typed.
+
+    The value statistics (:meth:`distinct`, :attr:`null_count` and
+    :attr:`null_fraction`) come from one pass over the values, run on the
+    first read of any of them and then kept: the pass counts the nulls
+    and collects ``str(v)`` of the non-null values into one
+    ``frozenset``, which every later :meth:`distinct` call returns.
+    Type inference stays its own pass, since it stops at the first
+    string.
+
+    Both caches are sound because nothing mutates a column's value list
+    after construction (transformations build new columns).  Two threads
+    racing on a first read compute the same values; the null count is
+    stored before the set, so a thread that sees the set sees the count.
     """
 
-    __slots__ = ("name", "values", "_dtype")
+    __slots__ = ("name", "values", "_dtype", "_null_count", "_distinct")
 
     def __init__(self, name: str, values: List[Any], dtype: Optional[DataType] = None):
         self.name = name
         self.values = values
         self._dtype = dtype
+        self._null_count = 0
+        self._distinct: Optional[FrozenSet[str]] = None
 
     @property
     def dtype(self) -> DataType:
@@ -68,18 +82,35 @@ class Column:
         """Values with nulls removed."""
         return [v for v in self.values if not is_null(v)]
 
-    def distinct(self) -> set:
+    def _statistics(self) -> FrozenSet[str]:
+        """The one pass behind :meth:`distinct` and the null statistics."""
+        nulls = 0
+        strings = set()
+        for value in self.values:
+            if is_null(value):
+                nulls += 1
+            else:
+                strings.add(str(value))
+        self._null_count = nulls
+        distinct = self._distinct = frozenset(strings)
+        return distinct
+
+    def distinct(self) -> FrozenSet[str]:
         """Distinct non-null values, stringified for set semantics.
 
         Discovery systems (JOSIE, Aurum) treat columns as *sets of values*;
         stringification makes 1 and "1" compare equal, which matches how raw
-        CSV data meets typed data in a lake.
+        CSV data meets typed data in a lake.  The set is computed once and
+        shared by every caller, so it is frozen.
         """
-        return {str(v) for v in self.values if not is_null(v)}
+        distinct = self._distinct
+        return distinct if distinct is not None else self._statistics()
 
     @property
     def null_count(self) -> int:
-        return sum(1 for v in self.values if is_null(v))
+        if self._distinct is None:
+            self._statistics()
+        return self._null_count
 
     @property
     def null_fraction(self) -> float:

@@ -8,17 +8,19 @@ extracts those signals once per column into a :class:`ColumnProfile`, which
 the individual systems (Aurum, JOSIE, D3L, Juneau, ...) then index in their
 own ways.  Aurum calls these per-column summaries *signatures*.
 
-Every signal but one is extracted when the column is profiled.  The value
-embedding, which of the profiling engines only D3L reads, is computed on
-the first read of :attr:`ColumnProfile.embedding` and then kept on the
-profile.
+Profiling extracts the signals every engine reads: the distinct values
+and their MinHash sketch, the counts, the name tokens and the type.  The
+signals only some engines read (the value patterns, the numeric
+projection, the name q-grams and the value embedding; on the lake's
+write path Aurum reads none of them) are computed on the first read of
+the :class:`ColumnProfile` property and then kept on the profile.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Any, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,10 +41,15 @@ class ColumnProfile:
     pattern (``patterns``), numeric distribution (``numeric``), plus key
     signals (``uniqueness``) and null statistics.
 
-    ``embedding`` is computed on first read, by ``embedder``, from the
-    column name plus the first ``embed_sample`` sorted ``distinct`` values,
-    and kept from then on.  Two threads racing on the first read compute
-    the same deterministic vector, so no lock guards it.
+    ``name_qgrams``, ``patterns``, ``numeric`` and ``embedding`` are
+    computed on first read and kept from then on.  The q-grams come from
+    the column name.  The patterns and the numeric projection come from
+    the column's value list, which the profile keeps a reference to:
+    every value, not only the ``distinct`` values ``max_distinct`` keeps.
+    The embedding comes, by ``embedder``, from the column name plus the
+    first ``embed_sample`` sorted ``distinct`` values.  Two threads racing
+    on a first read compute the same deterministic value, so no lock
+    guards them.
     """
 
     table: str
@@ -52,16 +59,43 @@ class ColumnProfile:
     num_distinct: int
     null_fraction: float
     uniqueness: float
-    distinct: Set[str]
+    distinct: FrozenSet[str]
     minhash: MinHashSignature
     name_tokens: Tuple[str, ...]
-    name_qgrams: Set[str]
-    patterns: Counter
-    numeric: List[float]
     embedder: HashedEmbedder = field(repr=False, compare=False)
     embed_sample: int = field(repr=False, compare=False)
+    _values: Sequence[Any] = field(repr=False, compare=False)
+    _name_qgrams: Optional[Set[str]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _patterns: Optional[Counter] = field(
+        default=None, init=False, repr=False, compare=False)
+    _numeric: Optional[List[float]] = field(
+        default=None, init=False, repr=False, compare=False)
     _embedding: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False)
+
+    @property
+    def name_qgrams(self) -> Set[str]:
+        """Character 3-grams of the column name (D3L's name signal)."""
+        if self._name_qgrams is None:
+            self._name_qgrams = qgrams(self.column)
+        return self._name_qgrams
+
+    @property
+    def patterns(self) -> Counter:
+        """Value-representation pattern counts over the non-null values."""
+        if self._patterns is None:
+            patterns = Counter(value_pattern(v) for v in self._values if v is not None)
+            patterns.pop("", None)
+            self._patterns = patterns
+        return self._patterns
+
+    @property
+    def numeric(self) -> List[float]:
+        """The float projection of the values (the distribution signal)."""
+        if self._numeric is None:
+            self._numeric = numeric_values(self._values)
+        return self._numeric
 
     @property
     def embedding(self) -> np.ndarray:
@@ -100,8 +134,8 @@ class TableProfiler:
         MinHash permutations (shared across all profiles so signatures are
         comparable).
     max_distinct:
-        Cap on how many distinct values are materialized per column; beyond
-        the cap only the MinHash sketch represents the set (lake-scale
+        Cap on how many distinct values a profile keeps; beyond the cap
+        only the MinHash sketch represents the set (lake-scale
         discipline — the sketch, not the data, is what is indexed).
     embedder:
         The text embedder used for the semantic signal; defaults to a
@@ -125,18 +159,14 @@ class TableProfiler:
         self.embed_sample = embed_sample
 
     def profile_column(self, table_name: str, column: Column) -> ColumnProfile:
-        """Extract all signals for one column; the embedding waits for its
-        first read."""
+        """Extract the signals every engine reads; the others wait for
+        their first read."""
         distinct_all = column.distinct()
         minhash = self.hasher.signature(distinct_all)
         distinct = distinct_all
         if len(distinct) > self.max_distinct:
-            distinct = set(sorted(distinct)[: self.max_distinct])
+            distinct = frozenset(sorted(distinct)[: self.max_distinct])
         non_null = len(column) - column.null_count
-        patterns = Counter(
-            value_pattern(v) for v in column.values if v is not None
-        )
-        patterns.pop("", None)
         return ColumnProfile(
             table=table_name,
             column=column.name,
@@ -148,11 +178,9 @@ class TableProfiler:
             distinct=distinct,
             minhash=minhash,
             name_tokens=tuple(tokenize(column.name)),
-            name_qgrams=qgrams(column.name),
-            patterns=patterns,
-            numeric=numeric_values(column.values),
             embedder=self.embedder,
             embed_sample=self.embed_sample,
+            _values=column.values,
         )
 
     def profile_table(self, table: Table) -> List[ColumnProfile]:

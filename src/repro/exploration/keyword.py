@@ -29,28 +29,47 @@ class KeywordHit:
 
 
 class KeywordSearch:
-    """Inverted-index keyword search over schema elements and values."""
+    """Inverted-index keyword search over schema elements and values.
+
+    Each term maps to one posting per table that holds it: a pair of
+    sorted tuples, the schema elements (the table name, column names) and
+    the distinct cell values whose tokens include the term.  A table's
+    postings are built in one pass over its columns when it is added and
+    never change after; a table → terms map lets :meth:`remove_table`
+    touch only that table's own terms.  Adding a table under a name
+    already indexed replaces the old version, so re-adding is idempotent.
+    """
 
     SCHEMA_WEIGHT = 2.0
     VALUE_WEIGHT = 1.0
 
     def __init__(self) -> None:
-        # term -> table -> ("schema"|"value") -> matched elements
-        self._index: Dict[str, Dict[str, Dict[str, Set[str]]]] = defaultdict(
-            lambda: defaultdict(lambda: {"schema": set(), "value": set()})
-        )
-        self._tables: Set[str] = set()
+        # term -> table -> (schema matches, value matches), each sorted
+        self._index: Dict[str, Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]] = (
+            defaultdict(dict))
+        # table -> the terms it posts under
+        self._terms: Dict[str, Tuple[str, ...]] = {}
 
     def add_table(self, table: Table) -> None:
-        self._tables.add(table.name)
-        for token in tokenize(table.name):
-            self._index[token][table.name]["schema"].add(table.name)
+        """Index *table*, replacing any table indexed under its name."""
+        name = table.name
+        if name in self._terms:
+            self.remove_table(name)
+        schema: Dict[str, Set[str]] = defaultdict(set)
+        values: Dict[str, Set[str]] = defaultdict(set)
+        for token in tokenize(name):
+            schema[token].add(name)
         for column in table.columns:
             for token in tokenize(column.name):
-                self._index[token][table.name]["schema"].add(column.name)
+                schema[token].add(column.name)
             for value in column.distinct():
-                for token in tokenize(str(value)):
-                    self._index[token][table.name]["value"].add(str(value))
+                for token in tokenize(value):
+                    values[token].add(value)
+        terms = schema.keys() | values.keys()
+        for term in terms:
+            self._index[term][name] = (tuple(sorted(schema.get(term, ()))),
+                                       tuple(sorted(values.get(term, ()))))
+        self._terms[name] = tuple(terms)
 
     def remove_table(self, name: str) -> bool:
         """Drop every posting of table *name*; returns True when it was indexed.
@@ -58,27 +77,29 @@ class KeywordSearch:
         Makes the index *maintainable*: a re-ingested table is removed and
         re-added instead of forcing a rebuild of the whole inverted index.
         """
-        if name not in self._tables:
+        terms = self._terms.pop(name, None)
+        if terms is None:
             return False
-        self._tables.discard(name)
-        for term in list(self._index):
+        for term in terms:
             posting = self._index[term]
-            posting.pop(name, None)
+            del posting[name]
             if not posting:
                 del self._index[term]
         return True
 
     def __len__(self) -> int:
-        return len(self._tables)
+        return len(self._terms)
 
     def __contains__(self, table_name: str) -> bool:
-        return table_name in self._tables
+        return table_name in self._terms
 
     def search(self, keywords: str, k: int = 10) -> List[KeywordHit]:
         """Top-k tables for the query, schema matches boosted.
 
         IDF weights come from the global posting lists; scores are
-        rounded only after ranking.
+        rounded only after ranking.  A hit reports every matched schema
+        element and, per term, the first three matched values in sorted
+        order.
         """
         terms = tokenize(keywords)
         if not terms:
@@ -86,19 +107,19 @@ class KeywordSearch:
         scores: Dict[str, float] = defaultdict(float)
         schema_matches: Dict[str, Set[str]] = defaultdict(set)
         value_matches: Dict[str, Set[str]] = defaultdict(set)
-        total_tables = max(len(self._tables), 1)
+        total_tables = max(len(self._terms), 1)
         for term in terms:
             posting = self._index.get(term)
             if not posting:
                 continue
             idf = math.log(1 + total_tables / len(posting))
-            for table_name, hits in posting.items():
-                if hits["schema"]:
+            for table_name, (schema, values) in posting.items():
+                if schema:
                     scores[table_name] += self.SCHEMA_WEIGHT * idf
-                    schema_matches[table_name] |= hits["schema"]
-                if hits["value"]:
+                    schema_matches[table_name].update(schema)
+                if values:
                     scores[table_name] += self.VALUE_WEIGHT * idf
-                    value_matches[table_name] |= set(sorted(hits["value"])[:3])
+                    value_matches[table_name].update(values[:3])
         ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
         return [
             KeywordHit(

@@ -1,14 +1,17 @@
 """Tests for the Table / Dataset model."""
 
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.dataset as dataset_module
 from repro.core.dataset import Column, Dataset, Table
 from repro.core.errors import SchemaError
-from repro.core.types import DataType, infer_column_type
+from repro.core.types import DataType, infer_column_type, is_null
 
 
 class TestConstruction:
@@ -64,6 +67,17 @@ class TestAccess:
         assert table.schema() == {"a": DataType.INTEGER, "b": DataType.STRING}
 
 
+#: Raw cells as a lake meets them: null spellings, NaN, bools, integers
+#: beyond float range, numeric strings and free text, mixed in one column.
+MESSY_VALUES = st.lists(st.one_of(
+    st.none(), st.just(float("nan")), st.floats(),
+    st.sampled_from(["NA", " null ", "", "N/A", "none", "x-1", "AB 12", "2024-01-02"]),
+    st.booleans(), st.integers(), st.integers(10 ** 308, 10 ** 320),
+    st.from_regex(r" ?-?[0-9]{1,4}(\.[0-9]{1,2})? ?", fullmatch=True),
+    st.text(max_size=4),
+), max_size=25)
+
+
 class TestColumn:
     def test_distinct_stringifies(self):
         column = Column("a", [1, "1", 2, None])
@@ -76,6 +90,61 @@ class TestColumn:
 
     def test_non_null(self):
         assert Column("a", [1, None, 2]).non_null() == [1, 2]
+
+    @given(values=MESSY_VALUES,
+           order=st.permutations(["distinct", "null_count", "null_fraction"]))
+    @settings(max_examples=200, deadline=None)
+    def test_statistics_equal_the_eager_formulas(self, values, order):
+        expected = {
+            "distinct": {str(v) for v in values if not is_null(v)},
+            "null_count": sum(1 for v in values if is_null(v)),
+        }
+        expected["null_fraction"] = expected["null_count"] / len(values) if values else 0.0
+        column = Column("a", values)
+        for statistic in order:  # whichever statistic is read first
+            read = column.distinct() if statistic == "distinct" else getattr(column, statistic)
+            assert read == expected[statistic]
+        first = column.distinct()
+        assert isinstance(first, frozenset)
+        assert column.distinct() is first
+
+    def test_statistics_take_one_pass_and_are_frozen(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(dataset_module, "is_null", lambda v: seen.append(v) or is_null(v))
+        column = Column("a", [1, None, "x", " NA "])
+        assert (column.null_fraction, column.null_count, column.distinct()) == (0.5, 2, {"1", "x"})
+        assert seen == [1, None, "x", " NA "]
+        with pytest.raises(AttributeError):
+            column.distinct().add("y")  # type: ignore[attr-defined]
+
+    def test_racing_first_reads_agree(self):
+        """Threads racing on the first reads of shared columns all read the
+        same statistics, whichever of the two each reads first."""
+        columns = [Column("a", [None, f"v{i}", i, " NA "] * 4) for i in range(1000)]
+        seen = []
+        barrier = threading.Barrier(8)
+
+        def read(count_first):
+            barrier.wait()
+            for column in columns:
+                if count_first:
+                    seen.append((column.null_count, len(column.distinct())))
+                else:
+                    seen.append((len(column.distinct()), column.null_count)[::-1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i % 2 == 0,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 * len(columns)
+        assert set(seen) == {(8, 2)}
 
 
 @dataclass

@@ -6,9 +6,13 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
+import repro.core.dataset as dataset_module
+import repro.core.types as types_module
+import repro.discovery.profiles as profiles_module
 from repro import DataLake
 from repro.core.dataset import Dataset, Table
 from repro.core.errors import DataLakeError, DatasetNotFound
@@ -90,6 +94,35 @@ class TestDiscovery:
         # the rebuilt index must know the new table
         hits = lake.discovery.related_tables("products", k=3)
         assert isinstance(hits, list)
+
+
+class TestWritePathWork:
+    def test_each_cell_is_checked_twice_at_most(self, monkeypatch, customers, orders):
+        """Two ingests and a discovery query check each cell for null at
+        most twice (type inference, then the one statistics pass) and
+        compute none of the signals only D3L reads."""
+        calls = Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counting(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for module, name in [(types_module, "is_null"), (dataset_module, "is_null"),
+                             (profiles_module, "value_pattern"),
+                             (profiles_module, "numeric_values"), (profiles_module, "qgrams")]:
+            spy(module, name)
+        lake = DataLake()
+        lake.ingest(Dataset("customers", customers))
+        lake.ingest(Dataset("orders", orders))
+        assert lake.discover_related("customers")
+        cells = sum(len(table) * table.width for table in (customers, orders))
+        assert (calls["value_pattern"], calls["numeric_values"], calls["qgrams"]) == (0, 0, 0)
+        assert 0 < calls["is_null"] <= 2 * cells
 
 
 class TestExploration:

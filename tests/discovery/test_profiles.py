@@ -1,10 +1,15 @@
 """Tests for the shared column profiler."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import Column, Table
-from repro.core.types import DataType
+from repro.core.types import DataType, is_null, numeric_values, value_pattern
 from repro.discovery.profiles import TableProfiler
+from repro.ml.text import qgrams
+from tests.core.test_dataset import MESSY_VALUES
 
 
 @pytest.fixture
@@ -55,6 +60,27 @@ class TestProfileColumn:
 
         profile = profiler.profile_column("t", Column("city", ["berlin", "paris"]))
         assert np.linalg.norm(profile.embedding) == pytest.approx(1.0)
+
+
+class TestLazySignals:
+    @given(values=MESSY_VALUES, name=st.text(max_size=8), max_distinct=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_signals_equal_the_eager_formulas(self, values, name, max_distinct):
+        profile = TableProfiler(max_distinct=max_distinct).profile_column("t", Column(name, values))
+        # the expressions profiling evaluated eagerly before these signals were lazy
+        distinct_all = {str(v) for v in values if not is_null(v)}
+        distinct = distinct_all
+        if len(distinct) > max_distinct:
+            distinct = set(sorted(distinct)[:max_distinct])
+        patterns = Counter(value_pattern(v) for v in values if v is not None)
+        patterns.pop("", None)
+        assert profile.distinct == distinct
+        assert profile.num_distinct == len(distinct_all)
+        assert profile.num_values == len(values) - sum(1 for v in values if is_null(v))
+        signals = (profile.patterns, profile.numeric, profile.name_qgrams)
+        assert signals == (patterns, numeric_values(values), qgrams(name))
+        again = (profile.patterns, profile.numeric, profile.name_qgrams)
+        assert all(first is second for first, second in zip(signals, again))
 
 
 class TestLazyEmbedding:
