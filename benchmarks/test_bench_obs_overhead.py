@@ -61,7 +61,7 @@ def ingest_workload() -> float:
 def test_obs_overhead_under_ten_percent():
     timings = {"enabled": [], "disabled": []}
     # the enabled arm keeps every span, so the gate bounds what a recorded
-    # span costs (traced runs, recorders with an SLO listener)
+    # span costs (traced runs, a recorder installed with set_recorder)
     default = set_recorder(SpanRecorder(registry=get_registry()))
     try:
         ingest_workload()  # warmup: lazy imports + allocator steady state

@@ -1,15 +1,12 @@
-"""[primitives] The safety and profiling primitives must stay cheap.
+"""[primitives] The safety primitives must stay cheap.
 
-Three primitives can sit on hot paths, so their own cost is gated:
+Two primitives sit on hot paths, so their own cost is gated:
 
 - **atomic writes** — the tmp → rename publish protocol (fsync off, the
   implementation's own cost) stays within 2x of a bare ``write_bytes``;
   the fsync'd cost is reported as the hardware's durability price;
 - **the circuit breaker** — a fetch through the guarded polystore costs
-  less than 1.25x the same fetch with resilience disabled;
-- **the sampling profiler** — opt-in; a sampler started for the
-  measurement keeps its self-metered duty cycle over an uncached
-  discovery stream at or below 5%.
+  less than 1.25x the same fetch with resilience disabled.
 
 Cold-reload recovery time per commit of the lakehouse log is reported,
 not gated.  Results land in ``BENCH_primitives.json``.
@@ -24,11 +21,8 @@ from pathlib import Path
 from repro.bench.reporting import render_table, report_experiment
 from repro.bench.results import envelope, write_bench_json
 from repro.core.dataset import Dataset, Table
-from repro.core.lake import DataLake
-from repro.datagen import LakeGenerator
 from repro.durability.atomic import atomic_write_bytes
 from repro.faults import ResilienceConfig
-from repro.obs import SamplingProfiler
 from repro.storage.lakehouse import LakehouseTable
 from repro.storage.object_store import ObjectStore
 from repro.storage.polystore import Polystore
@@ -39,14 +33,9 @@ SEED = 47
 ATOMIC_FILES, ATOMIC_PAYLOAD_BYTES, ATOMIC_ROUNDS = 150, 65536, 5
 LOG_LENGTHS, ROWS_PER_COMMIT = (5, 25, 100), 20
 BREAKER_DATASETS, BREAKER_FETCHES = 50, 2000
-# 60 uncached sweeps give the sampler well over the 50 samples its gate
-# needs (110-125 samples in about 1.2 s on a 2-core VM); 0.01 s is the
-# profiler's default interval
-SAMPLER_SWEEPS, SAMPLER_INTERVAL_S = 60, 0.01
 
 MAX_ATOMIC_RATIO = 2.0
 MAX_BREAKER_RATIO = 1.25
-MAX_DUTY_CYCLE_PCT = 5.0
 
 
 def measure_atomic_writes():
@@ -151,49 +140,10 @@ def measure_breaker():
     }
 
 
-def measure_sampler():
-    """The sampler's duty cycle over an uncached discovery stream.
-
-    The duty cycle is self-metered (tick time over wall time sampled),
-    so it needs no off-run to compare against: on one core it is the
-    wall-clock share the sampler takes from the workload.
-    """
-    workload = LakeGenerator(seed=SEED).generate(
-        num_pools=10, tables_per_pool=3, rows_per_table=30, pool_size=60)
-    # cache off: every sweep recomputes real index work the sampler sees
-    lake = DataLake(cache=False)
-    try:
-        for table in workload.tables:
-            lake.ingest(Dataset(table.name, table, format="table"))
-        names = [table.name for table in workload.tables]
-        queries = [("related", name, 5) for name in names[::4]]
-        queries += [("joinable", table.name, table.column_names[0], 5)
-                    for table in workload.tables[::4]]
-        queries += [("union", name, 5) for name in names[::8]]
-        queries.append(("keyword", "label", 5))
-        lake.discover_batch(queries)  # warm the indexes outside the window
-        sampler = SamplingProfiler(interval=SAMPLER_INTERVAL_S)
-        with sampler:
-            for _ in range(SAMPLER_SWEEPS):
-                lake.discover_batch(queries)
-    finally:
-        lake.close()
-    snap = sampler.snapshot()
-    return {
-        "interval_s": SAMPLER_INTERVAL_S,
-        "sweeps": SAMPLER_SWEEPS,
-        "queries_per_sweep": len(queries),
-        "samples": snap["samples"],
-        "tick_cost_ms": snap["tick_cost_ms"],
-        "duty_cycle_pct": snap["duty_cycle_pct"],
-    }
-
-
 def test_bench_primitives():
     atomic = measure_atomic_writes()
     recovery = measure_recovery()
     breaker = measure_breaker()
-    sampler = measure_sampler()
 
     rendered = render_table(
         "Primitive costs (ratios against the unguarded baseline)",
@@ -205,8 +155,6 @@ def test_bench_primitives():
              f"x{atomic['fsync_overhead_ratio']}", "reported"],
             ["breaker-guarded fetch vs raw",
              f"x{breaker['overhead_ratio']}", f"< {MAX_BREAKER_RATIO}"],
-            ["sampler duty cycle", f"{sampler['duty_cycle_pct']}%",
-             f"<= {MAX_DUTY_CYCLE_PCT}%"],
         ] + [
             [f"recovery, {entry['commits']} commits",
              f"{entry['recovery_ms_per_commit']} ms/commit", "reported"]
@@ -215,10 +163,9 @@ def test_bench_primitives():
     )
     rendered += "\n" + report_experiment(
         "primitives",
-        "atomic writes <= 2x bare, breaker guard < 1.25x, sampler <= 5% "
-        "duty cycle",
+        "atomic writes <= 2x bare, breaker guard < 1.25x",
         f"atomic x{atomic['overhead_ratio']}, breaker "
-        f"x{breaker['overhead_ratio']}, sampler {sampler['duty_cycle_pct']}%",
+        f"x{breaker['overhead_ratio']}",
     )
     add_report("BENCH_primitives", rendered)
     gates = {
@@ -228,15 +175,10 @@ def test_bench_primitives():
         "breaker_overhead": {
             "pass": breaker["overhead_ratio"] < MAX_BREAKER_RATIO,
             "ratio": breaker["overhead_ratio"], "max": MAX_BREAKER_RATIO},
-        "sampler_duty_cycle": {
-            "pass": (sampler["samples"] > 50
-                     and sampler["duty_cycle_pct"] <= MAX_DUTY_CYCLE_PCT),
-            "pct": sampler["duty_cycle_pct"], "max": MAX_DUTY_CYCLE_PCT},
     }
     write_bench_json("primitives", envelope(
         "repro.bench/primitives-v1",
-        {"atomic_write": atomic, "recovery": recovery, "breaker": breaker,
-         "sampler": sampler},
+        {"atomic_write": atomic, "recovery": recovery, "breaker": breaker},
         seed=SEED, gates=gates))
 
     assert atomic["bare_ms_per_write"] > 0

@@ -13,7 +13,7 @@ funnels, the registry's Table 1) are left to those tests; see
   ``# lakelint: disable=<rule>`` pragma collection;
 - :mod:`repro.analysis.findings` — the :class:`Finding` / severity model;
 - :mod:`repro.analysis.rules` — the rule set (``Rule`` base class plus
-  the 8 rules of :func:`default_rules`; see ``docs/LINT.md``), each
+  the 7 rules of :func:`default_rules`; see ``docs/LINT.md``), each
   judging one file at a time, with a cross-file ``finalize`` pass for
   the manifest rule;
 - :mod:`repro.analysis.engine` — :class:`LintEngine` with scoping,

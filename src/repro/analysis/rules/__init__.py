@@ -9,7 +9,6 @@ and list it here (see ``docs/LINT.md``).
 
 from repro.analysis.rules.base import Context, Rule
 from repro.analysis.rules.determinism import BenchDeterminismRule
-from repro.analysis.rules.durable_write import DurableWriteRule
 from repro.analysis.rules.exceptions import BareExceptRule, ExceptionHygieneRule
 from repro.analysis.rules.instrumentation import RuntimeTracedRule, TracedManifestRule
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
@@ -19,7 +18,6 @@ __all__ = [
     "BareExceptRule",
     "BenchDeterminismRule",
     "Context",
-    "DurableWriteRule",
     "ExceptionHygieneRule",
     "LockAcrossBlockingRule",
     "LockDisciplineRule",
@@ -40,5 +38,4 @@ def default_rules():
         LockDisciplineRule(),
         LockAcrossBlockingRule(),
         BenchDeterminismRule(),
-        DurableWriteRule(),
     ]

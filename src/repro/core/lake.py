@@ -59,11 +59,8 @@ class DataLake:
     Every entry point is traced: a call that starts a request mints a
     :class:`~repro.obs.context.RequestContext`, and the process-wide
     :mod:`repro.obs` recorder records one such request in 64 (install
-    ``SpanRecorder(registry=get_registry())`` to keep them all).
-    Nothing else in observability is on by default: start a
-    :class:`~repro.obs.profiler.SamplingProfiler` or attach an
-    :class:`~repro.obs.slo.SLOEngine` explicitly (see
-    docs/OBSERVABILITY.md).
+    ``SpanRecorder(registry=get_registry())`` to keep them all; see
+    docs/OBSERVABILITY.md).  A sync lake starts no thread.
     """
 
     def __init__(
@@ -165,21 +162,21 @@ class DataLake:
         """The incremental index maintainer (created on first access).
 
         Wired to the lake's epoch clock: every noted table change bumps
-        the discovery-engine epochs, which is what invalidates the query
-        cache (stale entries stop matching rather than being scanned for).
+        the index epoch, which is what invalidates the query cache (stale
+        entries stop matching rather than being scanned for).
         """
         if self._maintainer is None:
             from repro.runtime.incremental import IncrementalIndexMaintainer
 
             self._maintainer = IncrementalIndexMaintainer(
-                on_change=self._bump_engine_epochs)
+                on_change=self._bump_epoch)
         return self._maintainer
 
-    # -- query-cache epochs ---------------------------------------------------
+    # -- query-cache epoch ----------------------------------------------------
 
     @property
     def epochs(self):
-        """The per-engine index :class:`~repro.exploration.parallel.EpochClock`."""
+        """The index :class:`~repro.exploration.parallel.EpochClock`."""
         return self._epochs
 
     @property
@@ -187,9 +184,9 @@ class DataLake:
         """The lake-wide query cache, or ``None`` when disabled."""
         return self._query_cache
 
-    def _bump_engine_epochs(self, table_name: str) -> None:
-        """A tabular change invalidates all three discovery engines."""
-        self._epochs.bump("aurum", "keyword", "union")
+    def _bump_epoch(self, table_name: str) -> None:
+        """A tabular change invalidates every discovery engine's answers."""
+        self._epochs.bump()
 
     # -- ingestion tier -----------------------------------------------------------
 
@@ -233,7 +230,7 @@ class DataLake:
 
     def _note_index_change(self, dataset: Dataset, replaced: bool) -> None:
         """Mark the dataset's table dirty; the maintainer's ``on_change``
-        bumps the epochs.  A non-tabular dataset is not indexed, but when
+        bumps the epoch.  A non-tabular dataset is not indexed, but when
         it *replaced* a dataset of the same name, that name leaves the
         indexes."""
         try:
@@ -398,7 +395,7 @@ class DataLake:
         replaces the index of a newer epoch with an older build.
         """
         self._quiesce()
-        epoch = self._epochs.epoch("union")
+        epoch = self._epochs.epoch()
         published_epoch, index = self._union
         if published_epoch >= epoch:
             return index
@@ -438,7 +435,7 @@ class DataLake:
         if cache is None:
             return self._run_discovery_uncached(query)
         return cache.fetch(query.engine, query.key() if key is None else key,
-                           self._epochs.epoch(query.engine),
+                           self._epochs.epoch(),
                            lambda: self._run_discovery_uncached(query))
 
     def _run_discovery_uncached(self, query):
@@ -666,6 +663,6 @@ class DataLake:
         report["exploration"] = {
             "cache": (self._query_cache.stats()
                       if self._query_cache is not None else None),
-            "epochs": self._epochs.snapshot(),
+            "epoch": self._epochs.epoch(),
         }
         return report

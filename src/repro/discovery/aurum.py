@@ -130,9 +130,13 @@ class Aurum:
         Re-adding an indexed name replaces that table: its old columns,
         postings and edges are dropped first, as :meth:`remove_table` does.
         """
+        self._stage(table, self.profiler.profile_table(table))
+
+    def _stage(self, table: Table, profiles: List[ColumnProfile]) -> None:
+        """Replace *table*'s indexed columns with *profiles* (its columns')."""
         self.remove_table(table.name)
         self._tables[table.name] = table
-        for profile in self.profiler.profile_table(table):
+        for profile in profiles:
             ref = profile.ref
             self._profiles[ref] = profile
             self._post(profile)
@@ -296,31 +300,19 @@ class Aurum:
         """Refresh a changed table; returns True when the table was re-indexed.
 
         Honors Aurum's change threshold: when every column's new value set
-        is within ``change_threshold`` Jaccard distance of the old one, the
-        existing signatures are kept and no work is done.  Otherwise the
-        table is re-added (its old columns dropped), and :meth:`build_delta`
-        re-derives only the relations touching it.
+        is within ``change_threshold`` Jaccard distance of the old one (by
+        MinHash), the existing profiles are kept and no index changes.
+        Otherwise the new profiles replace the table's (its old columns
+        dropped), and :meth:`build_delta` re-derives only the relations
+        touching it.  The table is profiled once either way.
         """
-        if table.name not in self._tables:
-            self.add_table(table)
-            self.build_delta()
-            return True
-        significant = False
-        for column in table.columns:
-            ref = (table.name, column.name)
-            old = self._profiles.get(ref)
-            if old is None:
-                significant = True
-                break
-            new_signature = self.profiler.hasher.signature(column.distinct())
-            if 1.0 - old.minhash.jaccard(new_signature) > self.change_threshold:
-                significant = True
-                break
-        if not significant and set(table.column_names) == {
-            column for _, column in self.ekg.columns(table.name)
-        }:
-            return False
-        self.add_table(table)
+        profiles = self.profiler.profile_table(table)
+        if table.name in self._tables and set(table.column_names) == {
+                column for _, column in self.ekg.columns(table.name)}:
+            if all(1.0 - self._profiles[profile.ref].minhash.jaccard(profile.minhash)
+                   <= self.change_threshold for profile in profiles):
+                return False
+        self._stage(table, profiles)
         self.build_delta()
         return True
 

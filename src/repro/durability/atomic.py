@@ -17,9 +17,10 @@ a "deleted" object cannot resurrect after a crash.
 
 Every step visits a named :mod:`repro.faults.crash` crash point, which
 is what lets the crash-matrix harness kill the process at each step and
-assert the recovery invariants.  The ``durable-write`` lakelint rule
-keeps ``src/repro/storage/`` honest: raw ``write_bytes`` / ``write_text``
-/ ``open(..., "w")`` calls there must funnel through this module.
+assert the recovery invariants.  ``tests/storage/test_crash_matrix.py``
+keeps the storage tier honest: every file its workload leaves behind
+(object data, object meta, journal entries) must have been published by
+this module's rename.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ repeated questions cheap without ever serving a stale answer:
 
 - :class:`QueryCache` — a lake-wide LRU memo of discovery and keyword
   results keyed by ``(engine, normalized query, index epoch)``;
-- :class:`EpochClock` — per-engine epochs bumped by the maintenance tier
+- :class:`EpochClock` — one index epoch bumped by the maintenance tier
   on every table ingest/removal, so a cached answer can never survive an
-  index change: the changed engine's epoch moves on and the stale entry
-  simply stops matching (and ages out of the LRU);
+  index change: the epoch moves on and the stale entry simply stops
+  matching (and ages out of the LRU);
 - :class:`DiscoveryQuery` and :func:`as_query` — the normalized request
   that is the unit of caching and of ``DataLake.discover_batch``.
 
@@ -21,8 +21,8 @@ Hits, misses and evictions are counted once, as exact per-instance
 integers in :meth:`QueryCache.stats`, which the coherence tests assert
 against and ``DataLake.architecture_report()`` exports; a lookup adds
 no metric and no event.  The entry count is the
-``exploration.cache.entries`` gauge, each engine's epoch the
-``exploration.epoch{engine=...}`` gauge, and epoch bumps emit
+``exploration.cache.entries`` gauge, the epoch the
+``exploration.epoch`` gauge, and each bump emits one
 ``index.epoch_bump``.
 """
 
@@ -30,13 +30,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, NamedTuple, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, NamedTuple, Sequence, Tuple
 
 from repro.ml.text import tokenize
 from repro.obs import emit, get_registry
-
-#: the engines the cache and epoch clock know about, one epoch stream each
-ENGINES: Tuple[str, ...] = ("aurum", "keyword", "union")
 
 #: marks a cache miss (a cached answer may itself be None)
 _MISSING = object()
@@ -51,41 +48,30 @@ ENGINE_OF_KIND: Dict[str, str] = {
 
 
 class EpochClock:
-    """Monotonic per-engine index epochs; the cache's invalidation authority.
+    """The monotonic index epoch; the cache's invalidation authority.
 
-    Every table ingest or removal bumps the epoch of each *affected*
-    engine (a non-tabular dataset affects none of them).  Epochs only
-    grow, so a cache key minted at epoch *n* can never be served once
-    the engine is at *n+1* — coherence by construction, no scanning.
+    Every tabular ingest or removal moves it on once (a non-tabular
+    dataset does not), and every discovery engine reads it, since each
+    such change affects all of them.  The epoch only grows, so a cache
+    key minted at epoch *n* can never be served once the lake is at
+    *n+1* — coherence by construction, no scanning.
     """
 
-    def __init__(self, engines: Sequence[str] = ENGINES):
-        self._epochs: Dict[str, int] = {engine: 0 for engine in engines}
+    def __init__(self):
+        self._epoch = 0
         self._lock = threading.Lock()
-        registry = get_registry()
-        self._gauges = {engine: registry.gauge("exploration.epoch", engine=engine)
-                        for engine in engines}
+        self._gauge = get_registry().gauge("exploration.epoch")
 
-    def bump(self, *engines: str) -> None:
-        """Advance the named engines' epochs (all engines when none given)."""
-        bumped: List[Tuple[str, int]] = []
+    def bump(self) -> None:
+        """Advance the epoch by one."""
         with self._lock:
-            for engine in engines or tuple(self._epochs):
-                self._epochs[engine] = self._epochs.get(engine, 0) + 1
-                gauge = self._gauges.get(engine)
-                if gauge is not None:
-                    gauge.set(self._epochs[engine])
-                bumped.append((engine, self._epochs[engine]))
-        for engine, epoch in bumped:  # outside the lock: emit takes its own
-            emit("index.epoch_bump", engine=engine, epoch=epoch)
+            self._epoch = epoch = self._epoch + 1
+            self._gauge.set(epoch)
+        # outside the lock: emit takes its own
+        emit("index.epoch_bump", epoch=epoch)
 
-    def epoch(self, engine: str) -> int:
-        with self._lock:
-            return self._epochs.get(engine, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._epochs)
+    def epoch(self) -> int:
+        return self._epoch
 
 
 class QueryCache:

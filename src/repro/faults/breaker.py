@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.errors import CircuitOpen
 from repro.obs import emit, get_recorder, get_registry
@@ -233,10 +233,7 @@ class CircuitBreaker:
 class HealthRegistry:
     """Get-or-create home for every breaker; the lake's health authority.
 
-    Besides breakers, the registry carries named boolean **indicators**
-    set by other subsystems (the SLO engine flips ``slo:<name>`` on a
-    burn-rate breach); a failing indicator degrades the lake's health
-    verdict exactly like a non-closed breaker does.
+    The lake is degraded exactly while one of its breakers is not closed.
     """
 
     def __init__(self, config: Optional[ResilienceConfig] = None,
@@ -245,7 +242,6 @@ class HealthRegistry:
         self._clock = clock
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._indicators: Dict[str, Tuple[bool, str]] = {}
 
     def breaker(self, name: str) -> CircuitBreaker:
         # lock-free fast path: dict reads are snapshots, and entries are
@@ -270,21 +266,10 @@ class HealthRegistry:
         with self._lock:
             return dict(self._breakers)
 
-    def set_indicator(self, name: str, ok: bool, detail: str = "") -> None:
-        """Record a named health signal from outside the breaker layer."""
-        with self._lock:
-            self._indicators[name] = (bool(ok), detail)
-
-    def indicators(self) -> Dict[str, Tuple[bool, str]]:
-        with self._lock:
-            return dict(self._indicators)
-
     def degraded(self) -> List[str]:
-        """Non-closed breakers plus failing indicators, sorted by name."""
-        out = [name for name, breaker in self.breakers().items()
-               if breaker.state != CLOSED]
-        out.extend(name for name, (ok, _) in self.indicators().items() if not ok)
-        return sorted(out)
+        """Names of the non-closed breakers, sorted."""
+        return sorted(name for name, breaker in self.breakers().items()
+                      if breaker.state != CLOSED)
 
     @property
     def healthy(self) -> bool:

@@ -16,17 +16,12 @@ measurement substrate that makes them observable in the running lake:
 - :mod:`repro.obs.context` — per-request identity (:class:`RequestContext`)
   propagated across every thread boundary in the repo;
 - :mod:`repro.obs.events` — the bounded structured event log ("flight
-  recorder") with JSONL export;
-- :mod:`repro.obs.profiler` — an opt-in wall-clock sampling profiler
-  with per-request attribution and collapsed-stack output;
-- :mod:`repro.obs.slo` — declarative per-operation objectives with
-  multi-window burn-rate alerting, attached to a recorder explicitly.
+  recorder") with JSONL export.
 
 Metrics and events are always recorded; the process recorder records
 the spans of one request in
 :data:`~repro.obs.instrument.ROOTS_PER_RECORDED`, and a recorder
-installed with :func:`set_recorder` keeps every span by default; the
-sampler and SLO evaluation run only when started or attached.
+installed with :func:`set_recorder` keeps every span by default.
 
 Typical use::
 
@@ -48,10 +43,9 @@ from repro.obs.context import (
     current_context,
     new_context,
     request_context,
-    thread_request_id,
     with_context,
 )
-from repro.obs.events import NOOP_EVENT_LOG, Event, EventLog, NoopEventLog, emit
+from repro.obs.events import Event, EventLog, emit
 from repro.obs.export import (
     aggregate_spans,
     export_json,
@@ -67,9 +61,7 @@ from repro.obs.instrument import (
     current_span,
     disable,
     enable,
-    ensure_profiler,
     get_event_log,
-    get_profiler,
     get_recorder,
     get_registry,
     incr,
@@ -85,8 +77,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profiler import SamplingProfiler
-from repro.obs.slo import SLO, SLOEngine
 from repro.obs.spans import NOOP_RECORDER, NoopRecorder, Span, SpanRecorder
 
 __all__ = [
@@ -98,15 +88,10 @@ __all__ = [
     "Histogram",
     "INSTRUMENTATION_MANIFEST",
     "MetricsRegistry",
-    "NOOP_EVENT_LOG",
     "NOOP_RECORDER",
-    "NoopEventLog",
     "NoopRecorder",
     "Observability",
     "RequestContext",
-    "SLO",
-    "SLOEngine",
-    "SamplingProfiler",
     "Span",
     "SpanRecorder",
     "aggregate_spans",
@@ -119,11 +104,9 @@ __all__ = [
     "disable",
     "emit",
     "enable",
-    "ensure_profiler",
     "export_json",
     "export_prometheus",
     "get_event_log",
-    "get_profiler",
     "get_recorder",
     "get_registry",
     "incr",
@@ -135,7 +118,6 @@ __all__ = [
     "request_context",
     "reset",
     "set_recorder",
-    "thread_request_id",
     "traced",
     "with_context",
 ]

@@ -21,10 +21,6 @@ tenant.  The hand-off:
 - :func:`bind_context` (or :func:`with_context`) around the work on the
   receiving thread.
 
-Activation also maintains a thread-id → request-id map that the
-sampling profiler reads at tick time, so wall-clock samples are
-attributable without touching the sampled thread's context variables.
-
 A context also carries the random ``draw`` a span recorder applies its
 share to, once per request.  Binding the context on another thread
 carries the draw, so a request is recorded or skipped as a whole.
@@ -40,7 +36,6 @@ import contextvars
 import itertools
 import os
 import random
-import threading
 import time
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional
@@ -59,13 +54,7 @@ _NO_BAGGAGE: Mapping[str, Any] = MappingProxyType({})
 _CURRENT: "contextvars.ContextVar[Optional[RequestContext]]" = contextvars.ContextVar(
     "repro_request_context", default=None)
 
-#: thread id -> request id of the context active on that thread, kept for
-#: the sampling profiler (reading another thread's contextvars is not
-#: possible from the sampler thread; this map is the sanctioned side door)
-_THREAD_REQUESTS: Dict[int, str] = {}
-
 _record = tuple.__new__
-_get_ident = threading.get_ident
 
 
 class RequestContext(NamedTuple):
@@ -153,37 +142,21 @@ class _Activation:
 
     The one activation behind :func:`request_context`,
     :func:`bind_context` and a ``@traced`` root: it sets the context
-    variable and the thread map on entry and restores both on exit.
+    variable on entry and restores the previous value on exit.
     """
 
-    __slots__ = ("context", "_token", "_ident", "_previous")
+    __slots__ = ("context", "_token")
 
     def __init__(self, context: Optional[RequestContext]):
         self.context = context
 
     def __enter__(self) -> Optional[RequestContext]:
-        context = self.context
-        self._token = _CURRENT.set(context)
-        self._ident = ident = _get_ident()
-        self._previous = _THREAD_REQUESTS.get(ident)
-        if context is None:
-            _THREAD_REQUESTS.pop(ident, None)
-        else:
-            _THREAD_REQUESTS[ident] = context.request_id
-        return context
+        self._token = _CURRENT.set(self.context)
+        return self.context
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         _CURRENT.reset(self._token)
-        if self._previous is None:
-            _THREAD_REQUESTS.pop(self._ident, None)
-        else:
-            _THREAD_REQUESTS[self._ident] = self._previous
         return False
-
-
-def thread_request_id(ident: int) -> Optional[str]:
-    """Request id active on thread *ident* (profiler attribution hook)."""
-    return _THREAD_REQUESTS.get(ident)
 
 
 def check_deadline(op: str = "") -> None:

@@ -41,8 +41,6 @@ KNOWN_KINDS = (
     "job.retry",
     "job.dead_letter",
     "fetch.degraded",
-    "slo.breach",
-    "slo.recovered",
 )
 
 
@@ -177,39 +175,6 @@ class EventLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self._buffer)
-
-
-class NoopEventLog:
-    """Opt-out log: same surface, no retention (``emit`` still returns)."""
-
-    capacity = 0
-    emitted = 0
-    dropped = 0
-
-    def emit(self, kind: str, request_id: Optional[str] = None,
-             **fields: Any) -> None:
-        return None
-
-    def events(self, kind=None, request_id=None, limit=None) -> List[Event]:
-        return []
-
-    def tail(self, n: int = 50) -> List[Event]:
-        return []
-
-    def export_jsonl(self, events=None) -> str:
-        return ""
-
-    def render(self, events=None) -> str:
-        return "(event log disabled)"
-
-    def reset(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-NOOP_EVENT_LOG = NoopEventLog()
 
 
 def emit(kind: str, request_id: Optional[str] = None, **fields: Any):

@@ -35,7 +35,6 @@ from repro.obs.export import (
     render_span_tree,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.spans import NOOP_RECORDER, Span, SpanRecorder
 
 #: (source file under src/, class name, method name) triples that MUST be
@@ -77,22 +76,11 @@ _REGISTRY = MetricsRegistry()
 _LIVE_RECORDER = SpanRecorder(registry=_REGISTRY, share=1 / ROOTS_PER_RECORDED)
 _RECORDER = _LIVE_RECORDER  # the active recorder: live or NOOP_RECORDER
 _EVENT_LOG = EventLog()
-_PROFILER = SamplingProfiler()  # created eagerly, started on demand
 
 
 def get_event_log() -> EventLog:
     """The process-wide structured event log (flight recorder)."""
     return _EVENT_LOG
-
-
-def get_profiler() -> SamplingProfiler:
-    """The process-wide sampling profiler (not started until asked)."""
-    return _PROFILER
-
-
-def ensure_profiler() -> SamplingProfiler:
-    """Start the process profiler if it is not already running."""
-    return _PROFILER.start()
 
 
 def get_recorder():
@@ -131,13 +119,12 @@ def enable() -> None:
 
 
 def reset() -> None:
-    """Start a fresh window: clear spans, events and profile data, and zero
-    counters and histograms in place (instruments stay registered, so the
-    ones a live lake holds keep exporting; gauges keep their values)."""
+    """Start a fresh window: clear spans and events, and zero counters
+    and histograms in place (instruments stay registered, so the ones a
+    live lake holds keep exporting; gauges keep their values)."""
     _LIVE_RECORDER.reset()
     _REGISTRY.reset()
     _EVENT_LOG.reset()
-    _PROFILER.reset()
 
 
 # -- decorator + in-span helpers --------------------------------------------------
@@ -228,10 +215,6 @@ class Observability:
     @property
     def events(self) -> EventLog:
         return get_event_log()
-
-    @property
-    def profiler(self) -> SamplingProfiler:
-        return get_profiler()
 
     @property
     def enabled(self) -> bool:

@@ -26,8 +26,8 @@ every exporter.
 The request root decides what is recorded.  A recorder keeps a *share*
 of requests (every one by default; the process default recorder keeps
 one in 64): a span opened under a context is recorded when the
-context's draw falls below the share, when a listener is attached, or
-when a recorded span is already open on the thread.  Otherwise :meth:`SpanRecorder.span`
+context's draw falls below the share, or when a recorded span is
+already open on the thread.  Otherwise :meth:`SpanRecorder.span`
 returns the shared null context, which records nothing, so a skipped
 request costs no ``Span``, no histogram update and no ring slot.  A
 span opened with no context at all is recorded.
@@ -168,7 +168,6 @@ class SpanRecorder:
         self._local = threading.local()
         self.registry = registry
         self.share = share
-        self._listeners: List[Any] = []
         self._histograms: Dict[str, Any] = {}
 
     # -- span lifecycle ----------------------------------------------------------
@@ -188,7 +187,6 @@ class SpanRecorder:
         """
         context = current_context()
         if (context is not None and context.draw >= self.share
-                and not self._listeners
                 and not getattr(self._local, "stack", None)):
             return _NULL_CONTEXT
         return _ActiveSpan(self, Span(name, tier, system, function, tags), context)
@@ -218,12 +216,6 @@ class SpanRecorder:
             if histogram is None:
                 histogram = self._bind_histogram(span.name)
             histogram.observe(span.duration_ms)
-        for listener in self._listeners:
-            try:
-                listener(span)
-            except Exception:  # lakelint: disable=bare-except,exception-hygiene — a broken listener must never take the traced operation down; counted on the registry
-                if self.registry is not None:
-                    self.registry.counter("obs.span_listener_errors").inc()
 
     def _bind_histogram(self, name: str):
         with self._lock:
@@ -232,23 +224,6 @@ class SpanRecorder:
                 histogram = self._histograms[name] = self.registry.histogram(
                     f"span_ms.{name}")
             return histogram
-
-    # -- listeners ---------------------------------------------------------------
-
-    def add_listener(self, listener) -> None:
-        """Call *listener(span)* for every finished span (SLO feed etc.).
-
-        While a listener is attached the recorder records every request,
-        whatever its share, so the listener sees every span.
-        """
-        with self._lock:
-            if listener not in self._listeners:
-                self._listeners = self._listeners + [listener]
-
-    def remove_listener(self, listener) -> None:
-        # equality, not identity: bound methods are recreated per access
-        with self._lock:
-            self._listeners = [l for l in self._listeners if l != listener]
 
     # -- introspection -----------------------------------------------------------
 
@@ -302,12 +277,6 @@ class NoopRecorder:
 
     def span(self, name, tier=None, system=None, function=None, **tags):
         return _NULL_CONTEXT
-
-    def add_listener(self, listener) -> None:
-        pass
-
-    def remove_listener(self, listener) -> None:
-        pass
 
     def current(self):
         return None

@@ -6,9 +6,8 @@ health) are authenticated against an :class:`~repro.serving.auth.AuthRegistry`,
 admitted (or shed) by the :class:`~repro.serving.quotas.AdmissionController`,
 and executed on a bounded worker pool — each request inside its own
 :func:`~repro.obs.context.request_context` carrying the tenant and a
-deadline, so spans, the profiler's per-request buckets, the flight
-recorder and the labeled serving metrics all attribute work without any
-extra plumbing.
+deadline, so spans, the flight recorder and the labeled serving
+metrics all attribute work without any extra plumbing.
 
 **Isolation.**  Every dataset a tenant ingests lives in the shared lake
 under a ``tenant__name`` namespace prefix.  Handlers qualify incoming
@@ -268,7 +267,7 @@ class LakeServer:
         # bound on the tenant's first request instead of looked up per request
         self._tenant_meters: Dict[str, Tuple[Counter, Histogram]] = {}
         # per-dataset schema widths for _internal_k, invalidated when the
-        # lake's catalog epoch moves (any table change bumps it)
+        # lake's index epoch moves (any table change bumps it)
         self._schema_widths: Dict[str, int] = {}
         self._schema_widths_epoch = -1
         self._schema_widths_lock = threading.Lock()
@@ -591,10 +590,10 @@ class LakeServer:
         knows its width, a document list's width is the union of its
         record keys (what tabularizing it would produce), and anything
         else counts zero — non-tabular datasets never occupy joinable
-        answer slots.  Cached per catalog epoch so repeated discovery
+        answer slots.  Cached per index epoch so repeated discovery
         requests pay one catalog walk, not one per request.
         """
-        epoch = self.lake.epochs.epoch("aurum")  # bumped on any table change
+        epoch = self.lake.epochs.epoch()  # bumped on any table change
         with self._schema_widths_lock:
             if epoch != self._schema_widths_epoch:
                 self._schema_widths.clear()

@@ -432,7 +432,6 @@ class TestDefaultRules:
         assert len(names) == len(set(names))
         assert {"traced-manifest", "runtime-traced", "bare-except",
                 "exception-hygiene", "lock-discipline",
-                "lock-across-blocking", "bench-determinism",
-                "durable-write"} <= set(names)
+                "lock-across-blocking", "bench-determinism"} <= set(names)
         assert "lock-order" not in names  # the lockset witness checks order
         assert all(a is not b for a, b in zip(first, second))

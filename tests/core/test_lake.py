@@ -159,11 +159,10 @@ class TestConstructor:
         with pytest.raises(TypeError):
             DataLake(profile=False)
 
-    def test_default_lake_starts_no_sampler(self):
+    def test_default_sync_lake_starts_no_thread(self):
         script = textwrap.dedent("""
             import json, threading
             from repro import DataLake
-            from repro.obs import get_profiler
 
             lake = DataLake()
             lake.ingest_table("sales", {"city": ["berlin", "paris"], "amount": [1, 2]})
@@ -171,16 +170,12 @@ class TestConstructor:
             lake.discover_related("sales")
             lake.keyword_search("berlin")
             lake.sql("SELECT * FROM sales")
-            print(json.dumps({
-                "threads": sorted(thread.name for thread in threading.enumerate()),
-                "running": get_profiler().running}))
+            print(json.dumps([thread.name for thread in threading.enumerate()]))
         """)
         proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        state = json.loads(proc.stdout)
-        assert "obs-sampler" not in state["threads"]
-        assert state["running"] is False
+        assert json.loads(proc.stdout) == ["MainThread"]
 
 
 def _answers(lake):

@@ -140,6 +140,20 @@ class TestIncrementalUpdates:
         # the old join edge should be gone now
         assert aurum.joinable("orders", "customer_id", k=3) == []
 
+    def test_changed_table_is_signed_once_per_column(self, aurum, monkeypatch):
+        """The change check and the re-index read the same profiles."""
+        signed = []
+        signature = aurum.profiler.hasher.signature
+        monkeypatch.setattr(aurum.profiler.hasher, "signature",
+                            lambda values: signed.append(1) or signature(values))
+        mutated = Table.from_columns("orders", {
+            "order_id": [f"zzz-{i}" for i in range(50)],
+            "customer_id": [f"other-{i}" for i in range(50)],
+            "amount": list(range(50)),
+        })
+        assert aurum.update_table(mutated) is True
+        assert len(signed) == 3
+
     def test_new_table_added(self, aurum):
         extra = Table.from_columns("extra", {"customer_id": [f"cust-{i:04d}" for i in range(100)]})
         assert aurum.update_table(extra) is True

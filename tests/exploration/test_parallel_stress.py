@@ -86,9 +86,7 @@ def _ingest(lake, name, index, errors):
 
 def _assert_monotonic(snapshots):
     for earlier, later in zip(snapshots, snapshots[1:]):
-        for engine, epoch in earlier.items():
-            assert later[engine] >= epoch, (
-                f"epoch for {engine} moved backwards: {earlier} -> {later}")
+        assert later >= earlier, f"epoch moved backwards: {earlier} -> {later}"
 
 
 def test_discover_batch_vs_async_ingest_with_faults():
@@ -118,7 +116,7 @@ def test_discover_batch_vs_async_ingest_with_faults():
     worker = threading.Thread(target=ingest_worker, name="stress-ingest")
     worker.start()
 
-    snapshots = [lake.epochs.snapshot()]
+    snapshots = [lake.epochs.epoch()]
     batches = 0
     try:
         while worker.is_alive() or batches < 12:
@@ -134,7 +132,7 @@ def test_discover_batch_vs_async_ingest_with_faults():
                 results = None
             if results is not None:
                 assert len(results) == len(queries)
-            snapshots.append(lake.epochs.snapshot())
+            snapshots.append(lake.epochs.epoch())
             batches += 1
             # drain must complete even while the ingest thread keeps feeding
             lake.drain()
@@ -147,7 +145,7 @@ def test_discover_batch_vs_async_ingest_with_faults():
     # coherence after the storm: a query issued after ingest() returned must
     # observe the ingested table — the cache can never pin a pre-ingest view
     lake.drain()
-    snapshots.append(lake.epochs.snapshot())
+    snapshots.append(lake.epochs.epoch())
     assert not errors, f"unhandled exceptions under stress: {errors}"
     _assert_monotonic(snapshots)
     assert batches >= 12
@@ -174,7 +172,7 @@ def test_ingest_after_query_invalidates_under_async(tmp_path):
         for index in range(6):
             name = f"alt_{index}"
             lake.ingest_table(name, _table_data(index))
-            snapshots.append(lake.epochs.snapshot())
+            snapshots.append(lake.epochs.epoch())
             hits = lake.keyword_search(f"token{index:03d}", k=20)
             assert any(hit.table == name for hit in hits)
         _assert_monotonic(snapshots)

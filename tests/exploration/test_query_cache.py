@@ -15,10 +15,10 @@ import pytest
 from repro.core.lake import DataLake
 from repro.exploration.parallel import (
     DiscoveryQuery,
-    EpochClock,
     QueryCache,
     as_query,
 )
+from repro.obs import get_event_log, get_registry
 
 
 class TestQueryCache:
@@ -77,23 +77,6 @@ class TestQueryCache:
         cache.store("aurum", "q", 0, [1])
         cache.clear()
         assert len(cache) == 0
-
-
-class TestEpochClock:
-    def test_bump_selected_engines_only(self):
-        clock = EpochClock()
-        clock.bump("aurum")
-        assert clock.snapshot() == {"aurum": 1, "keyword": 0, "union": 0}
-        clock.bump("keyword", "union")
-        assert clock.epoch("keyword") == 1 and clock.epoch("union") == 1
-
-    def test_bump_all_when_unqualified(self):
-        clock = EpochClock()
-        clock.bump()
-        assert set(clock.snapshot().values()) == {1}
-
-    def test_unknown_engine_defaults_to_zero(self):
-        assert EpochClock().epoch("nope") == 0
 
 
 class TestDiscoveryQuery:
@@ -186,6 +169,16 @@ class TestLakeCoherence:
         assert stats() == (1, 3)  # epoch moved: cold again
         lake.keyword_search("alpha")
         assert stats() == (2, 3)  # warm at the new epoch
+
+    def test_tabular_ingest_bumps_the_epoch_once(self):
+        lake = self._lake()
+        epoch = lake.epochs.epoch()
+        get_event_log().reset()
+        lake.ingest_table("facts", {"id": [1], "tag": ["alpha"]})
+        bumps = get_event_log().events(kind="index.epoch_bump")
+        assert [bump.fields for bump in bumps] == [{"epoch": epoch + 1}]
+        assert lake.epochs.epoch() == epoch + 1
+        assert get_registry().metrics()["exploration.epoch"].value == epoch + 1
 
     @pytest.mark.parametrize("entry", sorted(LAKE_QUERIES))
     def test_repeated_query_is_one_cache_hit(self, entry):

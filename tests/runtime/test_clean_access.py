@@ -122,8 +122,8 @@ def test_reader_of_an_older_epoch_takes_the_newer_index(monkeypatch):
     read, go = threading.Event(), threading.Event()
     epoch = lake._epochs.epoch
 
-    def pause_after_read(engine):
-        value = epoch(engine)
+    def pause_after_read():
+        value = epoch()
         if threading.current_thread().name == "late-reader":
             read.set()
             go.wait(10)
@@ -152,13 +152,13 @@ def test_reset_keeps_the_instruments_a_live_lake_holds():
     lake = _populate(DataLake())
     lake.discover_related("orders")
     reset()
-    epoch = 'exploration.epoch{engine="aurum"}'
+    epoch = "exploration.epoch"
     metrics = get_registry().metrics()
-    assert metrics[epoch].value == lake.epochs.epoch("aurum") > 0
+    assert metrics[epoch].value == lake.epochs.epoch() > 0
     assert metrics["exploration.cache.entries"].value == len(lake.query_cache) == 1
     assert metrics["runtime.index.clean_accesses"].value == 0
     for k in (2, 3, 4):  # cache misses: each reads the clean index
         lake.discover_related("orders", k=k)
     assert get_registry().metrics()["runtime.index.clean_accesses"].value >= 3
     lake.ingest_table("late", {"id": [9], "city": ["z"]})
-    assert get_registry().metrics()[epoch].value == lake.epochs.epoch("aurum")
+    assert get_registry().metrics()[epoch].value == lake.epochs.epoch()

@@ -7,6 +7,11 @@ reachable hit index, the workload is crashed, reloaded, and checked
 quarantine only under missed-fsync).  ~130 scenarios, all disk-light.
 """
 
+import os
+from pathlib import Path
+
+from repro.durability import matrix
+from repro.durability.atomic import is_tmp
 from repro.durability.matrix import (
     WORKLOAD,
     Trace,
@@ -55,3 +60,26 @@ class TestScenarios:
         assert result["unreached_points"] == []
         assert result["failures"] == [], result["failures"]
         assert result["pass_rate"] == 1.0
+
+
+class TestPublishProtocol:
+    def test_every_file_left_was_renamed_into_place(self, tmp_path, monkeypatch):
+        """Object data, object meta and journal entries are all published by
+        the atomic protocol's rename; a file written in place is one a crash
+        can tear, and the matrix's recovery checks cannot always see it."""
+        published = set()
+        replace = os.replace
+
+        def recording_replace(src, dst, *args, **kwargs):
+            published.add(Path(dst))
+            return replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        monkeypatch.setattr(matrix, "WORKLOAD",
+                            tuple(op for op in WORKLOAD if op[0] != "delete"))
+        matrix.run_workload(tmp_path, Trace())
+        left = {path for path in tmp_path.rglob("*")
+                if path.is_file() and not is_tmp(path)}
+        assert any(path.match("_txlog/*/*.json") for path in left)
+        assert any(path.name.endswith(".meta.json") for path in left)
+        assert sorted(left - published) == []

@@ -3,7 +3,7 @@
 Runs the repo's dependency-free coverage task (``tools/coverage_task.py``,
 stdlib settrace backend) over the fast unit suites and holds
 ``repro/exploration/parallel.py`` (the discovery query cache), the
-observability core modules (context, events, profiler, SLO), and the
+observability core modules (context, events), and the
 serving tier (auth, quotas, server) to a line-coverage floor.  The suites measure 95%+ today; the
 floor leaves margin so refactors don't flap, while still catching a
 dead degradation branch or an untested knob.
@@ -21,15 +21,11 @@ TARGET = "src/repro/exploration/parallel.py"
 OBS_TARGETS = (
     "src/repro/obs/context.py",
     "src/repro/obs/events.py",
-    "src/repro/obs/profiler.py",
-    "src/repro/obs/slo.py",
 )
 OBS_TESTS = (
     "tests/test_deadline_enforcement.py",
     "tests/test_obs_context.py",
     "tests/test_obs_events.py",
-    "tests/test_obs_profiler.py",
-    "tests/test_obs_slo.py",
 )
 SERVING_TARGETS = (
     "src/repro/serving/auth.py",

@@ -11,7 +11,6 @@ from repro.obs import (
     new_context,
     request_context,
     reset,
-    thread_request_id,
     with_context,
 )
 
@@ -101,24 +100,18 @@ class TestActivation:
     def test_request_context_activates_and_restores(self):
         with request_context(tenant="t") as ctx:
             assert current_context() is ctx
-            assert thread_request_id(threading.get_ident()) == ctx.request_id
         assert current_context() is None
-        assert thread_request_id(threading.get_ident()) is None
 
     def test_nesting_restores_the_outer_context(self):
         with request_context() as outer:
             with request_context() as inner:
                 assert current_context() is inner
-                assert (thread_request_id(threading.get_ident())
-                        == inner.request_id)
             assert current_context() is outer
-            assert thread_request_id(threading.get_ident()) == outer.request_id
 
     def test_bind_none_clears_inherited_context(self):
         with request_context():
             with bind_context(None):
                 assert current_context() is None
-                assert thread_request_id(threading.get_ident()) is None
             assert current_context() is not None
 
     def test_bind_context_restores_on_exception(self):
@@ -175,8 +168,7 @@ class TestThreadHandOff:
         def work(label):
             with request_context() as ctx:
                 barrier.wait(timeout=5)
-                ids[label] = (ctx.request_id,
-                              thread_request_id(threading.get_ident()))
+                ids[label] = (ctx.request_id, current_context().request_id)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         for t in threads:

@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    NOOP_EVENT_LOG,
     EventLog,
     emit,
     get_event_log,
@@ -109,12 +108,6 @@ class TestEventLog:
         for i in range(10):
             log.emit("k", i=i)
         assert log.dropped == 2  # only the ring's own overwrites
-
-    def test_noop_log_swallows_everything(self):
-        NOOP_EVENT_LOG.emit("k", x=1)
-        assert NOOP_EVENT_LOG.events() == []
-        assert len(NOOP_EVENT_LOG) == 0
-        assert NOOP_EVENT_LOG.export_jsonl() == ""
 
     def test_module_level_emit_targets_the_process_log(self):
         emit("cache.hit", engine="aurum")

@@ -37,8 +37,6 @@ DEFAULT_TARGETS = (
     "src/repro/exploration/parallel.py",
     "src/repro/obs/context.py",
     "src/repro/obs/events.py",
-    "src/repro/obs/profiler.py",
-    "src/repro/obs/slo.py",
     "src/repro/serving/auth.py",
     "src/repro/serving/quotas.py",
     "src/repro/serving/server.py",
@@ -49,8 +47,6 @@ DEFAULT_TESTS = (
     "tests/exploration/test_parallel_equivalence.py",
     "tests/test_obs_context.py",
     "tests/test_obs_events.py",
-    "tests/test_obs_profiler.py",
-    "tests/test_obs_slo.py",
     "tests/serving/test_auth.py",
     "tests/serving/test_quotas.py",
     "tests/serving/test_server.py",
