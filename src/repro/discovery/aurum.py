@@ -38,6 +38,7 @@ Implemented here:
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Dict, Iterable, List, Sequence, Set, Tuple, TypeVar
 
 from repro.core.dataset import Table
@@ -362,14 +363,16 @@ class Aurum:
     @traced("exploration.aurum.related_tables", tier="exploration", system="Aurum",
             function="query_driven_discovery")
     def related_tables(self, table: str, k: int = 5) -> List[Tuple[str, float]]:
-        """Top-k tables related to *table*, aggregating edge weights."""
+        """Top-k tables related to *table*, aggregating edge weights.
+
+        A table's score sums the neighbour weights of *table*'s columns
+        that fall in it, added per table in ``neighbors`` order
+        (:meth:`~repro.modeling.ekg.EnterpriseKnowledgeGraph.table_weights`);
+        ties go by name.
+        """
         self.build()
-        scores: Dict[str, float] = {}
-        for ref in self.ekg.columns(table):
-            for neighbor, weight in self.ekg.neighbors(ref):
-                if neighbor[0] != table:
-                    scores[neighbor[0]] = scores.get(neighbor[0], 0.0) + weight
-        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
+        ranked = sorted(self.ekg.table_weights(table).items(), key=itemgetter(0))
+        ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties stay by name
         return ranked[:k]
 
     def table_names(self) -> List[str]:

@@ -22,14 +22,15 @@ Relations between columns live in two places:
   B in another table; a column joins its class with one dict insert,
   and no per-pair edge is stored.
 
-Every read (``neighbors``, ``relations_between``, ``paths``,
-``num_edges``) merges the two, so a column's neighbours are the same as
-if each class link were stored as one edge per column pair.
+Every read (``neighbors``, ``table_weights``, ``relations_between``,
+``paths``, ``num_edges``) merges the two, so a column's neighbours are
+the same as if each class link were stored as one edge per column pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple)
 
@@ -38,6 +39,8 @@ import networkx as nx
 
 #: a node in the EKG is one table column, addressed as (table, column)
 ColumnRef = Tuple[str, str]
+
+_UNCLASSED = object()  # the class of a column in no name class
 
 
 @dataclass(frozen=True)
@@ -196,21 +199,31 @@ class EnterpriseKnowledgeGraph:
     def node_attributes(self, node: ColumnRef) -> Dict[str, Any]:
         return dict(self._graph.nodes[node])
 
-    def _class_neighbors(self, node: ColumnRef) -> Iterator[Tuple[ColumnRef, Dict[str, float]]]:
-        """Columns of other tables related to *node* through its class links."""
+    def _class_neighbors(self, node: ColumnRef, relation: Optional[str] = None
+                         ) -> Iterator[Tuple[ColumnRef, Dict[str, float]]]:
+        """Columns of other tables related to *node* through its class links
+        (only the links carrying *relation*, when given)."""
         name_class = self._class_of.get(node)
         if name_class is None:
             return
         table = node[0]
         for linked, relations in self._links[name_class].items():
+            if relation is not None and relation not in relations:
+                continue
             for member in self._classes[linked]:
                 if member[0] != table:
                     yield member, relations
 
-    def _adjacency(self, node: ColumnRef) -> Dict[ColumnRef, Dict[str, float]]:
-        """Every neighbour of *node* with its relations (do not mutate them)."""
+    def _adjacency(self, node: ColumnRef, relation: Optional[str] = None
+                   ) -> Dict[ColumnRef, Dict[str, float]]:
+        """Every neighbour of *node* with its relations (do not mutate them).
+
+        With *relation*, class links lacking it are not expanded: a stored
+        neighbour keeps its own relations, and a link without *relation*
+        would not change the weight of *relation* in them.
+        """
         adjacency = {other: data["relations"] for other, data in self._graph[node].items()}
-        for other, relations in self._class_neighbors(node):
+        for other, relations in self._class_neighbors(node, relation):
             stored = adjacency.get(other)
             adjacency[other] = relations if stored is None else {**stored, **relations}
         return adjacency
@@ -244,12 +257,13 @@ class EnterpriseKnowledgeGraph:
         """Related columns via *relation*, strongest first.
 
         A neighbour related in several ways weighs the max of its
-        relations; ties go by column ref.
+        relations; ties go by column ref.  A relation filter skips the
+        class links that lack the relation instead of expanding them.
         """
         if node not in self._graph:
             return []
         out = []
-        for neighbor, relations in self._adjacency(node).items():
+        for neighbor, relations in self._adjacency(node, relation).items():
             if relation is None:
                 weight = max(relations.values())
             elif relation in relations:
@@ -260,6 +274,56 @@ class EnterpriseKnowledgeGraph:
                 out.append((neighbor, weight))
         out.sort(key=lambda pair: (-pair[1], pair[0]))
         return out
+
+    def table_weights(self, table: str) -> Dict[str, float]:
+        """Each other table's summed neighbour weight from *table*'s columns.
+
+        For each column of *table*, in ref order, every neighbour in
+        another table adds its :meth:`neighbors` weight (the max of its
+        relations; below 0.0 adds nothing) onto its table's running sum,
+        strongest first.  Equal weights add equal values, so every sum is
+        bit for bit the one a loop over ``neighbors(ref)`` adds up.
+
+        One pass per column: class links are walked strongest first and
+        each member's weight goes straight into its table's sum, unless a
+        stored edge of the column also reaches that table; only such a
+        table collects its weights and sorts them.
+        """
+        sums: Dict[str, float] = {}
+        for node in sorted(self._by_table.get(table, ())):
+            name_class = self._class_of.get(node)
+            links = {} if name_class is None else self._links[name_class]
+            stored = self._graph[node]
+            # the tables a stored edge reaches (and *table*, which takes nothing)
+            collected: Dict[str, List[float]] = {table: []}
+            for other, data in stored.items():
+                weights = collected.setdefault(other[0], [])
+                if other[0] == table:
+                    continue
+                relations = data["relations"]
+                other_class = self._class_of.get(other, _UNCLASSED)
+                if other_class in links:  # merged as _adjacency merges it
+                    relations = {**relations, **links[other_class]}
+                weight = max(relations.values())
+                if weight >= 0.0:
+                    weights.append(weight)
+            strongest = [(max(relations.values()), linked)
+                         for linked, relations in links.items()]
+            strongest = [pair for pair in strongest if pair[0] >= 0.0]
+            strongest.sort(key=itemgetter(0), reverse=True)
+            for weight, linked in strongest:
+                for member in self._classes[linked]:
+                    other_table = member[0]
+                    if other_table not in collected:
+                        sums[other_table] = sums.get(other_table, 0.0) + weight
+                    elif member not in stored:
+                        collected[other_table].append(weight)
+            del collected[table]
+            for other_table, weights in collected.items():
+                weights.sort(reverse=True)
+                for weight in weights:
+                    sums[other_table] = sums.get(other_table, 0.0) + weight
+        return sums
 
     def paths(
         self,
@@ -279,13 +343,14 @@ class EnterpriseKnowledgeGraph:
             return []
         if source == target:
             related = relation is None or any(
-                relation in relations for relations in self._adjacency(source).values())
+                relation in relations
+                for relations in self._adjacency(source, relation).values())
             return [[source]] if related else []
         found: List[List[ColumnRef]] = []
         path = [source]
 
         def walk(node: ColumnRef) -> None:
-            for neighbor, relations in self._adjacency(node).items():
+            for neighbor, relations in self._adjacency(node, relation).items():
                 if relation is not None and relation not in relations:
                     continue
                 if neighbor == target:

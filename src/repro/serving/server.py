@@ -43,6 +43,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dataset import Table
@@ -266,11 +267,10 @@ class LakeServer:
         # tenant -> (serving.requests counter, serving.latency_ms histogram),
         # bound on the tenant's first request instead of looked up per request
         self._tenant_meters: Dict[str, Tuple[Counter, Histogram]] = {}
-        # per-dataset schema widths for _internal_k, invalidated when the
-        # lake's index epoch moves (any table change bumps it)
-        self._schema_widths: Dict[str, int] = {}
-        self._schema_widths_epoch = -1
-        self._schema_widths_lock = threading.Lock()
+        # (epoch, (lake totals, namespace -> totals)) of [datasets, columns]
+        # for _internal_k: published as one value, one catalog walk per epoch
+        self._namespace_totals: Tuple[int, Any] = (-1, None)
+        self._namespace_totals_lock = threading.Lock()
 
     # -- tenant administration -------------------------------------------------
 
@@ -541,17 +541,21 @@ class LakeServer:
         """The top *k* of a discovery *answer* in *tenant*'s namespace.
 
         Foreign tables are dropped and the tenant prefix is stripped from
-        the rest; keyword hits become ``{"table", "score"}`` dicts.
+        the rest; keyword hits become ``{"table", "score"}`` dicts.  The
+        walk stops at the *k*-th visible entry.
         """
+        prefix = qualify(tenant, "")
+        cut = len(prefix)
         if kind == "keyword":
-            return [{"table": strip_namespace(tenant, hit.table), "score": hit.score}
-                    for hit in answer if in_namespace(tenant, hit.table)][:k]
-        if kind == "joinable":
-            return [((strip_namespace(tenant, name), column), score)
-                    for (name, column), score in answer
-                    if in_namespace(tenant, name)][:k]
-        return [(strip_namespace(tenant, name), score)
-                for name, score in answer if in_namespace(tenant, name)][:k]
+            visible = ({"table": hit.table[cut:], "score": hit.score}
+                       for hit in answer if hit.table.startswith(prefix))
+        elif kind == "joinable":
+            visible = (((name[cut:], column), score)
+                       for (name, column), score in answer if name.startswith(prefix))
+        else:
+            visible = ((name[cut:], score)
+                       for name, score in answer if name.startswith(prefix))
+        return list(islice(visible, k)) if k > 0 else list(visible)[:k]
 
     def _truncated(self, tenant: str, total: int, cap: int) -> bool:
         if total <= cap:
@@ -573,53 +577,63 @@ class LakeServer:
         # catalog metadata reads are in-process lookups, not backend work:
         # routing them through the breaker would interleave successes
         # between real backend failures and mask an outage
-        foreign_slots = 0
-        for name in self.lake.datasets():
-            if in_namespace(tenant, name):
-                continue
-            if kind != "joinable":
-                foreign_slots += 1
-                continue
-            foreign_slots += self._schema_width_unguarded(name)
-        return foreign_slots
+        lake_totals, by_namespace = self._namespace_totals_unguarded()
+        own = by_namespace.get(tenant, (0, 0))
+        slot = 1 if kind == "joinable" else 0  # columns for joinable
+        return lake_totals[slot] - own[slot]
 
-    def _schema_width_unguarded(self, name: str) -> int:
-        """Column count of dataset *name* from catalog metadata alone.
+    def _namespace_totals_unguarded(self) -> Tuple[List[int], Dict[str, List[int]]]:
+        """``[datasets, columns]`` of the lake and of each namespace.
 
-        Never materializes a foreign table: a ``Table`` payload already
-        knows its width, a document list's width is the union of its
-        record keys (what tabularizing it would produce), and anything
-        else counts zero — non-tabular datasets never occupy joinable
-        answer slots.  Cached per index epoch so repeated discovery
-        requests pay one catalog walk, not one per request.
+        One catalog walk per index epoch, shared by every tenant and kind.
+        A name's namespace is the text before its first ``__``: exactly
+        the tenant whose prefix it carries, since a tenant holds no
+        ``__`` and does not end in ``_``.  The epoch moves on every
+        tabular change but not on a non-tabular ingest, so the totals may
+        miss such a dataset; it never occupies an answer slot, so the
+        widened k still keeps the post-filter top-k exact.  As with the
+        lake's union index, totals never replace a newer epoch's.
         """
-        epoch = self.lake.epochs.epoch()  # bumped on any table change
-        with self._schema_widths_lock:
-            if epoch != self._schema_widths_epoch:
-                self._schema_widths.clear()
-                self._schema_widths_epoch = epoch
-            width = self._schema_widths.get(name)
-        if width is not None:
-            return width
-        try:
-            payload = self.lake.dataset(name).payload
-        except DataLakeError:
-            width = 0  # racing removal: a vanished dataset takes no slots
-        else:
-            if isinstance(payload, Table):
-                width = len(payload.columns)
-            elif (isinstance(payload, list)
-                    and all(isinstance(r, dict) for r in payload)):
-                keys = set()
-                for record in payload:
-                    keys.update(record)
-                width = len(keys)
-            else:
-                width = 0
-        with self._schema_widths_lock:
-            if epoch == self._schema_widths_epoch:
-                self._schema_widths[name] = width
-        return width
+        epoch = self.lake.epochs.epoch()
+        published_epoch, totals = self._namespace_totals
+        if published_epoch >= epoch:
+            return totals
+        lake_totals = [0, 0]
+        by_namespace: Dict[str, List[int]] = {}
+        for name in self.lake.datasets():
+            try:
+                width = self._schema_width(self.lake.dataset(name).payload)
+            except DataLakeError:
+                width = 0  # racing removal: a vanished dataset takes no slots
+            lake_totals[0] += 1
+            lake_totals[1] += width
+            namespace, separator, _ = name.partition(NAMESPACE_SEPARATOR)
+            if separator:
+                counts = by_namespace.setdefault(namespace, [0, 0])
+                counts[0] += 1
+                counts[1] += width
+        with self._namespace_totals_lock:
+            if self._namespace_totals[0] < epoch:
+                self._namespace_totals = (epoch, (lake_totals, by_namespace))
+            return self._namespace_totals[1]
+
+    @staticmethod
+    def _schema_width(payload: Any) -> int:
+        """Column count of a dataset *payload* from catalog metadata alone.
+
+        Never materializes a table: a ``Table`` payload already knows its
+        width, a document list's width is the union of its record keys
+        (what tabularizing it would produce), and anything else counts
+        zero — non-tabular datasets never occupy joinable answer slots.
+        """
+        if isinstance(payload, Table):
+            return len(payload.columns)
+        if isinstance(payload, list) and all(isinstance(r, dict) for r in payload):
+            keys = set()
+            for record in payload:
+                keys.update(record)
+            return len(keys)
+        return 0
 
     def _rewrite_sql(self, tenant: str, query: str) -> str:
         """Qualify *query*'s table references into the tenant namespace.

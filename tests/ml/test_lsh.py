@@ -1,9 +1,12 @@
 """Tests for the banding LSH index."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ml.lsh import LSHIndex, choose_banding
 from repro.ml.minhash import MinHasher
+
+HASHER = MinHasher(num_perm=128)
 
 
 @pytest.fixture
@@ -86,3 +89,43 @@ class TestLSHIndex:
             index.candidates(index.signature_of(f"set{i}"))
         # disjoint sets: probing its own bucket finds ~itself, not all n
         assert index.probe_count < n * n / 4
+
+
+def jaccard_query(index, signature, floor, exclude=None):
+    """``query`` as a loop over the candidates with ``MinHashSignature.jaccard``."""
+    hits = [(key, signature.jaccard(index.signature_of(key)))
+            for key in index.candidates(signature) if key != exclude]
+    return sorted((hit for hit in hits if hit[1] >= floor),
+                  key=lambda hit: (-hit[1], str(hit[0])))
+
+
+# small value domains, so that sets overlap, collide in bands and repeat
+VALUE_SETS = st.sets(st.integers(0, 30), max_size=24)
+
+
+@given(steps=st.lists(st.tuples(st.integers(0, 7), st.none() | VALUE_SETS), max_size=30),
+       queries=st.lists(VALUE_SETS, max_size=3),
+       threshold=st.sampled_from([0.3, 0.5, 0.8]))
+@settings(max_examples=100, deadline=None)
+def test_query_scores_equal_pairwise_jaccard(steps, queries, threshold):
+    """Array-scored queries return exactly the hits, floats and order of a
+    loop over ``jaccard``, after adds, removes and re-adds (``None``
+    removes a key), with and without ``exclude``, at ``min_similarity``
+    0.0 and at the index threshold; each probes the same candidates."""
+    index = LSHIndex(num_perm=128, threshold=threshold)
+    for key, values in steps:
+        if values is None:
+            index.remove(f"k{key}")
+        else:
+            index.add(f"k{key}", HASHER.signature(values))
+    probes = [(HASHER.signature(values), None) for values in queries]
+    probes += [(index.signature_of(key), key) for key in index.keys()]
+    for signature, key in probes:
+        for exclude in {None, key}:
+            for floor in (0.0, threshold):
+                before = index.probe_count
+                hits = index.query(signature, min_similarity=floor, exclude=exclude)
+                assert index.probe_count - before == len(index.candidates(signature))
+                assert hits == jaccard_query(index, signature, floor, exclude)
+            assert index.query(signature, exclude=exclude) == jaccard_query(
+                index, signature, threshold, exclude)

@@ -196,3 +196,85 @@ def test_paths_match_networkx(edges, source, target, relation, max_hops):
     expected = (sorted(map(list, nx.all_simple_paths(reference, source, target, cutoff=max_hops)))
                 if source in reference and target in reference else [])
     assert g.paths(source, target, max_hops, relation) == expected
+
+
+def neighbor_sums(g, table):
+    """Each other table's summed weight, as a loop over every column's
+    ``neighbors`` list adds it up: the reference for ``table_weights``."""
+    sums = {}
+    for ref in g.columns(table):
+        for neighbor, weight in g.neighbors(ref):
+            if neighbor[0] != table:
+                sums[neighbor[0]] = sums.get(neighbor[0], 0.0) + weight
+    return sums
+
+
+def neighbors_from_pairs(g, node, relation):
+    """``neighbors(node, relation)`` from ``relations_between`` over every column."""
+    out = []
+    for other in g.columns():
+        relations = g.relations_between(node, other)
+        if relation is None and relations:
+            out.append((other, max(relations.values())))
+        elif relation in relations:
+            out.append((other, relations[relation]))
+    return sorted((pair for pair in out if pair[1] >= 0.0),
+                  key=lambda pair: (-pair[1], pair[0]))
+
+
+WEIGHT_COLUMNS = [(table, column) for table in "abc" for column in "wxyz"]
+WEIGHT_RELATIONS = ["content_sim", "pkfk", "schema_sim"]
+# mostly values whose float sums depend on the order they are added in
+WEIGHTS = st.one_of(st.sampled_from([1.0, 0.7071, 0.1, 0.2, 0.3, 0.0, -0.5]),
+                    st.integers(-3, 14).map(lambda n: n / 7), st.floats(-1.0, 2.0))
+RELATION_STEPS = st.tuples(st.sampled_from(WEIGHT_COLUMNS), st.sampled_from(WEIGHT_COLUMNS),
+                           st.sampled_from(WEIGHT_RELATIONS), WEIGHTS)
+
+
+@given(classes=st.lists(st.sampled_from([None, 0, 1, 2]), min_size=len(WEIGHT_COLUMNS),
+                        max_size=len(WEIGHT_COLUMNS)),
+       links=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                st.sampled_from(WEIGHT_RELATIONS), WEIGHTS), max_size=8),
+       relations=st.lists(RELATION_STEPS, max_size=40),
+       removed=st.lists(st.sampled_from(WEIGHT_COLUMNS), max_size=3),
+       readded=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_table_weights_equal_neighbor_list_sums(classes, links, relations, removed, readded):
+    """``table_weights`` adds exactly what a loop over ``neighbors`` adds, in
+    its order (compared with == on floats), over stored edges with several
+    relations, edges inside one table, negative weights, name classes with
+    unequal and self links, and removed columns; and a relation filter
+    answers as ``relations_between`` does."""
+    g = EnterpriseKnowledgeGraph()
+    for node in WEIGHT_COLUMNS:
+        g.add_column(*node)
+    for node, name_class in zip(WEIGHT_COLUMNS, classes):
+        if name_class is not None:
+            g.join_class(node, name_class)
+    for left, right, relation, weight in links:
+        if {left, right} <= set(classes):
+            g.link_classes(left, right, relation, weight)
+    for left, right, relation, weight in relations:
+        g.add_relation(left, right, relation, weight)
+    for node in removed:
+        g.remove_column(*node)
+        if readded:  # back without its class and edges
+            g.add_column(*node)
+    for table in "abcd":
+        assert g.table_weights(table) == neighbor_sums(g, table)
+    for node in g.columns():
+        for relation in [None] + WEIGHT_RELATIONS:
+            assert g.neighbors(node, relation) == neighbors_from_pairs(g, node, relation)
+
+
+def test_table_weights_add_each_columns_weights_strongest_first():
+    """Added weakest first, b's sum would read 0.6000000000000001."""
+    g = EnterpriseKnowledgeGraph()
+    for node in [("a", "x"), ("b", "x"), ("b", "y"), ("b", "z"), ("c", "x")]:
+        g.add_column(*node)
+    for node in [("a", "x"), ("b", "x"), ("c", "x")]:
+        g.join_class(node, "x")
+    g.link_classes("x", "x", "schema_sim", 0.2)
+    g.add_relation(("a", "x"), ("b", "y"), "content_sim", 0.1)
+    g.add_relation(("a", "x"), ("b", "z"), "pkfk", 0.3)
+    assert g.table_weights("a") == neighbor_sums(g, "a") == {"b": 0.6, "c": 0.2}

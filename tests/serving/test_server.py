@@ -254,6 +254,76 @@ class TestTenantIsolation:
         assert response.raise_for_status().ok
 
 
+ZETA_TABLES = {
+    "sales": {"region": ["EU", "US", "APAC", "LATAM"], "amount": [10, 20, 30, 40],
+              "sale_id": ["s1", "s2", "s3", "s4"]},
+    "customers": {"region": ["EU", "US", "APAC"], "tier": ["gold", "silver", "gold"]},
+    "targets": {"region": ["EU", "US"], "amount": [15, 25]},
+}
+#: far above any lake's answer length: the lake's whole ranking
+UNCAPPED = 10 ** 6
+
+
+class TestWidenedAnswers:
+    """A served discovery answer is the lake's whole ranking, filtered to the
+    caller's namespace, stripped of its prefix and cut to k, also when
+    foreign tables outrank every one of the caller's own."""
+
+    @pytest.fixture
+    def zeta(self, server):
+        session = server.connect(server.register_tenant("zeta"))
+        alpha = server.connect(server.register_tenant("alpha"))
+        for name, data in ZETA_TABLES.items():
+            session.ingest(name, data).raise_for_status()
+            # alpha's copies tie with zeta's originals and sort first by name
+            alpha.ingest(name, data).raise_for_status()
+            alpha.ingest(f"{name}_more", {**data, "note": ["x"] * len(data["region"])}
+                         ).raise_for_status()
+        return session
+
+    @staticmethod
+    def _expected(server, kind, k):
+        lake, prefix = server.lake, qualify("zeta", "")
+        if kind == "keyword":
+            return [{"table": hit.table[len(prefix):], "score": hit.score}
+                    for hit in lake.keyword_search("region amount", k=UNCAPPED)
+                    if hit.table.startswith(prefix)][:k]
+        if kind == "joinable":
+            answer = lake.discover_joinable(prefix + "sales", "region", k=UNCAPPED)
+            return [((name[len(prefix):], column), score)
+                    for (name, column), score in answer if name.startswith(prefix)][:k]
+        answer = getattr(lake, f"discover_{kind}")(prefix + "sales", k=UNCAPPED)
+        return [(name[len(prefix):], score)
+                for name, score in answer if name.startswith(prefix)][:k]
+
+    def _assert_exact(self, server, session):
+        for kind in ("related", "joinable", "keyword", "union"):
+            for k in (1, 2, len(ZETA_TABLES) + 2):
+                served = session.discover(kind, "sales", column="region",
+                                          keywords="region amount", k=k)
+                assert served.raise_for_status().value == self._expected(server, kind, k), (
+                    kind, k)
+
+    def test_foreign_tables_outrank_the_callers_own(self, server, zeta):
+        top = server.lake.discover_related(qualify("zeta", "sales"), k=3)
+        assert [name.split("__")[0] for name, _ in top] == ["alpha"] * 3
+        top = server.lake.discover_joinable(qualify("zeta", "sales"), "region", k=3)
+        assert [name.split("__")[0] for (name, _), _ in top] == ["alpha"] * 3
+
+    def test_served_answers_equal_the_filtered_lake_ranking(self, server, zeta):
+        from repro.core.dataset import Dataset
+
+        self._assert_exact(server, zeta)
+        # written past the server: a tabular change moves the index epoch
+        server.lake.ingest_table(qualify("alpha", "sales_copy"), ZETA_TABLES["sales"])
+        server.lake.ingest_table("shared_sales", ZETA_TABLES["sales"])
+        self._assert_exact(server, zeta)
+        # a non-tabular ingest does not move it
+        server.lake.ingest(Dataset(name=qualify("alpha", "notes"),
+                                   payload="free text", format="text"))
+        self._assert_exact(server, zeta)
+
+
 class TestQuotaEnforcement:
     def _tight_server(self):
         clock = FakeClock()
