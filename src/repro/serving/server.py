@@ -14,11 +14,14 @@ under a ``tenant__name`` namespace prefix.  Handlers qualify incoming
 names before touching the lake and filter discovery/SQL answers back to
 the caller's prefix, so tenant A asking for tenant B's dataset gets the
 same :class:`~repro.core.errors.DatasetNotFound` as for a dataset that
-never existed — absence and denial are indistinguishable.  SQL is
-rewritten at the token level: only identifiers in table position
-(after ``FROM`` / ``JOIN``) are qualified, and any identifier carrying
-the namespace separator is rejected outright, so fully qualified
-foreign names can never reach the shared lake.  Health answers are
+never existed — absence and denial are indistinguishable.  Discovery
+asks the lake for its whole ranking (:data:`WHOLE_RANKING`) and cuts the
+caller's share of it to the caller's k, so the engine k never depends on
+what other tenants hold.  SQL is rewritten at the token level: only
+identifiers in table position (after ``FROM`` / ``JOIN``) are qualified,
+and any identifier carrying the namespace separator is rejected
+outright, so fully qualified foreign names can never reach the shared
+lake.  Health answers are
 likewise tenant-scoped: a session sees its own admission counts and
 breaker plus tenant-neutral aggregates, never the tenant roster.
 
@@ -31,13 +34,14 @@ blowing up backend-side gets failed fast instead of burning workers.
 Data-shaped failures (unknown dataset, bad SQL, an expired deadline) are
 the caller's problem, not the backend's, and never trip the breaker.
 Tests run both funnels: ``tests/serving/test_breaker_funnels.py`` opens
-a tenant's breaker and records which lake methods each op calls, and
+a tenant's breaker and checks that no op reads the lake at all, and
 ``tests/serving/test_server.py`` checks that every span of a request
 carries its tenant and request id.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +50,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.dataset import Table
 from repro.core.errors import (AuthenticationError, CircuitOpen, DataLakeError,
                                DatasetNotFound, DeadlineExceeded, FormatError,
                                QueryError, QuotaExceeded, SchemaError,
@@ -71,6 +74,17 @@ SHED_ERRORS: Tuple[type, ...] = (Throttled, QuotaExceeded, CircuitOpen)
 
 #: SQL keywords after which the next identifier names a table
 _TABLE_KEYWORDS = frozenset({"from", "join"})
+
+#: the engine k of every served discovery query.  Engines score every
+#: candidate anyway; cutting the caller's share of the whole ranking keeps
+#: the top-k exact, and an engine k that grew with other tenants' data
+#: would let a caller count their datasets from its errors
+WHOLE_RANKING = sys.maxsize
+
+#: how long past a request's deadline the caller keeps waiting for the
+#: worker's own (cooperative, typed) deadline error before abandoning the
+#: wait — see :meth:`LakeServer.serve`
+DEADLINE_GRACE = 0.1
 
 
 def qualify(tenant: str, name: str) -> str:
@@ -225,9 +239,6 @@ class LakeServer:
     itself does not carry one; ``resilience`` shapes the per-tenant
     breakers (a dedicated :class:`~repro.faults.HealthRegistry` — tenant
     breakers must not degrade the lake's own storage health verdict).
-    ``deadline_grace`` is how long past a request's deadline the caller
-    keeps waiting for the worker's own (cooperative, typed) deadline
-    error before abandoning the wait — see :meth:`serve`.
     """
 
     def __init__(
@@ -239,7 +250,6 @@ class LakeServer:
         max_pending: int = 256,
         default_quota: Optional[TenantQuota] = None,
         default_timeout: Optional[float] = None,
-        deadline_grace: float = 0.1,
         resilience: Optional[ResilienceConfig] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -247,13 +257,10 @@ class LakeServer:
 
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if deadline_grace < 0:
-            raise ValueError("deadline_grace must be non-negative")
         self.lake = lake if lake is not None else DataLake.in_memory()
         self.auth = auth or AuthRegistry(clock=clock)
         self.workers = workers
         self.default_timeout = default_timeout
-        self.deadline_grace = deadline_grace
         self._clock = clock
         self._admission = AdmissionController(
             default_quota=default_quota, max_pending=max_pending, clock=clock)
@@ -267,10 +274,6 @@ class LakeServer:
         # tenant -> (serving.requests counter, serving.latency_ms histogram),
         # bound on the tenant's first request instead of looked up per request
         self._tenant_meters: Dict[str, Tuple[Counter, Histogram]] = {}
-        # (epoch, (lake totals, namespace -> totals)) of [datasets, columns]
-        # for _internal_k: published as one value, one catalog walk per epoch
-        self._namespace_totals: Tuple[int, Any] = (-1, None)
-        self._namespace_totals_lock = threading.Lock()
 
     # -- tenant administration -------------------------------------------------
 
@@ -326,7 +329,7 @@ class LakeServer:
             # pin the caller past its deadline, so the wait itself is
             # bounded (grace lets the checkpoint's typed error win first)
             wait = (None if deadline is None else
-                    max(0.0, deadline - time.monotonic()) + self.deadline_grace)
+                    max(0.0, deadline - time.monotonic()) + DEADLINE_GRACE)
             response = future.result(timeout=wait)
         except FutureTimeout:
             # abandon the wait, not the work: the worker thread really is
@@ -338,7 +341,7 @@ class LakeServer:
             response = self._error(
                 request.op, tenant,
                 DeadlineExceeded(
-                    f"request still running {self.deadline_grace:.3f}s past "
+                    f"request still running {DEADLINE_GRACE:.3f}s past "
                     f"its deadline; abandoned"),
                 started)
         except BaseException:
@@ -483,45 +486,32 @@ class LakeServer:
         }
 
     def _handle_discover(self, tenant: str, request: ServingRequest) -> List[Any]:
-        kind = request.kind
-        k = request.k
-        table = qualify(tenant, request.table)
-        if kind == "keyword":
+        k, query = self._engine_query(tenant, {
+            "kind": request.kind, "table": request.table,
+            "column": request.column, "keywords": request.keywords,
+            "k": request.k})
+        if query.kind == "keyword":
             answer = self._guarded(tenant, lambda: self.lake.keyword_search(
-                request.keywords, k=self._internal_k(tenant, kind, k)))
-        elif kind == "joinable":
-            if not request.column:
-                raise QueryError("joinable discovery needs column=")
+                query.keywords, k=query.k))
+        elif query.kind == "joinable":
             answer = self._guarded(tenant, lambda: self.lake.discover_joinable(
-                table, request.column, k=self._internal_k(tenant, kind, k)))
-        elif kind == "related":
+                query.table, query.column, k=query.k))
+        elif query.kind == "related":
             answer = self._guarded(tenant, lambda: self.lake.discover_related(
-                table, k=self._internal_k(tenant, kind, k)))
-        elif kind == "union":
-            answer = self._guarded(tenant, lambda: self.lake.discover_union(
-                table, k=self._internal_k(tenant, kind, k)))
+                query.table, k=query.k))
         else:
-            raise QueryError(f"unknown discovery kind {kind!r}")
-        return self._visible(tenant, kind, answer, k)
+            answer = self._guarded(tenant, lambda: self.lake.discover_union(
+                query.table, k=query.k))
+        return self._visible(tenant, query.kind, answer, k)
 
     def _handle_discover_batch(self, tenant: str,
                                request: ServingRequest) -> List[Any]:
-        from repro.exploration.parallel import DiscoveryQuery, as_query
-
-        specs: List[DiscoveryQuery] = []
-        ks: List[int] = []
-        for raw in request.queries:
-            query = as_query(raw)
-            ks.append(query.k)
-            replace: Dict[str, Any] = {
-                "k": self._internal_k(tenant, query.kind, query.k)}
-            if query.table:
-                replace["table"] = qualify(tenant, query.table)
-            specs.append(query._replace(**replace))
+        served = [self._engine_query(tenant, raw) for raw in request.queries]
+        specs = [query for _, query in served]
         answers = self._guarded(
             tenant, lambda: self.lake.discover_batch(specs))
         return [self._visible(tenant, query.kind, answer, k)
-                for query, answer, k in zip(specs, answers, ks)]
+                for (k, query), answer in zip(served, answers)]
 
     def _handle_health(self, tenant: str, request: ServingRequest) -> Dict[str, Any]:
         report = self._guarded(tenant, lambda: self.lake.health())
@@ -535,6 +525,25 @@ class LakeServer:
         }
 
     # -- namespace helpers -----------------------------------------------------
+
+    @staticmethod
+    def _engine_query(tenant: str, spec: Any) -> Tuple[int, Any]:
+        """The caller's k and the lake query that serves discovery *spec*.
+
+        *spec* is validated as :func:`~repro.exploration.parallel.as_query`
+        validates it, so a malformed one (k < 1 among them) is the
+        caller's :class:`~repro.core.errors.QueryError`.  The lake query
+        carries the table qualified into *tenant*'s namespace and
+        :data:`WHOLE_RANKING` as its k.
+        """
+        from repro.exploration.parallel import as_query
+
+        try:
+            query = as_query(spec)
+        except ValueError as exc:
+            raise QueryError(str(exc)) from exc
+        table = qualify(tenant, query.table) if query.table else ""
+        return query.k, query._replace(table=table, k=WHOLE_RANKING)
 
     @staticmethod
     def _visible(tenant: str, kind: str, answer: List[Any], k: int) -> List[Any]:
@@ -555,85 +564,13 @@ class LakeServer:
         else:
             visible = ((name[cut:], score)
                        for name, score in answer if name.startswith(prefix))
-        return list(islice(visible, k)) if k > 0 else list(visible)[:k]
+        return list(islice(visible, k))
 
     def _truncated(self, tenant: str, total: int, cap: int) -> bool:
         if total <= cap:
             return False
         self._registry.counter("serving.truncated", tenant=tenant).inc()
         return True
-
-    def _internal_k(self, tenant: str, kind: str, k: int) -> int:
-        """Ask the shared engines for enough answers to survive filtering.
-
-        Foreign tables can occupy top-k slots the tenant will never see:
-        widen k by the number of slots they could possibly take (one per
-        foreign table; per foreign *column* for joinable), which makes
-        the post-filter top-k exact at the cost of a larger engine k.
-        """
-        return k + self._foreign_slots_unguarded(tenant, kind)
-
-    def _foreign_slots_unguarded(self, tenant: str, kind: str) -> int:
-        # catalog metadata reads are in-process lookups, not backend work:
-        # routing them through the breaker would interleave successes
-        # between real backend failures and mask an outage
-        lake_totals, by_namespace = self._namespace_totals_unguarded()
-        own = by_namespace.get(tenant, (0, 0))
-        slot = 1 if kind == "joinable" else 0  # columns for joinable
-        return lake_totals[slot] - own[slot]
-
-    def _namespace_totals_unguarded(self) -> Tuple[List[int], Dict[str, List[int]]]:
-        """``[datasets, columns]`` of the lake and of each namespace.
-
-        One catalog walk per index epoch, shared by every tenant and kind.
-        A name's namespace is the text before its first ``__``: exactly
-        the tenant whose prefix it carries, since a tenant holds no
-        ``__`` and does not end in ``_``.  The epoch moves on every
-        tabular change but not on a non-tabular ingest, so the totals may
-        miss such a dataset; it never occupies an answer slot, so the
-        widened k still keeps the post-filter top-k exact.  As with the
-        lake's union index, totals never replace a newer epoch's.
-        """
-        epoch = self.lake.epochs.epoch()
-        published_epoch, totals = self._namespace_totals
-        if published_epoch >= epoch:
-            return totals
-        lake_totals = [0, 0]
-        by_namespace: Dict[str, List[int]] = {}
-        for name in self.lake.datasets():
-            try:
-                width = self._schema_width(self.lake.dataset(name).payload)
-            except DataLakeError:
-                width = 0  # racing removal: a vanished dataset takes no slots
-            lake_totals[0] += 1
-            lake_totals[1] += width
-            namespace, separator, _ = name.partition(NAMESPACE_SEPARATOR)
-            if separator:
-                counts = by_namespace.setdefault(namespace, [0, 0])
-                counts[0] += 1
-                counts[1] += width
-        with self._namespace_totals_lock:
-            if self._namespace_totals[0] < epoch:
-                self._namespace_totals = (epoch, (lake_totals, by_namespace))
-            return self._namespace_totals[1]
-
-    @staticmethod
-    def _schema_width(payload: Any) -> int:
-        """Column count of a dataset *payload* from catalog metadata alone.
-
-        Never materializes a table: a ``Table`` payload already knows its
-        width, a document list's width is the union of its record keys
-        (what tabularizing it would produce), and anything else counts
-        zero — non-tabular datasets never occupy joinable answer slots.
-        """
-        if isinstance(payload, Table):
-            return len(payload.columns)
-        if isinstance(payload, list) and all(isinstance(r, dict) for r in payload):
-            keys = set()
-            for record in payload:
-                keys.update(record)
-            return len(keys)
-        return 0
 
     def _rewrite_sql(self, tenant: str, query: str) -> str:
         """Qualify *query*'s table references into the tenant namespace.

@@ -7,7 +7,7 @@ from repro.core.errors import (AuthenticationError, CircuitOpen,
                                Throttled)
 from repro.core.lake import DataLake
 from repro.faults import ResilienceConfig
-from repro.obs import SpanRecorder, get_registry, set_recorder
+from repro.obs import SpanRecorder, get_event_log, get_registry, set_recorder
 from repro.serving import (AuthRegistry, LakeServer, ServingRequest,
                            ServingResponse, TenantQuota, qualify)
 
@@ -228,22 +228,52 @@ class TestTenantIsolation:
         assert not response.ok
         assert response.error_type == "DatasetNotFound"
 
-    def test_foreign_slots_counted_from_catalog_metadata(self, server, acme, beta):
-        from repro.core.dataset import Dataset
+    @pytest.mark.parametrize("op", ["discover", "discover_batch"])
+    @pytest.mark.parametrize("spec", [
+        {"kind": "psychic", "table": "sales"},
+        {"kind": "related", "table": "sales", "k": 0},
+        {"kind": "union", "table": "sales", "k": -1},
+        {"kind": "joinable", "table": "sales"},
+        {"kind": "related"},
+        {"kind": "keyword", "keywords": ""},
+    ], ids=["unknown-kind", "k=0", "k=-1", "joinable-without-column",
+            "related-without-table", "empty-keywords"])
+    def test_bad_discovery_query_is_the_callers_query_error(self, server, acme,
+                                                             op, spec):
+        errors = get_registry().counter("serving.errors", tenant="acme")
+        log = get_event_log()
+        breakers = server.breakers.snapshot()
+        errors_before = errors.value
+        internal_before = [e.seq for e in log.events(kind="serving.internal_error")]
+        if op == "discover":
+            response = acme.discover(**spec)
+        else:
+            response = acme.discover_batch([("related", "sales"), spec])
+        assert response.error_type == "QueryError", response.error
+        assert errors.value == errors_before
+        assert [e.seq for e in log.events(kind="serving.internal_error")] == internal_before
+        assert server.breakers.snapshot() == breakers
 
-        # doc lists count the union of their record keys, non-tabular
-        # payloads count zero — none of them are materialized as tables
-        server.lake.ingest(Dataset(name=qualify("beta", "docs"),
-                                   payload=[{"a": 1}, {"b": 2}], format="json"))
-        server.lake.ingest(Dataset(name=qualify("beta", "notes"),
-                                   payload="free text", format="text"))
-        # beta: secrets (2 columns) + docs (2 keys) + notes (0)
-        assert server._foreign_slots_unguarded("acme", "joinable") == 4
-        assert server._foreign_slots_unguarded("acme", "related") == 3
-        # widths are cached per catalog epoch and invalidated on ingest
-        assert server._foreign_slots_unguarded("acme", "joinable") == 4
-        beta.ingest("wide", {"x": [1], "y": [2], "z": [3]}).raise_for_status()
-        assert server._foreign_slots_unguarded("acme", "joinable") == 7
+    def test_bad_k_does_not_reveal_foreign_datasets(self, server, acme):
+        """Which discovery requests fail, and how, never depends on what
+        another tenant holds: an engine k grown by beta's datasets and
+        columns would let acme's bad k pass once beta has data."""
+        beta = server.connect(server.register_tenant("beta"))
+
+        def answers():
+            out = []
+            for k in (0, -1, -3, -6):
+                for response in (acme.discover("related", "sales", k=k),
+                                 acme.discover("joinable", "sales",
+                                               column="region", k=k)):
+                    out.append((response.ok, response.error_type,
+                                response.error, response.value))
+            return out
+
+        before = answers()
+        for name in ("one", "two", "three"):
+            beta.ingest(name, {"region": ["EU"], "x": [1]}).raise_for_status()
+        assert answers() == before
 
     def test_joinable_discovery_tolerates_non_tabular_foreigners(self, acme, beta, server):
         from repro.core.dataset import Dataset
@@ -297,12 +327,17 @@ class TestWidenedAnswers:
                 for name, score in answer if name.startswith(prefix)][:k]
 
     def _assert_exact(self, server, session):
-        for kind in ("related", "joinable", "keyword", "union"):
-            for k in (1, 2, len(ZETA_TABLES) + 2):
+        kinds = ("related", "joinable", "keyword", "union")
+        for k in (1, 2, len(ZETA_TABLES) + 2):
+            expected = [self._expected(server, kind, k) for kind in kinds]
+            for kind, answer in zip(kinds, expected):
                 served = session.discover(kind, "sales", column="region",
                                           keywords="region amount", k=k)
-                assert served.raise_for_status().value == self._expected(server, kind, k), (
-                    kind, k)
+                assert served.raise_for_status().value == answer, (kind, k)
+            batch = session.discover_batch([
+                {"kind": kind, "table": "sales", "column": "region",
+                 "keywords": "region amount", "k": k} for kind in kinds])
+            assert batch.raise_for_status().value == expected, ("batch", k)
 
     def test_foreign_tables_outrank_the_callers_own(self, server, zeta):
         top = server.lake.discover_related(qualify("zeta", "sales"), k=3)
@@ -432,8 +467,8 @@ class TestDeadlines:
         import time as _time
 
         release = threading.Event()
-        with LakeServer(DataLake.in_memory(), auth=AuthRegistry(), workers=1,
-                        deadline_grace=0.05) as server:
+        with LakeServer(DataLake.in_memory(), auth=AuthRegistry(),
+                        workers=1) as server:
             session = server.connect(server.register_tenant("acme"))
             session.ingest("t", {"a": [1]}).raise_for_status()
             original = server.lake.sql
@@ -463,10 +498,6 @@ class TestDeadlines:
             while server._admission.pending() and _time.monotonic() < cutoff:
                 _time.sleep(0.01)
             assert server._admission.pending() == 0
-
-    def test_deadline_grace_validated(self):
-        with pytest.raises(ValueError, match="deadline_grace"):
-            LakeServer(DataLake.in_memory(), deadline_grace=-1.0)
 
 
 class TestBreakerPath:
