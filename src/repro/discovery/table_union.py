@@ -20,24 +20,38 @@ unionability* is the average over the best 1:1 attribute alignment, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.dataset import Table
 from repro.core.errors import DatasetNotFound
 from repro.core.registry import Function, Method, SystemInfo, register_system
-from repro.ml.embeddings import HashedEmbedder, cosine
-from repro.ml.text import jaccard, tokenize
+from repro.ml.embeddings import HashedEmbedder
+from repro.ml.text import tokenize
 
 
 @dataclass
 class _AttributeProfile:
+    """One attribute's scoring constants, computed once when profiled."""
+
     name: str
-    tokens: Tuple[str, ...]
-    values: Set[str]
+    tokens: FrozenSet[str]
+    values: FrozenSet[str]  # the column's shared ``distinct()`` set
     embedding: np.ndarray
+    norm: float  # ``np.linalg.norm(embedding)``, as ``cosine`` takes it
     numeric: bool
+
+
+def _jaccard(left: AbstractSet, right: AbstractSet) -> float:
+    """:func:`repro.ml.text.jaccard` of two sets, from one intersection.
+
+    The union's size is ``|A| + |B| - |A∩B|``, so neither set is copied
+    and no union set is built.
+    """
+    shared = len(left & right)
+    union = len(left) + len(right) - shared
+    return shared / union if union else 0.0
 
 
 @register_system(SystemInfo(
@@ -53,6 +67,12 @@ class _AttributeProfile:
 ))
 class TableUnionSearch:
     """Top-k unionable-table search over a set of lake tables.
+
+    :meth:`add_table` stores, for each attribute, everything a pair score
+    reads that depends on one side only: the column's distinct-value set
+    (the shared frozenset ``Column.distinct()`` returns), its name tokens
+    as a frozenset, and the embedding of its name plus its first
+    ``sample_values`` sorted values, with that embedding's norm.
 
     A query that is the very :class:`Table` object passed to
     :meth:`add_table` is scored from the stored profiles, so it is not
@@ -76,11 +96,13 @@ class TableUnionSearch:
         for column in table.columns:
             values = column.distinct()
             sample = sorted(values)[: self.sample_values]
+            embedding = self.embedder.embed_set([column.name] + list(sample))
             profiles.append(_AttributeProfile(
                 name=column.name,
-                tokens=tuple(tokenize(column.name)),
+                tokens=frozenset(tokenize(column.name)),
                 values=values,
-                embedding=self.embedder.embed_set([column.name] + list(sample)),
+                embedding=embedding,
+                norm=float(np.linalg.norm(embedding)),
                 numeric=column.dtype.is_numeric,
             ))
         return profiles
@@ -102,48 +124,58 @@ class TableUnionSearch:
 
     def attribute_unionability(self, left: _AttributeProfile,
                                right: _AttributeProfile) -> float:
-        """The strongest of the three unionability signals, in [0, 1]."""
+        """The strongest of the three unionability signals, in [0, 1].
+
+        Scored from the two attributes' stored profiles: one intersection
+        for each of the value and name-token sets, and one dot product of
+        the embeddings divided by the product of their stored norms.  The
+        result equals ``repro.ml.text.jaccard`` and
+        ``repro.ml.embeddings.cosine`` over the same fields bit for bit:
+        the float operations and their order are theirs, and
+        ``ndarray.dot`` is the routine ``np.dot`` dispatches to.
+        """
         if left.numeric != right.numeric:
             return 0.0
-        set_signal = jaccard(left.values, right.values)
-        semantic_signal = max(0.0, cosine(left.embedding, right.embedding))
-        name_signal = jaccard(left.tokens, right.tokens)
+        set_signal = _jaccard(left.values, right.values)
+        if left.norm == 0.0 or right.norm == 0.0:
+            semantic_signal = 0.0
+        else:
+            semantic_signal = max(0.0, float(
+                left.embedding.dot(right.embedding) / (left.norm * right.norm)))
+        name_signal = _jaccard(left.tokens, right.tokens)
         return max(set_signal, 0.9 * semantic_signal, 0.8 * name_signal)
 
     # -- table unionability -----------------------------------------------------------------
 
-    def table_unionability(self, query: Table, candidate_name: str) -> float:
-        """Mean attribute unionability over the best greedy 1:1 alignment."""
+    def _scored_pairs(self, query: Table,
+                      candidate_name: str) -> List[Tuple[float, str, str]]:
+        """``(score, query_column, candidate_column)`` for every attribute
+        pair, query columns outermost."""
         candidate = self._tables.get(candidate_name)
         if candidate is None:
             raise DatasetNotFound(f"table {candidate_name!r} is not indexed")
-        query_profiles = self._query_profiles(query)
-        scored = []
-        for qi, qp in enumerate(query_profiles):
-            for ci, cp in enumerate(candidate):
-                scored.append((self.attribute_unionability(qp, cp), qi, ci))
+        score = self.attribute_unionability
+        return [(score(qp, cp), qp.name, cp.name)
+                for qp in self._query_profiles(query) for cp in candidate]
+
+    def table_unionability(self, query: Table, candidate_name: str) -> float:
+        """Mean attribute unionability over the best greedy 1:1 alignment."""
+        scored = self._scored_pairs(query, candidate_name)
         scored.sort(key=lambda item: -item[0])
-        used_q: Set[int] = set()
-        used_c: Set[int] = set()
+        used_q: Set[str] = set()
+        used_c: Set[str] = set()
         total = 0.0
-        for score, qi, ci in scored:
-            if qi in used_q or ci in used_c:
+        for score, q_name, c_name in scored:
+            if q_name in used_q or c_name in used_c:
                 continue
-            used_q.add(qi)
-            used_c.add(ci)
+            used_q.add(q_name)
+            used_c.add(c_name)
             total += score
-        return total / max(len(query_profiles), 1)
+        return total / max(len(query.columns), 1)
 
     def alignment(self, query: Table, candidate_name: str) -> List[Tuple[str, str, float]]:
         """The aligned (query_column, candidate_column, score) pairs."""
-        candidate = self._tables.get(candidate_name)
-        if candidate is None:
-            raise DatasetNotFound(f"table {candidate_name!r} is not indexed")
-        query_profiles = self._query_profiles(query)
-        scored = []
-        for qp in query_profiles:
-            for cp in candidate:
-                scored.append((self.attribute_unionability(qp, cp), qp.name, cp.name))
+        scored = self._scored_pairs(query, candidate_name)
         scored.sort(key=lambda item: (-item[0], item[1], item[2]))
         used_q: Set[str] = set()
         used_c: Set[str] = set()

@@ -531,7 +531,8 @@ class LakeServer:
         """The caller's k and the lake query that serves discovery *spec*.
 
         *spec* is validated as :func:`~repro.exploration.parallel.as_query`
-        validates it, so a malformed one (k < 1 among them) is the
+        validates it, and its k must be an ``int``, so a malformed one (an
+        unknown key, k < 1 or a k of another type among them) is the
         caller's :class:`~repro.core.errors.QueryError`.  The lake query
         carries the table qualified into *tenant*'s namespace and
         :data:`WHOLE_RANKING` as its k.
@@ -540,8 +541,10 @@ class LakeServer:
 
         try:
             query = as_query(spec)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise QueryError(str(exc)) from exc
+        if not isinstance(query.k, int):
+            raise QueryError(f"k must be an int, not {type(query.k).__name__}")
         table = qualify(tenant, query.table) if query.table else ""
         return query.k, query._replace(table=table, k=WHOLE_RANKING)
 

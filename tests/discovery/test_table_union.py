@@ -1,10 +1,14 @@
 """Tests for table union search."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import Table
 from repro.core.errors import DatasetNotFound
 from repro.discovery.table_union import TableUnionSearch
+from repro.ml.embeddings import cosine
+from repro.ml.text import jaccard, tokenize
 
 
 @pytest.fixture
@@ -133,3 +137,153 @@ class TestQueryProfileReuse:
                     search.table_unionability(copy, candidate)
                 assert search.alignment(table, candidate) == \
                     search.alignment(copy, candidate)
+
+
+def reference_attribute_unionability(left, right):
+    """The per-pair formula that recomputes both sides on every call:
+    ``jaccard`` copies both sets and builds their union, ``cosine`` takes
+    both norms.  Tokens come from the name, not from the profile."""
+    if left.numeric != right.numeric:
+        return 0.0
+    set_signal = jaccard(left.values, right.values)
+    semantic_signal = max(0.0, cosine(left.embedding, right.embedding))
+    name_signal = jaccard(tokenize(left.name), tokenize(right.name))
+    return max(set_signal, 0.9 * semantic_signal, 0.8 * name_signal)
+
+
+def reference_table_unionability(search, query, candidate_name):
+    """Mean reference score over the greedy 1:1 alignment, ties in
+    (query column, candidate column) order."""
+    candidate = search._tables[candidate_name]
+    query_profiles = search._query_profiles(query)
+    scored = []
+    for qi, qp in enumerate(query_profiles):
+        for ci, cp in enumerate(candidate):
+            scored.append((reference_attribute_unionability(qp, cp), qi, ci))
+    scored.sort(key=lambda item: -item[0])
+    used_q, used_c = set(), set()
+    total = 0.0
+    for score, qi, ci in scored:
+        if qi in used_q or ci in used_c:
+            continue
+        used_q.add(qi)
+        used_c.add(ci)
+        total += score
+    return total / max(len(query_profiles), 1)
+
+
+def reference_alignment(search, query, candidate_name):
+    """The reference alignment, ties broken by column names."""
+    candidate = search._tables[candidate_name]
+    scored = []
+    for qp in search._query_profiles(query):
+        for cp in candidate:
+            scored.append((reference_attribute_unionability(qp, cp), qp.name, cp.name))
+    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
+    used_q, used_c = set(), set()
+    pairs = []
+    for score, q_name, c_name in scored:
+        if q_name in used_q or c_name in used_c or score <= 0.0:
+            continue
+        used_q.add(q_name)
+        used_c.add(c_name)
+        pairs.append((q_name, c_name, round(score, 4)))
+    return pairs
+
+
+def reference_top_k(search, query, k, min_score):
+    scored = []
+    for name in search.tables():
+        if name == query.name:
+            continue
+        score = reference_table_unionability(search, query, name)
+        if score >= min_score:
+            scored.append((name, round(score, 4)))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k]
+
+
+# names that share tokens (customerId / customer_id) or repeat one (id_id)
+NAMES = ["customerId", "customer_id", "id", "id_id", "city", "town",
+         "amount", "total_amount"]
+TEXT = ["berlin", "paris", "rome", "oslo", "c1", "c2", None]
+NUMBERS = [1, 2, 3, 10, 2.5, 40.0, None]
+# no alphanumeric character in name or values: the zero embedding
+SYMBOL_NAMES = ["--", "##"]
+SYMBOLS = ["#", "@@", "%", "+"]
+
+
+@st.composite
+def union_lakes(draw):
+    tables = []
+    for index in range(draw(st.integers(2, 4))):
+        rows = draw(st.integers(1, 4))
+        columns = {}
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["text", "numeric", "symbols", "duplicate"]))
+            name = draw(st.sampled_from(SYMBOL_NAMES if kind == "symbols" else NAMES))
+            if name in columns:
+                continue
+            if kind == "duplicate" and columns:
+                values = list(columns[draw(st.sampled_from(sorted(columns)))])
+            else:
+                pool = {"text": TEXT, "numeric": NUMBERS, "symbols": SYMBOLS,
+                        "duplicate": TEXT}[kind]
+                values = draw(st.lists(st.sampled_from(pool),
+                                       min_size=rows, max_size=rows))
+            columns[name] = values
+        tables.append(Table.from_columns(f"t{index}", columns))
+        if draw(st.booleans()):  # a second table with the same columns
+            tables.append(Table.from_columns(f"t{index}_copy", columns))
+    return tables
+
+
+class TestScoresEqualTheReference:
+    """Scores from stored per-attribute features equal the per-pair
+    formula bit for bit, for the indexed query object and for a copy
+    that is profiled afresh."""
+
+    @given(lake=union_lakes())
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry_point_matches(self, lake):
+        search = TableUnionSearch()
+        for table in lake:
+            search.add_table(table)
+        for table in lake:
+            copy = Table.from_columns(table.name, {
+                column.name: list(column.values) for column in table.columns})
+            for query in (table, copy):
+                profiles = search._query_profiles(query)
+                for name in search.tables():
+                    for left in profiles:
+                        for right in search._tables[name]:
+                            assert search.attribute_unionability(left, right) == \
+                                reference_attribute_unionability(left, right)
+                    assert search.table_unionability(query, name) == \
+                        reference_table_unionability(search, query, name)
+                    assert search.alignment(query, name) == \
+                        reference_alignment(search, query, name)
+                k = len(lake)
+                assert search.top_k(query, k=k, min_score=0.0) == \
+                    reference_top_k(search, query, k, 0.0)
+                assert search.top_k(query, k=k) == reference_top_k(search, query, k, 0.3)
+
+
+class TestNoPerPairNorm:
+    def test_indexed_queries_take_no_norm(self, monkeypatch, unionable):
+        """Each attribute's embedding norm is taken once, when it is
+        profiled; scoring indexed tables takes none."""
+        workload, search = unionable
+        calls = []
+        norm = np.linalg.norm
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        for table in workload.tables:
+            assert search.top_k(table, k=3, min_score=0.0)
+            for candidate in search.tables():
+                search.alignment(table, candidate)
+        assert calls == []

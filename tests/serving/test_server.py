@@ -228,16 +228,25 @@ class TestTenantIsolation:
         assert not response.ok
         assert response.error_type == "DatasetNotFound"
 
-    @pytest.mark.parametrize("op", ["discover", "discover_batch"])
-    @pytest.mark.parametrize("spec", [
-        {"kind": "psychic", "table": "sales"},
-        {"kind": "related", "table": "sales", "k": 0},
-        {"kind": "union", "table": "sales", "k": -1},
-        {"kind": "joinable", "table": "sales"},
-        {"kind": "related"},
-        {"kind": "keyword", "keywords": ""},
-    ], ids=["unknown-kind", "k=0", "k=-1", "joinable-without-column",
-            "related-without-table", "empty-keywords"])
+    @pytest.mark.parametrize("op, spec", [
+        pytest.param(op, spec, id=f"{name}-{op}")
+        for name, spec in [
+            ("unknown-kind", {"kind": "psychic", "table": "sales"}),
+            ("k=0", {"kind": "related", "table": "sales", "k": 0}),
+            ("k=-1", {"kind": "union", "table": "sales", "k": -1}),
+            ("joinable-without-column", {"kind": "joinable", "table": "sales"}),
+            ("related-without-table", {"kind": "related"}),
+            ("empty-keywords", {"kind": "keyword", "keywords": ""}),
+            ("k-str", {"kind": "related", "table": "sales", "k": "5"}),
+            ("k-float", {"kind": "union", "table": "sales", "k": 2.5}),
+        ]
+        for op in ("discover", "discover_batch")
+    ] + [
+        # discover() takes known keywords only: a misspelled key reaches
+        # the server inside a batch
+        pytest.param("discover_batch", {"kind": "related", "tabel": "sales"},
+                     id="misspelled-key-discover_batch"),
+    ])
     def test_bad_discovery_query_is_the_callers_query_error(self, server, acme,
                                                              op, spec):
         errors = get_registry().counter("serving.errors", tenant="acme")

@@ -6,6 +6,7 @@ clean with at least five active rules, and deliberately seeded
 violations must still fire (so a "clean" result means the rules ran,
 not that they rotted)."""
 
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -23,6 +24,21 @@ def _lakelint(*argv):
     return subprocess.run(
         [sys.executable, str(REPO_ROOT / "tools" / "lakelint.py"), *argv],
         capture_output=True, text=True, cwd=REPO_ROOT)
+
+
+def _lakelint_rooted_at(monkeypatch, root):
+    """``tools/lakelint.py`` imported by path, its ``REPO_ROOT`` set to
+    *root*; git finds no repository above *root*."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(root.parent))
+    for name in ("GIT_DIR", "GIT_WORK_TREE", "GIT_INDEX_FILE"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the CLI prepends src/
+    spec = importlib.util.spec_from_file_location(
+        "_lakelint_cli", REPO_ROOT / "tools" / "lakelint.py")
+    cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli)
+    monkeypatch.setattr(cli, "REPO_ROOT", root)
+    return cli
 
 
 class TestRepositoryIsClean:
@@ -131,11 +147,33 @@ class TestCliContract:
                      "lock-across-blocking", "bench-determinism"):
             assert name in proc.stdout
 
-    def test_changed_mode_exits_zero(self):
-        # whatever the working tree holds right now must lint clean in
-        # partial mode (whole-tree judgments are suppressed there)
-        proc = _lakelint("--changed")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_changed_mode_exits_zero(self, monkeypatch, tmp_path):
+        # a repository of its own: a committed module, then modified, and
+        # an untracked one are exactly the changed files, and they lint
+        # clean in partial mode (whole-tree judgments are suppressed there)
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=lakelint",
+                            "-c", "user.email=lakelint@example.invalid",
+                            "-c", "commit.gpgsign=false", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        cli = _lakelint_rooted_at(monkeypatch, tmp_path)
+        committed = tmp_path / "src" / "committed.py"
+        committed.parent.mkdir()
+        committed.write_text("def fine():\n    return 1\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "a clean module")
+        committed.write_text("def fine():\n    return 2\n")
+        untracked = tmp_path / "src" / "untracked.py"
+        untracked.write_text("def also_fine():\n    return 3\n")
+        assert cli._changed_paths(tmp_path) == [committed, untracked]
+        assert cli.main(["--changed"]) == 0
+
+    def test_changed_mode_needs_a_git_checkout(self, monkeypatch, tmp_path, capsys):
+        cli = _lakelint_rooted_at(monkeypatch, tmp_path)
+        assert cli.main(["--changed"]) == 2
+        assert "needs a git checkout" in capsys.readouterr().err
 
     def test_changed_mode_is_partial(self, tmp_path):
         # a file subset must not trigger whole-tree rules: a single clean
