@@ -36,8 +36,9 @@ class DataLake:
 
     - **sync** (the default): metadata extraction and catalog
       registration run inline during ``ingest``, which only marks the
-      table dirty in the index maintainer; the next discovery or keyword
-      query applies the pending deltas before it answers;
+      table dirty in the index maintainer; each index applies its pending
+      deltas when a query next reads it: a discovery query applies
+      Aurum's, a keyword query the keyword index's and Aurum's;
     - **async** (``async_maintenance=True``): ingest enqueues metadata
       extraction, catalog registration and index-delta jobs on a
       :class:`~repro.runtime.scheduler.JobScheduler` and returns
@@ -380,7 +381,7 @@ class DataLake:
     @property
     def discovery(self):
         """The Aurum discovery engine, current as of this access: the
-        maintainer's persistent engine with pending deltas applied."""
+        maintainer's persistent engine with Aurum's pending deltas applied."""
         self._quiesce()
         return self.maintainer.engine()
 
@@ -535,7 +536,9 @@ class DataLake:
 
     def _keyword_searcher(self):
         """The lake's keyword index: the maintainer's persistent,
-        delta-maintained searcher, never rebuilt per query."""
+        delta-maintained searcher, never rebuilt per query; reading it
+        applies the keyword backlog (every table written since the last
+        keyword query)."""
         self._quiesce()
         return self.maintainer.searcher()
 

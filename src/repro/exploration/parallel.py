@@ -171,8 +171,9 @@ class DiscoveryQuery(_QueryFields):
     ``kind`` is one of ``joinable`` / ``related`` / ``union`` /
     ``keyword``; the other fields are kind-specific (``table``+``column``
     for joinable, ``table`` for related/union, ``keywords`` for keyword).
-    An immutable tuple, validated whenever one is built, by ``_replace``
-    too.
+    ``k`` is a plain ``int`` (not a ``bool``) of at least 1.  An
+    immutable tuple, validated whenever one is built, by ``_replace``
+    too; a bad field raises :class:`ValueError`.
     """
 
     __slots__ = ()
@@ -191,6 +192,8 @@ class DiscoveryQuery(_QueryFields):
             raise ValueError(f"{kind} queries need table=")
         elif kind == "joinable" and not column:
             raise ValueError("joinable queries need column=")
+        if type(k) is not int:  # a bool is not a k
+            raise ValueError(f"k must be an int, not {type(k).__name__}")
         if k < 1:
             raise ValueError("k must be >= 1")
         return _record(cls, (kind, table, column, keywords, k, min_score))

@@ -7,19 +7,21 @@ rebuilding them from all tables:
   application (the latest change wins when a table is marked twice);
 - :class:`IncrementalIndexMaintainer` — owns one persistent
   :class:`~repro.discovery.aurum.Aurum` engine and one persistent
-  :class:`~repro.exploration.keyword.KeywordSearch` index, and applies
-  the dirty set as deltas: new tables are staged with ``add_table`` and
-  edged with ``build_delta``, which probes only the fresh columns' LSH
-  bucket mates and the columns sharing a name token or a value with
-  them, never every indexed column; changed tables go through Aurum's
-  change-threshold ``update_table`` (itself a ``build_delta``) and a
-  keyword remove+re-add; removed tables leave both indexes through
-  their ``remove_table``.
+  :class:`~repro.exploration.keyword.KeywordSearch` index, keeps one
+  dirty set per index, and applies each as deltas: new tables are
+  staged with ``add_table`` and edged with ``build_delta``, which probes
+  only the fresh columns' LSH bucket mates and the columns sharing a
+  name token or a value with them, never every indexed column; changed
+  tables go through Aurum's change-threshold ``update_table`` (itself a
+  ``build_delta``) and a keyword re-add; removed tables leave each index
+  through its ``remove_table``.
 
-``refresh()`` is idempotent and cheap when clean, so callers (the
-``DataLake`` facade, scheduler jobs) can invoke it before every query.
-A refresh that raises puts the changes it took back in the dirty set,
-so the next refresh (a query's, or a job's retry) applies them.
+A query applies only what the index it reads needs: ``engine()`` applies
+Aurum's dirty set, ``searcher()`` the keyword index's and Aurum's.
+``refresh()`` applies both; it is idempotent and cheap when clean, so
+scheduler jobs and other callers can invoke it at any time.  A refresh
+that raises puts the changes it had not applied back in their dirty
+sets, so the next refresh (a query's, or a job's retry) applies them.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ class DirtySet:
         with self._lock:
             return list(self._pending)
 
+    def union_size(self, names: List[str]) -> int:
+        """How many tables are dirty here or named in *names* (no repeats)."""
+        with self._lock:
+            return len(self._pending) + sum(name not in self._pending for name in names)
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._pending)
@@ -149,10 +156,18 @@ class DirtySet:
 class IncrementalIndexMaintainer:
     """Keeps one Aurum engine and one keyword index current via deltas.
 
+    Each index has its own dirty set.  :meth:`note` and
+    :meth:`note_removed` mark a change in both, and each set is applied
+    when something reads its index: :meth:`engine` applies Aurum's,
+    :meth:`searcher` the keyword index's and Aurum's, :meth:`refresh`
+    both.  A keyword index equals one built from the surviving tables,
+    so deferring its changes changes no answer; Aurum keeps a table's
+    old profiles under its change threshold, so its answers depend on
+    when a change is applied, and every query applies Aurum's set.
+
     All mutation happens under one re-entrant lock, so scheduler workers
     and the facade thread can mark and refresh concurrently; queries
-    should go through :meth:`engine` / :meth:`searcher`, which apply any
-    pending deltas first.
+    should go through :meth:`engine` / :meth:`searcher`.
     """
 
     def __init__(self, aurum=None, keyword=None,
@@ -162,8 +177,9 @@ class IncrementalIndexMaintainer:
 
         self._aurum = aurum if aurum is not None else Aurum()
         self._keyword = keyword if keyword is not None else KeywordSearch()
-        self._dirty = DirtySet()
-        self._indexed: set = set()
+        self._aurum_dirty = DirtySet()
+        self._keyword_dirty = DirtySet()
+        self._indexed: set = set()  # the tables Aurum holds
         self._lock = threading.RLock()
         self._rw = ReadWriteLock()
         self._on_change = on_change
@@ -177,71 +193,110 @@ class IncrementalIndexMaintainer:
     # -- change tracking ---------------------------------------------------------
 
     def note(self, table: Table) -> bool:
-        """Mark *table* dirty (new or changed); cheap, safe from any thread."""
-        return self._noted(table.name, self._dirty.mark(table))
+        """Mark *table* dirty (new or changed) in both indexes; cheap, safe
+        from any thread.  Returns True when no index had it pending."""
+        fresh = self._aurum_dirty.mark(table)
+        fresh = self._keyword_dirty.mark(table) and fresh
+        return self._noted(table.name, fresh)
 
     def note_removed(self, name: str) -> bool:
         """Mark table *name* for removal from both indexes (a no-op for a
         name that is not indexed); cheap, safe from any thread."""
-        return self._noted(name, self._dirty.mark_removed(name))
+        fresh = self._aurum_dirty.mark_removed(name)
+        fresh = self._keyword_dirty.mark_removed(name) and fresh
+        return self._noted(name, fresh)
 
     def _noted(self, name: str, fresh: bool) -> bool:
-        self._g_dirty.set(len(self._dirty))
+        self._set_dirty_gauge()
         if self._on_change is not None:
-            # fires *after* the dirty mark: an observer (the lake's epoch
+            # fires *after* the dirty marks: an observer (the lake's epoch
             # clock) that publishes the new epoch is guaranteed that any
             # query reading it will see this change applied on refresh
             self._on_change(name)
         return fresh
 
     def dirty(self) -> List[str]:
-        return self._dirty.peek()
+        """Tables that some index still has pending, in mark order."""
+        return list(dict.fromkeys(self._keyword_dirty.peek()
+                                  + self._aurum_dirty.peek()))
+
+    def _set_dirty_gauge(self) -> None:
+        """Set ``runtime.index.dirty`` to ``len(dirty())`` without listing
+        the keyword backlog, which holds every table written since the
+        last keyword query."""
+        self._g_dirty.set(self._keyword_dirty.union_size(self._aurum_dirty.peek()))
 
     # -- delta application -------------------------------------------------------
 
     @traced("maintenance.runtime.refresh", tier="maintenance", system="runtime",
             function="index_upkeep")
     def refresh(self) -> int:
-        """Apply all pending deltas; returns the number of tables applied."""
+        """Apply both indexes' pending changes; returns the number of
+        tables applied (scheduler jobs and explicit calls)."""
         with self._lock:
-            pending = self._dirty.take()
-            self._g_dirty.set(len(self._dirty))
-            if not pending:
-                return 0
-            annotate(delta_tables=len(pending))
-            try:
-                self._apply_locked(pending)
-            except BaseException:
-                # keep the changes pending: re-applying is idempotent, and
-                # the next build_delta links whatever is still staged
-                self._dirty.restore(pending)
-                self._g_dirty.set(len(self._dirty))
-                raise
-            self._m_delta.inc(len(pending))
-            self._g_tables.set(len(self._indexed))
-            return len(pending)
+            return self._apply_pending_locked(keyword=True)
 
-    def _apply_locked(self, pending: List[Tuple[str, Optional[Table]]]) -> None:
-        """Apply *pending* to both indexes; the caller holds ``_lock``."""
-        # the engines mutate in place: exclude in-flight index readers
-        # (discovery queries on other threads) for the delta's duration
-        with self._rw.writing():
-            for name, table in pending:
-                if table is None:
-                    if name in self._indexed:
-                        self._keyword.remove_table(name)
-                        self._aurum.remove_table(name)
-                        self._indexed.discard(name)
-                elif name in self._indexed:
-                    self._keyword.remove_table(name)
-                    self._keyword.add_table(table)
-                    self._aurum.update_table(table)  # change-threshold aware
-                    self._m_updates.inc()
-                else:
-                    self._keyword.add_table(table)
-                    self._aurum.add_table(table)
-                    self._indexed.add(name)
-            self._aurum.build_delta()
+    @traced("maintenance.runtime.refresh", tier="maintenance", system="runtime",
+            function="index_upkeep")
+    def _refresh_aurum(self) -> int:
+        """:meth:`refresh` for Aurum's pending changes alone."""
+        with self._lock:
+            return self._apply_pending_locked(keyword=False)
+
+    def _apply_pending_locked(self, keyword: bool) -> int:
+        """Apply Aurum's pending changes, then the keyword index's when
+        *keyword*; the caller holds ``_lock``.
+
+        When an apply raises, the changes it had not finished applying
+        (Aurum's if its apply raised, and the keyword index's) go back to
+        their sets, unless the table was marked again meanwhile;
+        re-applying is idempotent, and the next ``build_delta`` links
+        whatever is still staged.
+        """
+        aurum = self._aurum_dirty.take()
+        words = self._keyword_dirty.take() if keyword else []
+        if not aurum and not words:
+            return 0
+        applied = len(dict.fromkeys(name for name, _ in aurum + words))
+        annotate(delta_tables=applied)
+        try:
+            # the engines mutate in place: exclude in-flight index readers
+            # (discovery queries on other threads) for the delta's duration
+            with self._rw.writing():
+                if aurum:
+                    self._apply_aurum_locked(aurum)
+                    aurum = []  # applied: nothing of Aurum's to put back
+                self._apply_keyword_locked(words)
+        except BaseException:
+            self._aurum_dirty.restore(aurum)
+            self._keyword_dirty.restore(words)
+            raise
+        finally:
+            self._set_dirty_gauge()
+        self._m_delta.inc(applied)
+        self._g_tables.set(len(self._indexed))
+        return applied
+
+    def _apply_aurum_locked(self, pending: List[Tuple[str, Optional[Table]]]) -> None:
+        for name, table in pending:
+            if table is None:
+                if name in self._indexed:
+                    self._aurum.remove_table(name)
+                    self._indexed.discard(name)
+            elif name in self._indexed:
+                self._aurum.update_table(table)  # change-threshold aware
+                self._m_updates.inc()
+            else:
+                self._aurum.add_table(table)
+                self._indexed.add(name)
+        self._aurum.build_delta()
+
+    def _apply_keyword_locked(self, pending: List[Tuple[str, Optional[Table]]]) -> None:
+        for name, table in pending:
+            if table is None:
+                self._keyword.remove_table(name)
+            else:
+                self._keyword.add_table(table)  # replaces an indexed version
 
     # -- query access (deltas applied first) --------------------------------------
 
@@ -255,30 +310,35 @@ class IncrementalIndexMaintainer:
         """
         return self._rw.reading()
 
-    def _refresh_for_query(self) -> None:
-        """Apply pending deltas before a query reads; caller holds the lock.
+    def _refresh_for_query(self, pending: int, refresh: Callable[[], int]) -> None:
+        """Run *refresh* before a query reads when *pending* changes wait;
+        the caller holds the lock.
 
         Clean accesses skip the (traced) refresh machinery entirely, so
         repeated queries on an unchanged lake do no maintenance work.  A
         request that expired while it waited for the lock fails with
-        ``DeadlineExceeded`` and leaves the dirty set to the next caller.
+        ``DeadlineExceeded`` and leaves the dirty sets to the next caller.
         """
-        if len(self._dirty):
+        if pending:
             check_deadline("maintenance.refresh")
-            self.refresh()
+            refresh()
         else:
             self._m_clean.inc()
 
     def engine(self):
-        """The maintained Aurum engine, current as of this call."""
+        """The maintained Aurum engine, with Aurum's pending changes
+        applied; the keyword index's stay pending."""
         with self._lock:
-            self._refresh_for_query()
+            self._refresh_for_query(len(self._aurum_dirty), self._refresh_aurum)
             return self._aurum
 
     def searcher(self):
-        """The maintained keyword index, current as of this call."""
+        """The maintained keyword index, with its pending changes applied,
+        and Aurum's too, so that Aurum applies a change at the same point
+        whichever index the next query reads."""
         with self._lock:
-            self._refresh_for_query()
+            self._refresh_for_query(
+                len(self._keyword_dirty) + len(self._aurum_dirty), self.refresh)
             return self._keyword
 
     def __len__(self) -> int:

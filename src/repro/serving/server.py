@@ -531,9 +531,9 @@ class LakeServer:
         """The caller's k and the lake query that serves discovery *spec*.
 
         *spec* is validated as :func:`~repro.exploration.parallel.as_query`
-        validates it, and its k must be an ``int``, so a malformed one (an
-        unknown key, k < 1 or a k of another type among them) is the
-        caller's :class:`~repro.core.errors.QueryError`.  The lake query
+        validates it, so a malformed one (an unknown key, k < 1 or a k
+        that is not an ``int`` among them) is the caller's
+        :class:`~repro.core.errors.QueryError`.  The lake query
         carries the table qualified into *tenant*'s namespace and
         :data:`WHOLE_RANKING` as its k.
         """
@@ -543,8 +543,6 @@ class LakeServer:
             query = as_query(spec)
         except (TypeError, ValueError) as exc:
             raise QueryError(str(exc)) from exc
-        if not isinstance(query.k, int):
-            raise QueryError(f"k must be an int, not {type(query.k).__name__}")
         table = qualify(tenant, query.table) if query.table else ""
         return query.k, query._replace(table=table, k=WHOLE_RANKING)
 

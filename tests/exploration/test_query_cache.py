@@ -97,6 +97,10 @@ class TestDiscoveryQuery:
         dict(kind="joinable", table="t"),
         dict(kind="keyword"),
         dict(kind="related", table="t", k=0),
+        dict(kind="related", table="t", k=2.5),
+        dict(kind="joinable", table="t", column="c", k="5"),
+        dict(kind="union", table="t", k=True),
+        dict(kind="keyword", keywords="x", k=None),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):

@@ -1,23 +1,31 @@
 """Tests for dirty-set tracking and delta-based index upkeep."""
 
-import pytest
+import contextlib
 
-from repro.core.dataset import Table
-from repro.core.errors import DeadlineExceeded
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.dataset import Dataset, Table
+from repro.core.errors import DatasetNotFound, DeadlineExceeded
 from repro.core.lake import DataLake
 from repro.discovery.aurum import Aurum
 from repro.discovery.profiles import TableProfiler
+from repro.exploration.keyword import KeywordSearch
 from repro.obs import request_context
 from repro.runtime import DirtySet, IncrementalIndexMaintainer
 
 
-def make_table(name, key_prefix="c", rows=30, extra=None):
+def make_columns(name, key_prefix="c", rows=30, extra=None):
     data = {
         f"{name}_id": [f"{name}-{i}" for i in range(rows)],
         "customer_id": [f"{key_prefix}{i}" for i in range(rows)],
     }
     data.update(extra or {})
-    return Table.from_columns(name, data)
+    return data
+
+
+def make_table(name, key_prefix="c", rows=30, extra=None):
+    return Table.from_columns(name, make_columns(name, key_prefix, rows, extra))
 
 
 class TestDirtySet:
@@ -147,18 +155,23 @@ class TestIncrementalMaintainer:
 
 class TestQueryRefreshDeadline:
     def test_expired_deadline_leaves_the_delta_for_the_next_caller(self):
-        maintainer = IncrementalIndexMaintainer()
-        maintainer.note(make_table("customers"))
-        maintainer.refresh()
-        maintainer.note(make_table("orders"))
-        with request_context(timeout=0.0):
-            with pytest.raises(DeadlineExceeded, match="maintenance.refresh"):
+        # both indexes pending, then the keyword backlog alone
+        for aurum_current in (False, True):
+            maintainer = IncrementalIndexMaintainer()
+            maintainer.note(make_table("customers"))
+            maintainer.refresh()
+            maintainer.note(make_table("orders"))
+            readers = [maintainer.engine, maintainer.searcher]
+            if aurum_current:
                 maintainer.engine()
-            with pytest.raises(DeadlineExceeded, match="maintenance.refresh"):
-                maintainer.searcher()
-        assert maintainer.dirty() == ["orders"]
-        assert "orders" in maintainer.engine().table_names()
-        assert {h.table for h in maintainer.searcher().search("orders")} == {"orders"}
+                readers = [maintainer.searcher]
+            with request_context(timeout=0.0):
+                for read in readers:
+                    with pytest.raises(DeadlineExceeded, match="maintenance.refresh"):
+                        read()
+            assert maintainer.dirty() == ["orders"]
+            assert "orders" in maintainer.engine().table_names()
+            assert {h.table for h in maintainer.searcher().search("orders")} == {"orders"}
 
 
 class TestFailedRefresh:
@@ -184,42 +197,224 @@ class TestFailedRefresh:
                 lake.discover_union("third"),
                 lake.keyword_search("d"))
 
-    @staticmethod
-    def _fail_once(monkeypatch, table_name):
-        original = TableProfiler.profile_column
+    #: an index's apply step, the table it applies, and the query whose
+    #: refresh runs it in a sync lake
+    FAILING = {
+        "aurum": (TableProfiler, "profile_column", lambda name, column: name,
+                  lambda lake: lake.discover_related("big")),
+        "keyword": (KeywordSearch, "add_table", lambda table: table.name,
+                    lambda lake: lake.keyword_search("d")),
+    }
+
+    @classmethod
+    def _fail_once(cls, monkeypatch, index, table_name):
+        owner, method, table_of, _ = cls.FAILING[index]
+        original = getattr(owner, method)
         failures = []
 
-        def profile_column(self, name, column):
-            if name == table_name and not failures:
-                failures.append(name)
-                raise RuntimeError(f"profiling {name} failed")
-            return original(self, name, column)
+        def failing(self, *args):
+            if table_of(*args) == table_name and not failures:
+                failures.append(table_name)
+                raise RuntimeError(f"{method} of {table_name} failed")
+            return original(self, *args)
 
-        monkeypatch.setattr(TableProfiler, "profile_column", profile_column)
+        monkeypatch.setattr(owner, method, failing)
         return failures
 
     def test_sync_lake_answers_as_a_clean_one(self, monkeypatch):
         expected = self._answers(self._filled(DataLake()))
-        lake = self._filled(DataLake())
-        self._fail_once(monkeypatch, "other")
-        with pytest.raises(RuntimeError, match="profiling other"):
-            lake.discover_related("big")
-        assert lake.maintainer.dirty() == ["big", "other", "third"]
-        assert self._answers(lake) == expected
-        assert lake.maintainer.dirty() == []
+        for index, (*_, query) in self.FAILING.items():
+            with monkeypatch.context() as patch:
+                lake = self._filled(DataLake())
+                self._fail_once(patch, index, "other")
+                with pytest.raises(RuntimeError, match="of other failed"):
+                    query(lake)
+                assert lake.maintainer.dirty() == ["big", "other", "third"]
+                assert self._answers(lake) == expected
+                assert lake.maintainer.dirty() == []
 
     def test_async_retry_applies_the_restored_changes(self, monkeypatch):
         expected = self._answers(self._filled(DataLake()))
-        lake = DataLake(async_maintenance=True)
-        failures = self._fail_once(monkeypatch, "other")
-        try:
-            self._filled(lake)
-            lake.drain()
-            assert failures == ["other"]
-            assert lake.runtime.dead_letter() == []
-            assert self._answers(lake) == expected
-        finally:
-            lake.close()
+        for index in self.FAILING:
+            with monkeypatch.context() as patch:
+                lake = DataLake(async_maintenance=True)
+                failures = self._fail_once(patch, index, "other")
+                try:
+                    self._filled(lake)
+                    lake.drain()
+                    assert failures == ["other"]
+                    assert lake.runtime.dead_letter() == []
+                    assert self._answers(lake) == expected
+                finally:
+                    lake.close()
+
+
+class TestKeywordUpkeepFollowsItsReaders:
+    """Aurum applies a change at the first query of either kind; the
+    keyword index applies it at the first keyword query."""
+
+    @staticmethod
+    def _count_keyword_upkeep(monkeypatch):
+        calls = {"add_table": [], "remove_table": []}
+        for method, seen in calls.items():
+            original = getattr(KeywordSearch, method)
+
+            def counted(self, arg, _original=original, _seen=seen):
+                _seen.append(getattr(arg, "name", arg))
+                return _original(self, arg)
+
+            monkeypatch.setattr(KeywordSearch, method, counted)
+        return calls
+
+    def test_discovery_reads_leave_the_keyword_backlog(self, monkeypatch):
+        calls = self._count_keyword_upkeep(monkeypatch)
+        lake = DataLake(cache=False)
+        lake.ingest_table("customers", make_columns("customers"))
+        lake.discover_related("customers")
+        lake.ingest_table("orders", make_columns("orders"))
+        lake.discover_joinable("orders", "customer_id")
+        lake.ingest_table("orders", make_columns("orders", key_prefix="z"))
+        lake.ingest(Dataset(name="customers", payload="free text", format="text"))
+        lake.discover_related("orders")
+        assert calls == {"add_table": [], "remove_table": []}
+        assert lake.maintainer.dirty() == ["customers", "orders"]
+        assert "orders" in lake.maintainer and "customers" not in lake.maintainer
+
+    def test_keyword_query_applies_each_pending_table_once(self, monkeypatch):
+        calls = self._count_keyword_upkeep(monkeypatch)
+        lake = DataLake(cache=False)
+        for prefix in ("a", "b", "c"):
+            lake.ingest_table("events", make_columns("events", key_prefix=prefix))
+        lake.ingest_table("venues", make_columns("venues"))
+        lake.discover_related("events")
+        assert calls["add_table"] == []
+        assert {hit.table for hit in lake.keyword_search("customer")} == {"events", "venues"}
+        assert sorted(calls["add_table"]) == ["events", "venues"]
+        assert calls["remove_table"] == []
+
+    def test_keyword_query_applies_aurum_too(self):
+        lake = DataLake(cache=False)
+        lake.ingest_table("events", make_columns("events"))
+        lake.keyword_search("customer")
+        assert lake.maintainer.dirty() == []
+        assert "events" in lake.maintainer
+
+
+class EagerMaintainer:
+    """The reference upkeep, written out so that it shares no code with the
+    maintainer under test: one dirty set, and every query applies each
+    pending change to both indexes, the keyword index first."""
+
+    def __init__(self, on_change):
+        self._aurum, self._keyword = Aurum(), KeywordSearch()
+        self._dirty = DirtySet()
+        self._indexed = set()
+        self._on_change = on_change
+
+    def note(self, table):
+        self._dirty.mark(table)
+        self._on_change(table.name)
+
+    def note_removed(self, name):
+        self._dirty.mark_removed(name)
+        self._on_change(name)
+
+    def refresh(self):
+        pending = self._dirty.take()
+        for name, table in pending:
+            if table is None:
+                if name in self._indexed:
+                    self._keyword.remove_table(name)
+                    self._aurum.remove_table(name)
+                    self._indexed.discard(name)
+            elif name in self._indexed:
+                self._keyword.remove_table(name)
+                self._keyword.add_table(table)
+                self._aurum.update_table(table)
+            else:
+                self._keyword.add_table(table)
+                self._aurum.add_table(table)
+                self._indexed.add(name)
+        if pending:
+            self._aurum.build_delta()
+        return len(pending)
+
+    def engine(self):
+        self.refresh()
+        return self._aurum
+
+    def searcher(self):
+        self.refresh()
+        return self._keyword
+
+    def reading(self):
+        return contextlib.nullcontext()
+
+
+TOWNS = ("oslo", "rome", "lima", "kyiv", "bern", "nice")
+NAMES = ("alpha", "beta", "gamma", "delta")
+ROWS = 24
+
+#: (op, table name, argument): writes, then the three index-reading queries
+LAKE_OPS = st.one_of(
+    st.tuples(st.just("ingest"), st.sampled_from(NAMES), st.integers(0, 5)),
+    st.tuples(st.just("edit"), st.sampled_from(NAMES), st.sampled_from([1, 2, 12])),
+    st.tuples(st.just("text"), st.sampled_from(NAMES), st.just(0)),
+    st.tuples(st.just("related"), st.sampled_from(NAMES), st.just(0)),
+    st.tuples(st.just("joinable"), st.sampled_from(NAMES), st.just(0)),
+    st.tuples(st.just("keyword"), st.sampled_from(TOWNS + NAMES), st.just(0)),
+)
+
+
+def churn_table(name, seed, edited):
+    """*name*'s content *seed* with its first *edited* key cells rewritten:
+    one cell of 24 is about 0.08 Jaccard distance (under Aurum's 0.1
+    change threshold), two or more are over it."""
+    keys = [f"k{(7 * i + seed) % 30}" for i in range(ROWS)]
+    keys[:edited] = [f"{name}-{seed}-{i}" for i in range(min(edited, ROWS))]
+    return {"key": keys, "town": [TOWNS[(i + seed) % len(TOWNS)] for i in range(ROWS)]}
+
+
+def ask(lake, op, name):
+    try:
+        if op == "related":
+            return lake.discover_related(name)
+        if op == "joinable":
+            return lake.discover_joinable(name, "key")
+        return lake.keyword_search(name)
+    except DatasetNotFound as exc:  # a table that is not (or no longer) indexed
+        return str(exc)
+
+
+class TestDeferredKeywordUpkeep:
+    """Keyword upkeep deferred to keyword queries answers every query as
+    upkeep applied by every query does."""
+
+    @given(seeds=st.lists(st.integers(0, 5), min_size=len(NAMES), max_size=len(NAMES)),
+           ops=st.lists(LAKE_OPS, min_size=1, max_size=14))
+    @settings(max_examples=60, deadline=None)
+    def test_answers_match_eager_upkeep(self, seeds, ops):
+        deferred, eager = DataLake(cache=False), DataLake(cache=False)
+        eager._maintainer = EagerMaintainer(on_change=eager._bump_epoch)
+        # every table starts in the lake: most queries then read an indexed one
+        ops = [("ingest", name, seed) for name, seed in zip(NAMES, seeds)] + ops
+        contents = {}  # name -> (seed, edited cells) of a tabular table
+        for op, name, arg in ops:
+            if op == "text":
+                contents.pop(name, None)
+                for lake in (deferred, eager):
+                    lake.ingest(Dataset(name=name, payload=f"notes on {name}",
+                                        format="text"))
+            elif op == "ingest" or (op == "edit" and name in contents):
+                seed, edited = (arg, 0) if op == "ingest" else contents[name]
+                contents[name] = seed, edited + (arg if op == "edit" else 0)
+                for lake in (deferred, eager):
+                    lake.ingest_table(name, churn_table(name, *contents[name]))
+            elif op in ("related", "joinable", "keyword"):
+                assert ask(deferred, op, name) == ask(eager, op, name)
+        for name in NAMES + TOWNS:  # and every query on the final lake
+            for op in ("related", "joinable", "keyword") if name in NAMES else ("keyword",):
+                assert ask(deferred, op, name) == ask(eager, op, name)
 
 
 class TestDeltaEquivalence:

@@ -239,6 +239,7 @@ class TestTenantIsolation:
             ("empty-keywords", {"kind": "keyword", "keywords": ""}),
             ("k-str", {"kind": "related", "table": "sales", "k": "5"}),
             ("k-float", {"kind": "union", "table": "sales", "k": 2.5}),
+            ("k-bool", {"kind": "related", "table": "sales", "k": True}),
         ]
         for op in ("discover", "discover_batch")
     ] + [
