@@ -22,9 +22,13 @@ asserts:
   (2x) of the abuse-free baseline.
 
 Latencies are measured client-side with ``perf_counter`` around each
-``serve`` round trip, so queueing (the resource abuse actually
-contends for) is inside the measurement.  Used by
-``benchmarks/test_bench_serving.py``, which writes ``BENCH_serving.json``.
+``serve`` round trip.  No request carries a deadline, so each admitted
+request runs on its client's thread and the pool's ``workers`` never
+run one: a request queues only at admission (its tenant's in-flight
+cap, the server's pending ceiling), and what the abuser contends for
+with it, admission and the interpreter lock, is inside the
+measurement.  Used by ``benchmarks/test_bench_serving.py``, which
+writes ``BENCH_serving.json``.
 """
 
 from __future__ import annotations

@@ -35,10 +35,12 @@ class DataLake:
     of two modes (see docs/RUNTIME.md):
 
     - **sync** (the default): metadata extraction and catalog
-      registration run inline during ``ingest``, which only marks the
-      table dirty in the index maintainer; each index applies its pending
-      deltas when a query next reads it: a discovery query applies
-      Aurum's, a keyword query the keyword index's and Aurum's;
+      registration run inline during ``ingest``, which marks the table
+      dirty in the index maintainer.  Once Aurum has been built (by its
+      first reader, which applies a bulk load in one pass), ``ingest``
+      also applies Aurum's delta before it returns, so a discovery
+      query finds Aurum current; the keyword index applies its pending
+      deltas when a keyword query next reads it;
     - **async** (``async_maintenance=True``): ingest enqueues metadata
       extraction, catalog registration and index-delta jobs on a
       :class:`~repro.runtime.scheduler.JobScheduler` and returns
@@ -195,9 +197,14 @@ class DataLake:
     def ingest(self, dataset: Dataset, extract_metadata: bool = True) -> Dataset:
         """Ingest a :class:`Dataset`: place it, extract metadata, catalog it.
 
-        In async mode the metadata/catalog/index work is enqueued on
-        :attr:`runtime` instead of running inline; :meth:`drain` is the
-        barrier that waits for it.
+        In sync mode, once Aurum has been built, the write then applies
+        its Aurum delta (:meth:`~repro.runtime.incremental.IncrementalIndexMaintainer.after_write`):
+        an apply that raises propagates from here with the dataset
+        committed and the change still pending for the next reader, and
+        a write whose request deadline has passed leaves the change to
+        the next reader.  In async mode the metadata/catalog/index work
+        is enqueued on :attr:`runtime` instead of running inline;
+        :meth:`drain` is the barrier that waits for it.
         """
         placement = self.polystore.store(dataset)
         replaced = dataset.name in self._datasets
@@ -212,6 +219,10 @@ class DataLake:
         emit("ingest.committed", dataset=dataset.name, format=dataset.format,
              backend=placement.backend, mode="async" if self.async_maintenance
              else "sync")
+        if not self.async_maintenance:
+            # after the commit event: an apply that raises leaves the
+            # dataset committed and its change pending for the next reader
+            self.maintainer.after_write()
         return dataset
 
     # -- maintenance work units (run inline in sync mode, as jobs in async) --------

@@ -222,7 +222,8 @@ class EnterpriseKnowledgeGraph:
         neighbour keeps its own relations, and a link without *relation*
         would not change the weight of *relation* in them.
         """
-        adjacency = {other: data["relations"] for other, data in self._graph[node].items()}
+        adjacency = {other: data["relations"]
+                     for other, data in self._graph._adj[node].items()}
         for other, relations in self._class_neighbors(node, relation):
             stored = adjacency.get(other)
             adjacency[other] = relations if stored is None else {**stored, **relations}
@@ -293,7 +294,9 @@ class EnterpriseKnowledgeGraph:
         for node in sorted(self._by_table.get(table, ())):
             name_class = self._class_of.get(node)
             links = {} if name_class is None else self._links[name_class]
-            stored = self._graph[node]
+            # the raw adjacency dict: the graph's AtlasView over it costs a
+            # __getitem__ call per edge read; its order is the same
+            stored = self._graph._adj[node]
             # the tables a stored edge reaches (and *table*, which takes nothing)
             collected: Dict[str, List[float]] = {table: []}
             for other, data in stored.items():

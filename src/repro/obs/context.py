@@ -2,9 +2,9 @@
 
 The lake crosses thread boundaries — async maintenance runs on
 :class:`~repro.runtime.scheduler.JobScheduler` workers, serving requests
-run on the server's worker pool — and a span or event recorded on a
-worker thread is useless for accounting unless it still knows *which*
-``DataLake`` call it belongs to.  A :class:`RequestContext` is that
+with a deadline run on the server's worker pool — and a span or event
+recorded on a worker thread is useless for accounting unless it still
+knows *which* ``DataLake`` call it belongs to.  A :class:`RequestContext` is that
 identity: a request id, an optional tenant tag, an optional deadline,
 and free-form baggage.
 

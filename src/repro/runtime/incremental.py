@@ -18,10 +18,14 @@ rebuilding them from all tables:
 
 A query applies only what the index it reads needs: ``engine()`` applies
 Aurum's dirty set, ``searcher()`` the keyword index's and Aurum's.
+Once Aurum has been built, a sync writer applies Aurum's set itself
+(``after_write()``), so a discovery query after a write finds Aurum
+current; the keyword index's set still waits for a keyword query.
 ``refresh()`` applies both; it is idempotent and cheap when clean, so
 scheduler jobs and other callers can invoke it at any time.  A refresh
 that raises puts the changes it had not applied back in their dirty
-sets, so the next refresh (a query's, or a job's retry) applies them.
+sets, so the next refresh (a query's, a write's, or a job's retry)
+applies them.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.dataset import Table
-from repro.obs import annotate, check_deadline, get_registry, traced
+from repro.obs import (annotate, check_deadline, current_context, get_registry,
+                       traced)
 
 
 class ReadWriteLock:
@@ -163,7 +168,11 @@ class IncrementalIndexMaintainer:
     both.  A keyword index equals one built from the surviving tables,
     so deferring its changes changes no answer; Aurum keeps a table's
     old profiles under its change threshold, so its answers depend on
-    when a change is applied, and every query applies Aurum's set.
+    when a change is applied.  Once Aurum has been built, a sync writer
+    applies its own change to Aurum with :meth:`after_write`, so Aurum's
+    answers then depend on the sequence of writes alone, not on when
+    queries ran; every query still applies Aurum's set, for a change a
+    write left pending.
 
     All mutation happens under one re-entrant lock, so scheduler workers
     and the facade thread can mark and refresh concurrently; queries
@@ -180,6 +189,7 @@ class IncrementalIndexMaintainer:
         self._aurum_dirty = DirtySet()
         self._keyword_dirty = DirtySet()
         self._indexed: set = set()  # the tables Aurum holds
+        self._aurum_built = False  # Aurum's set has been applied once
         self._lock = threading.RLock()
         self._rw = ReadWriteLock()
         self._on_change = on_change
@@ -290,6 +300,7 @@ class IncrementalIndexMaintainer:
                 self._aurum.add_table(table)
                 self._indexed.add(name)
         self._aurum.build_delta()
+        self._aurum_built = True
 
     def _apply_keyword_locked(self, pending: List[Tuple[str, Optional[Table]]]) -> None:
         for name, table in pending:
@@ -324,6 +335,26 @@ class IncrementalIndexMaintainer:
             refresh()
         else:
             self._m_clean.inc()
+
+    def after_write(self) -> int:
+        """Apply Aurum's pending changes for a sync writer that has just
+        noted its change; returns the number of tables applied.
+
+        Before Aurum's first build this applies nothing: a bulk load
+        waits for Aurum's first reader, which builds it in one pass, and
+        a lake that no query reads Aurum in never indexes into it.  A
+        write whose request deadline has passed leaves its changes to
+        the next reader instead of failing.  The keyword index's changes
+        always wait for a keyword query.  An apply that raises keeps the
+        change in Aurum's dirty set, as any refresh does.
+        """
+        with self._lock:
+            if not self._aurum_built or not len(self._aurum_dirty):
+                return 0
+            ctx = current_context()
+            if ctx is not None and ctx.expired():
+                return 0
+            return self._refresh_aurum()
 
     def engine(self):
         """The maintained Aurum engine, with Aurum's pending changes

@@ -11,7 +11,8 @@ that makes our lake servable (see ``docs/SERVING.md``):
   :class:`AdmissionController` *before* anything is queued;
 - :mod:`repro.serving.server` — :class:`LakeServer`, dispatching typed
   requests (ingest / discover / discover_batch / sql / fetch / health)
-  through a bounded worker pool, per-tenant namespaces over one shared
+  on the caller's thread, or on a bounded worker pool when the request
+  has a deadline, per-tenant namespaces over one shared
   :class:`~repro.core.lake.DataLake`, per-tenant circuit breakers, and
   per-request :class:`~repro.obs.context.RequestContext` activation so
   every span/metric/event/profile sample is tenant-attributed.

@@ -131,12 +131,12 @@ class AdmissionTicket:
 
 
 class AdmissionController:
-    """Admit-or-shed gate in front of the serving worker pool.
+    """Admit-or-shed gate in front of serving request execution.
 
     ``max_pending`` bounds *total* admitted-but-unfinished requests
     across all tenants — the server-wide backpressure ceiling that keeps
-    the worker-pool queue finite no matter how many tenants misbehave
-    at once.
+    the requests running at once, on callers' threads or queued for the
+    worker pool, finite no matter how many tenants misbehave at once.
     """
 
     def __init__(self, default_quota: Optional[TenantQuota] = None,

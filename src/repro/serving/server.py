@@ -4,10 +4,12 @@
 typed requests (ingest / discover / discover_batch / sql / fetch /
 health) are authenticated against an :class:`~repro.serving.auth.AuthRegistry`,
 admitted (or shed) by the :class:`~repro.serving.quotas.AdmissionController`,
-and executed on a bounded worker pool — each request inside its own
-:func:`~repro.obs.context.request_context` carrying the tenant and a
-deadline, so spans, the flight recorder and the labeled serving
-metrics all attribute work without any extra plumbing.
+and executed: a request without a deadline on the caller's thread, a
+request with one on a bounded worker pool, so that the caller's wait
+ends by its deadline even when a backend call stalls.  Each request
+runs inside its own :func:`~repro.obs.context.request_context` carrying
+the tenant and the deadline, so spans, the flight recorder and the
+labeled serving metrics all attribute work without any extra plumbing.
 
 **Isolation.**  Every dataset a tenant ingests lives in the shared lake
 under a ``tenant__name`` namespace prefix.  Handlers qualify incoming
@@ -25,7 +27,7 @@ lake.  Health answers are
 likewise tenant-scoped: a session sees its own admission counts and
 breaker plus tenant-neutral aggregates, never the tenant roster.
 
-**Enforcement.**  Admission happens *before* queuing (typed
+**Enforcement.**  Admission happens *before* execution (typed
 :class:`~repro.core.errors.Throttled` / :class:`~repro.core.errors.QuotaExceeded`
 responses, never an unbounded queue), and every handler routes its lake
 work through :meth:`LakeServer._guarded`, a per-tenant
@@ -44,7 +46,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from itertools import islice
@@ -58,7 +60,7 @@ from repro.faults import HealthRegistry, ResilienceConfig
 from repro.obs import (Counter, Histogram, check_deadline, emit, get_recorder,
                        get_registry, request_context)
 from repro.serving.auth import NAMESPACE_SEPARATOR, AuthRegistry
-from repro.serving.quotas import AdmissionController, TenantQuota
+from repro.serving.quotas import AdmissionController, AdmissionTicket, TenantQuota
 
 #: the typed operations a LakeServer dispatches
 OPS: Tuple[str, ...] = ("ingest", "discover", "discover_batch", "sql",
@@ -232,9 +234,12 @@ class Session:
 class LakeServer:
     """Concurrent, quota-enforcing request front-end over one lake.
 
-    ``workers`` bounds execution concurrency; ``max_pending`` bounds how
-    many admitted requests may be queued or running at once (beyond it,
-    admission sheds with :class:`~repro.core.errors.Throttled`).
+    ``max_pending`` bounds how many admitted requests may be queued or
+    running at once (beyond it, admission sheds with
+    :class:`~repro.core.errors.Throttled`), and each tenant's quota
+    bounds its own in-flight requests.  A request without a deadline
+    runs on its caller's thread; ``workers`` bounds how many requests
+    with a deadline run at once, on the pool.
     ``default_timeout`` becomes each request's deadline when the request
     itself does not carry one; ``resilience`` shapes the per-tenant
     breakers (a dedicated :class:`~repro.faults.HealthRegistry` — tenant
@@ -296,7 +301,15 @@ class LakeServer:
     # -- the request path ------------------------------------------------------
 
     def serve(self, token: str, request: ServingRequest) -> ServingResponse:
-        """Authenticate, admit, execute; always returns a typed response."""
+        """Authenticate, admit, execute; always returns a typed response.
+
+        An admitted request without a deadline runs on the caller's
+        thread.  One with a deadline runs on the worker pool, and the
+        caller stops waiting :data:`DEADLINE_GRACE` past the deadline
+        even when a backend call stalls between deadline checkpoints.
+        After :meth:`close`, both kinds get a "server closed"
+        :class:`~repro.core.errors.ServingError`.
+        """
         started = time.perf_counter()
         try:
             tenant = self.auth.resolve(token)
@@ -314,32 +327,48 @@ class LakeServer:
             ticket = self._admission.admit(tenant)
         except SHED_ERRORS as exc:
             return self._error(request.op, tenant, exc, started)
-        try:
-            future = self._ensure_pool().submit(
-                self._run, tenant, request, deadline)
-        except RuntimeError as exc:  # pool shut down: the server is closing
-            ticket.release()
-            self._registry.counter("serving.errors", tenant=tenant).inc()
-            return self._error(
-                request.op, tenant, ServingError(f"server closed: {exc}"),
-                started)
+        if deadline is None:
+            if self._closed:
+                ticket.release()
+                return self._closed_error(request.op, tenant, started)
+            try:
+                response = self._run(tenant, request, None)
+            finally:
+                ticket.release()
+        else:
+            try:
+                future = self._ensure_pool().submit(
+                    self._run, tenant, request, deadline)
+            except RuntimeError:  # pool shut down: the server is closing
+                ticket.release()
+                return self._closed_error(request.op, tenant, started)
+            response = self._wait(future, ticket, tenant, request.op, deadline,
+                                  started)
+        response.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        latency.observe(response.elapsed_ms)
+        return response
+
+    def _wait(self, future: Future, ticket: AdmissionTicket, tenant: str, op: str,
+              deadline: float, started: float) -> ServingResponse:
+        """The pool worker's response, or ``DeadlineExceeded`` once the
+        wait runs :data:`DEADLINE_GRACE` past *deadline*; *ticket* is
+        released when the worker is done with the request."""
         try:
             # deadlines are enforced at cooperative checkpoints inside the
             # worker; a backend call stalled *between* checkpoints must not
             # pin the caller past its deadline, so the wait itself is
             # bounded (grace lets the checkpoint's typed error win first)
-            wait = (None if deadline is None else
-                    max(0.0, deadline - time.monotonic()) + DEADLINE_GRACE)
-            response = future.result(timeout=wait)
+            response = future.result(
+                timeout=max(0.0, deadline - time.monotonic()) + DEADLINE_GRACE)
         except FutureTimeout:
             # abandon the wait, not the work: the worker thread really is
             # still busy, so its admission slot stays held and is released
             # only when the stalled call finally completes
             future.add_done_callback(lambda _done: ticket.release())
             self._registry.counter("serving.abandoned", tenant=tenant).inc()
-            emit("serving.abandoned", tenant=tenant, op=request.op)
-            response = self._error(
-                request.op, tenant,
+            emit("serving.abandoned", tenant=tenant, op=op)
+            return self._error(
+                op, tenant,
                 DeadlineExceeded(
                     f"request still running {DEADLINE_GRACE:.3f}s past "
                     f"its deadline; abandoned"),
@@ -347,11 +376,12 @@ class LakeServer:
         except BaseException:
             ticket.release()
             raise
-        else:
-            ticket.release()
-        response.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        latency.observe(response.elapsed_ms)
+        ticket.release()
         return response
+
+    def _closed_error(self, op: str, tenant: str, started: float) -> ServingResponse:
+        self._registry.counter("serving.errors", tenant=tenant).inc()
+        return self._error(op, tenant, ServingError("server closed"), started)
 
     def _meters(self, tenant: str) -> Tuple[Counter, Histogram]:
         """*tenant*'s request counter and latency histogram, bound once."""
@@ -371,7 +401,8 @@ class LakeServer:
 
     def _run(self, tenant: str, request: ServingRequest,
              deadline: Optional[float]) -> ServingResponse:
-        """Worker-side: open the request identity, dispatch, type the result."""
+        """Open the request identity, dispatch, type the result (on the
+        caller's thread or a pool worker, see :meth:`serve`)."""
         started = time.perf_counter()
         with request_context(tenant=tenant, deadline=deadline,
                              op=request.op) as ctx:
@@ -618,7 +649,13 @@ class LakeServer:
             return self._pool
 
     def close(self) -> None:
-        """Stop accepting work and wait out in-flight requests."""
+        """Stop accepting work and wait out the pool's in-flight requests.
+
+        Requests of either kind that arrive afterwards get a "server
+        closed" error.  A request without a deadline that is already
+        running on its caller's thread finishes there; close does not
+        wait for it.
+        """
         with self._pool_lock:
             pool, self._pool = self._pool, None
             self._closed = True

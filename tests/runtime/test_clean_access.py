@@ -47,8 +47,11 @@ def test_clean_incremental_access_skips_refresh():
     clean_after = get_registry().counter("runtime.index.clean_accesses").value
     assert clean_after - clean_before >= 10
 
-    # a real mutation still refreshes exactly once more per index read
+    # a write applies its own Aurum delta and leaves the keyword index's
+    # for the next keyword query
     lake.ingest_table("late", {"id": [9], "city": ["z"]})
+    assert _span_count("maintenance.runtime.refresh") == refreshes + 1
+    assert lake.maintainer.dirty() == ["late"] and "late" in lake.maintainer
     lake.discover_related("late")
     assert _span_count("maintenance.runtime.refresh") == refreshes + 1
     lake.keyword_search("late")

@@ -3,7 +3,7 @@
 import contextlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import Dataset, Table
 from repro.core.errors import DatasetNotFound, DeadlineExceeded
@@ -173,6 +173,18 @@ class TestQueryRefreshDeadline:
             assert "orders" in maintainer.engine().table_names()
             assert {h.table for h in maintainer.searcher().search("orders")} == {"orders"}
 
+    def test_expired_write_leaves_its_delta_to_the_next_reader(self):
+        lake = DataLake(cache=False)
+        lake.ingest_table("customers", make_columns("customers"))
+        lake.discover_related("customers")  # Aurum is built: writes apply their delta
+        with request_context(timeout=0.0):
+            lake.ingest_table("orders", make_columns("orders"))  # returns
+        assert "orders" in lake and "orders" not in lake.maintainer
+        assert lake.maintainer._aurum_dirty.peek() == ["orders"]
+        hits = lake.discover_joinable("orders", "customer_id", k=1)
+        assert hits[0][0] == ("customers", "customer_id")
+        assert "orders" in lake.maintainer
+
 
 class TestFailedRefresh:
     """A refresh that raises keeps its changes pending: the next refresh
@@ -232,6 +244,25 @@ class TestFailedRefresh:
                 assert lake.maintainer.dirty() == ["big", "other", "third"]
                 assert self._answers(lake) == expected
                 assert lake.maintainer.dirty() == []
+
+    def test_failed_write_apply_leaves_the_change_to_the_next_query(self, monkeypatch):
+        def started(lake):
+            lake.ingest_table("big", self.TABLES["big"])
+            lake.discover_related("big")  # Aurum is built: writes apply their delta
+            lake.ingest_table("third", self.TABLES["third"])
+            return lake
+
+        clean = started(DataLake())
+        clean.ingest_table("other", self.TABLES["other"])
+        lake = started(DataLake())
+        self._fail_once(monkeypatch, "aurum", "other")
+        with pytest.raises(RuntimeError, match="of other failed"):
+            lake.ingest_table("other", self.TABLES["other"])
+        assert lake.dataset("other").format == "table"  # committed
+        assert "other" not in lake.maintainer
+        assert lake.maintainer._aurum_dirty.peek() == ["other"]
+        assert self._answers(lake) == self._answers(clean)
+        assert lake.maintainer.dirty() == []
 
     def test_async_retry_applies_the_restored_changes(self, monkeypatch):
         expected = self._answers(self._filled(DataLake()))
@@ -302,42 +333,54 @@ class TestKeywordUpkeepFollowsItsReaders:
 
 class EagerMaintainer:
     """The reference upkeep, written out so that it shares no code with the
-    maintainer under test: one dirty set, and every query applies each
-    pending change to both indexes, the keyword index first."""
+    maintainer under test: every query applies each pending change to both
+    indexes, the keyword index first.  Once Aurum has been built, a write
+    applies its change to Aurum at once, as the lake's writers do; the
+    keyword index still waits for the next query."""
 
     def __init__(self, on_change):
         self._aurum, self._keyword = Aurum(), KeywordSearch()
-        self._dirty = DirtySet()
+        # name -> newest table, or None for a removal; a mark keeps its place
+        self._aurum_pending, self._keyword_pending = {}, {}
         self._indexed = set()
+        self._built = False
         self._on_change = on_change
 
     def note(self, table):
-        self._dirty.mark(table)
+        self._aurum_pending[table.name] = self._keyword_pending[table.name] = table
         self._on_change(table.name)
 
     def note_removed(self, name):
-        self._dirty.mark_removed(name)
+        self._aurum_pending[name] = self._keyword_pending[name] = None
         self._on_change(name)
 
-    def refresh(self):
-        pending = self._dirty.take()
-        for name, table in pending:
+    def after_write(self):
+        if self._built:
+            self._apply_aurum()
+
+    def _apply_aurum(self):
+        pending, self._aurum_pending = self._aurum_pending, {}
+        for name, table in pending.items():
             if table is None:
                 if name in self._indexed:
-                    self._keyword.remove_table(name)
                     self._aurum.remove_table(name)
                     self._indexed.discard(name)
             elif name in self._indexed:
-                self._keyword.remove_table(name)
-                self._keyword.add_table(table)
                 self._aurum.update_table(table)
             else:
-                self._keyword.add_table(table)
                 self._aurum.add_table(table)
                 self._indexed.add(name)
         if pending:
             self._aurum.build_delta()
-        return len(pending)
+            self._built = True
+
+    def refresh(self):
+        pending, self._keyword_pending = self._keyword_pending, {}
+        for name, table in pending.items():
+            self._keyword.remove_table(name)  # a no-op for an absent table
+            if table is not None:
+                self._keyword.add_table(table)
+        self._apply_aurum()
 
     def engine(self):
         self.refresh()
@@ -355,11 +398,16 @@ TOWNS = ("oslo", "rome", "lima", "kyiv", "bern", "nice")
 NAMES = ("alpha", "beta", "gamma", "delta")
 ROWS = 24
 
-#: (op, table name, argument): writes, then the three index-reading queries
-LAKE_OPS = st.one_of(
+#: (op, table name, argument) of a write: a new version, an edit of some
+#: key cells, or a replacement by a text document
+LAKE_WRITES = (
     st.tuples(st.just("ingest"), st.sampled_from(NAMES), st.integers(0, 5)),
     st.tuples(st.just("edit"), st.sampled_from(NAMES), st.sampled_from([1, 2, 12])),
     st.tuples(st.just("text"), st.sampled_from(NAMES), st.just(0)),
+)
+#: writes, then the three index-reading queries
+LAKE_OPS = st.one_of(
+    *LAKE_WRITES,
     st.tuples(st.just("related"), st.sampled_from(NAMES), st.just(0)),
     st.tuples(st.just("joinable"), st.sampled_from(NAMES), st.just(0)),
     st.tuples(st.just("keyword"), st.sampled_from(TOWNS + NAMES), st.just(0)),
@@ -375,6 +423,21 @@ def churn_table(name, seed, edited):
     return {"key": keys, "town": [TOWNS[(i + seed) % len(TOWNS)] for i in range(ROWS)]}
 
 
+def write(lakes, contents, op, name, arg):
+    """Apply write *op* to every lake; *contents* maps each tabular table's
+    name to its (seed, edited cells).  Returns False for a query op."""
+    if op == "text":
+        contents.pop(name, None)
+        for lake in lakes:
+            lake.ingest(Dataset(name=name, payload=f"notes on {name}", format="text"))
+    elif op == "ingest" or (op == "edit" and name in contents):
+        seed, edited = (arg, 0) if op == "ingest" else contents[name]
+        contents[name] = seed, edited + (arg if op == "edit" else 0)
+        for lake in lakes:
+            lake.ingest_table(name, churn_table(name, *contents[name]))
+    return op in ("ingest", "edit", "text")
+
+
 def ask(lake, op, name):
     try:
         if op == "related":
@@ -384,6 +447,13 @@ def ask(lake, op, name):
         return lake.keyword_search(name)
     except DatasetNotFound as exc:  # a table that is not (or no longer) indexed
         return str(exc)
+
+
+def final_answers(lake):
+    """Every query of the three kinds on *lake* as it stands."""
+    return [ask(lake, op, name) for name in NAMES + TOWNS
+            for op in (("related", "joinable", "keyword") if name in NAMES
+                       else ("keyword",))]
 
 
 class TestDeferredKeywordUpkeep:
@@ -398,23 +468,61 @@ class TestDeferredKeywordUpkeep:
         eager._maintainer = EagerMaintainer(on_change=eager._bump_epoch)
         # every table starts in the lake: most queries then read an indexed one
         ops = [("ingest", name, seed) for name, seed in zip(NAMES, seeds)] + ops
-        contents = {}  # name -> (seed, edited cells) of a tabular table
+        contents = {}
         for op, name, arg in ops:
-            if op == "text":
-                contents.pop(name, None)
-                for lake in (deferred, eager):
-                    lake.ingest(Dataset(name=name, payload=f"notes on {name}",
-                                        format="text"))
-            elif op == "ingest" or (op == "edit" and name in contents):
-                seed, edited = (arg, 0) if op == "ingest" else contents[name]
-                contents[name] = seed, edited + (arg if op == "edit" else 0)
-                for lake in (deferred, eager):
-                    lake.ingest_table(name, churn_table(name, *contents[name]))
-            elif op in ("related", "joinable", "keyword"):
+            if not write((deferred, eager), contents, op, name, arg):
                 assert ask(deferred, op, name) == ask(eager, op, name)
-        for name in NAMES + TOWNS:  # and every query on the final lake
-            for op in ("related", "joinable", "keyword") if name in NAMES else ("keyword",):
-                assert ask(deferred, op, name) == ask(eager, op, name)
+        assert final_answers(deferred) == final_answers(eager)
+
+
+class TestWritersApplyAurum:
+    """Once Aurum has been built, a sync write applies its own Aurum delta;
+    before that, changes wait for Aurum's first reader."""
+
+    def test_bulk_load_and_union_queries_never_index_into_aurum(self, monkeypatch):
+        profiled = []
+        original = TableProfiler.profile_column
+
+        def counted(self, table_name, column):
+            profiled.append(table_name)
+            return original(self, table_name, column)
+
+        monkeypatch.setattr(TableProfiler, "profile_column", counted)
+        lake = DataLake(cache=False)
+        for name in NAMES:
+            lake.ingest_table(name, churn_table(name, 0, 0))
+        for name in NAMES:
+            lake.discover_union(name)
+        lake.ingest_table("late", churn_table("late", 1, 0))
+        lake.discover_union("late")
+        assert profiled == [] and len(lake.maintainer) == 0
+        lake.discover_related("late")  # the first reader builds Aurum in one pass
+        assert sorted(set(profiled)) == sorted(NAMES + ("late",))
+        assert len(lake.maintainer) == len(NAMES) + 1
+
+    @given(seeds=st.lists(st.integers(0, 5), min_size=len(NAMES), max_size=len(NAMES)),
+           writes=st.lists(st.one_of(*LAKE_WRITES), min_size=1, max_size=10))
+    # a query between the two edits applies each on its own: the second is
+    # under the change threshold against the first, the two together are not
+    @example(seeds=[0, 1, 2, 3], writes=[("edit", "beta", 2), ("edit", "beta", 1)])
+    # the same after every table left Aurum: writes still apply once Aurum
+    # has been built, even while it holds no table
+    @example(seeds=[0, 1, 2, 3],
+             writes=[("text", name, 0) for name in NAMES]
+             + [("ingest", name, seed) for seed, name in enumerate(NAMES)]
+             + [("edit", "beta", 2), ("edit", "beta", 1)])
+    @settings(max_examples=60, deadline=None)
+    def test_answers_do_not_depend_on_when_queries_ran(self, seeds, writes):
+        asking, quiet = DataLake(cache=False), DataLake(cache=False)
+        contents = {}
+        for name, seed in zip(NAMES, seeds):
+            write((asking, quiet), contents, "ingest", name, seed)
+        for lake in (asking, quiet):
+            lake.discover_related(NAMES[0])  # the first query builds Aurum
+        for op, name, arg in writes:
+            write((asking, quiet), contents, op, name, arg)
+            ask(asking, "related", name)
+        assert final_answers(asking) == final_answers(quiet)
 
 
 class TestDeltaEquivalence:

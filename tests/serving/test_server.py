@@ -1,5 +1,7 @@
 """LakeServer end-to-end: isolation, typed errors, quotas, breakers, deadlines."""
 
+import threading
+
 import pytest
 
 from repro.core.errors import (AuthenticationError, CircuitOpen,
@@ -639,9 +641,26 @@ class TestServerLifecycle:
 
     def test_serve_after_close_is_a_typed_error(self, server, acme):
         server.close()
-        response = acme.health()
-        assert not response.ok
-        assert "closed" in response.error
+        for response in (acme.health(), acme.fetch("sales", timeout=30.0)):
+            assert not response.ok
+            assert response.error_type == "ServingError"
+            assert "closed" in response.error
+
+    def test_only_requests_with_a_deadline_run_on_the_pool(self, server, acme,
+                                                           monkeypatch):
+        threads = []
+        dataset = server.lake.dataset
+
+        def seen(name):
+            threads.append(threading.current_thread())
+            return dataset(name)
+
+        monkeypatch.setattr(server.lake, "dataset", seen)
+        acme.fetch("sales").raise_for_status()
+        acme.fetch("sales", timeout=30.0).raise_for_status()
+        caller, worker = threads
+        assert caller is threading.current_thread()
+        assert worker.name.startswith("repro-serving")
 
     def test_lake_server_factory(self):
         lake = DataLake.in_memory()
