@@ -23,12 +23,12 @@ asserts:
 
 Latencies are measured client-side with ``perf_counter`` around each
 ``serve`` round trip.  No request carries a deadline, so each admitted
-request runs on its client's thread and the pool's ``workers`` never
-run one: a request queues only at admission (its tenant's in-flight
-cap, the server's pending ceiling), and what the abuser contends for
-with it, admission and the interpreter lock, is inside the
-measurement.  Used by ``benchmarks/test_bench_serving.py``, which
-writes ``BENCH_serving.json``.
+request runs on its client's thread and the server's worker pool runs
+none: a request queues only at admission (its tenant's in-flight cap,
+the server's pending ceiling), and what the abuser contends for with
+it, admission and the interpreter lock, is inside the measurement.
+Used by ``benchmarks/test_bench_serving.py``, which writes
+``BENCH_serving.json``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.obs import get_registry
 from repro.serving import AuthRegistry, LakeServer, Session, TenantQuota
 
 SEED = 47
-WORKERS = 8
 MAX_PENDING = 512
 
 #: three compliant tenants x 34 clients = 102 concurrent clients, plus abuse
@@ -94,13 +93,12 @@ def seed_tenant_data(session: Session, rng: random.Random) -> None:
     }).raise_for_status()
 
 
-def build_server(tenants: Sequence[str], *, abuser: bool,
-                 seed: int = SEED, workers: int = WORKERS,
+def build_server(tenants: Sequence[str], *, abuser: bool, seed: int = SEED,
                  ) -> Tuple[LakeServer, Dict[str, Session]]:
     """A fresh lake + server with every tenant registered and seeded."""
     rng = random.Random(seed)
     server = LakeServer(DataLake.in_memory(), auth=AuthRegistry(),
-                        workers=workers, max_pending=MAX_PENDING)
+                        max_pending=MAX_PENDING)
     sessions: Dict[str, Session] = {}
     for tenant in tenants:
         token = server.register_tenant(tenant, quota=COMPLIANT_QUOTA)
@@ -272,10 +270,10 @@ def build_artifact(report: Dict[str, Any]) -> Dict[str, Any]:
                     gates={"fairness": payload["fairness"]})
 
 
-def run_bench(seed: int = SEED, workers: int = WORKERS) -> Dict[str, Any]:
+def run_bench(seed: int = SEED) -> Dict[str, Any]:
     """Baseline vs abusive run of the identical compliant workload."""
     baseline_server, baseline_sessions = build_server(
-        COMPLIANT_TENANTS, abuser=False, seed=seed, workers=workers)
+        COMPLIANT_TENANTS, abuser=False, seed=seed)
     with baseline_server:
         baseline = run_load(baseline_server, baseline_sessions, seed,
                             abuser=False)
@@ -283,7 +281,7 @@ def run_bench(seed: int = SEED, workers: int = WORKERS) -> Dict[str, Any]:
     throttled_before = get_registry().counter(
         "serving.throttled", tenant=ABUSER).value
     abusive_server, abusive_sessions = build_server(
-        COMPLIANT_TENANTS, abuser=True, seed=seed, workers=workers)
+        COMPLIANT_TENANTS, abuser=True, seed=seed)
     with abusive_server:
         abusive = run_load(abusive_server, abusive_sessions, seed, abuser=True)
     abuser_throttled = int(get_registry().counter(
@@ -309,7 +307,6 @@ def run_bench(seed: int = SEED, workers: int = WORKERS) -> Dict[str, Any]:
         and p95_ratio <= FAIRNESS_P95_RATIO)
     return {
         "seed": seed,
-        "workers": workers,
         "tenants": list(COMPLIANT_TENANTS) + [ABUSER],
         "compliant_clients": len(COMPLIANT_TENANTS) * CLIENTS_PER_TENANT,
         "abuser_clients": ABUSER_CLIENTS,

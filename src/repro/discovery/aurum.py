@@ -30,6 +30,10 @@ Implemented here:
   indexed column;
 - EKG construction (:class:`~repro.modeling.ekg.EnterpriseKnowledgeGraph`)
   with ``content_sim`` and ``pkfk`` edges and ``schema_sim`` class links;
+  an indexed column is one row of the LSH index's signature matrix with
+  a slot number in each of its buckets, and a stored edge is one
+  ``relation -> weight`` dict in the EKG's adjacency, so neither costs
+  the garbage collector a container per bucket or per edge;
 - incremental ``update_table`` honoring the change threshold, and
   ``remove_table``; re-adding an indexed table replaces it;
 - top-k joinable-column and related-table queries.

@@ -8,16 +8,19 @@ measures.  The index uses the standard banding scheme: a signature of length
 hashes identically, giving the familiar S-curve collision probability
 ``1 - (1 - s^rows)^bands`` for Jaccard similarity ``s``.
 
-Beside each signature the index keeps its values as one ``uint32`` row
-(MinHash values are below ``2^32``), so a query scores all of its
-candidates with one array comparison instead of a Python loop per pair.
+An indexed key costs no Python container of its own.  Its signature
+values are one row of a single ``uint32`` matrix (MinHash values are
+below ``2^32``), addressed by a *slot* that a removed key frees for the
+next one.  A band's bucket key is that band's bytes, and a bucket
+holding one key stores just its slot (an ``int``), turning into a set of
+slots only while a second key shares it.  A query gathers its candidate
+slots and scores them all with one array comparison.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -55,69 +58,104 @@ class LSHIndex:
     all-pairs baseline.  A query's estimate for a candidate is its share
     of equal signature values, ``matches / num_perm``: the float
     :meth:`MinHashSignature.jaccard` returns, computed over the stored
-    ``uint32`` rows (about 0.6 KB per key).
+    ``uint32`` rows (about 0.5 KB per key).  Hits are ranked by estimate,
+    then by ``str(key)``, which is kept from :meth:`add`.
     """
 
     def __init__(self, num_perm: int = 128, threshold: float = 0.5):
         self.num_perm = num_perm
         self.threshold = threshold
         self.bands, self.rows = choose_banding(num_perm, threshold)
-        self._tables: List[Dict[Tuple[int, ...], Set[Hashable]]] = [
-            defaultdict(set) for _ in range(self.bands)
-        ]
-        self._signatures: Dict[Hashable, MinHashSignature] = {}
-        self._rows: Dict[Hashable, np.ndarray] = {}  # each signature as uint32
+        # per band: band bytes -> the slot of its one key, or a set of slots
+        self._tables: List[Dict[bytes, Union[int, Set[int]]]] = [
+            {} for _ in range(self.bands)]
+        self._band = np.dtype((np.void, 4 * self.rows))  # a band of a row, as bytes
+        self._matrix = np.empty((0, num_perm), dtype=np.uint32)  # slot -> values
+        self._slots: Dict[Hashable, int] = {}
+        # slot -> its key, str(key) and signature; None in a free slot
+        self._keys: List[Hashable] = []
+        self._names: List[Optional[str]] = []
+        self._signatures: List[Optional[MinHashSignature]] = []
+        self._free: List[int] = []
         self.probe_count = 0
 
     def __len__(self) -> int:
-        return len(self._signatures)
+        return len(self._slots)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._signatures
+        return key in self._slots
 
-    def _band_keys(self, signature: MinHashSignature) -> Iterable[Tuple[int, Tuple[int, ...]]]:
-        for band in range(self.bands):
-            start = band * self.rows
-            yield band, tuple(signature.values[start : start + self.rows])
+    def _row(self, signature: MinHashSignature, what: str) -> np.ndarray:
+        if len(signature) != self.num_perm:
+            raise ValueError(
+                f"{what} length {len(signature)} != index num_perm {self.num_perm}")
+        return np.fromiter(signature.values, dtype=np.uint32, count=self.num_perm)
 
     def add(self, key: Hashable, signature: MinHashSignature) -> None:
         """Insert *key* with its signature (re-inserting replaces)."""
-        if len(signature) != self.num_perm:
-            raise ValueError(
-                f"signature length {len(signature)} != index num_perm {self.num_perm}"
-            )
-        if key in self._signatures:
+        row = self._row(signature, "signature")
+        if key in self._slots:
             self.remove(key)
-        self._signatures[key] = signature
-        self._rows[key] = np.array(signature.values, dtype=np.uint32)
-        for band, band_key in self._band_keys(signature):
-            self._tables[band][band_key].add(key)
+        if self._free:
+            slot = self._free.pop()
+            self._keys[slot] = key
+            self._names[slot] = str(key)
+            self._signatures[slot] = signature
+        else:
+            slot = len(self._keys)
+            if slot == len(self._matrix):
+                grown = np.empty((max(64, 2 * slot), self.num_perm), dtype=np.uint32)
+                grown[:slot] = self._matrix
+                self._matrix = grown
+            self._keys.append(key)
+            self._names.append(str(key))
+            self._signatures.append(signature)
+        self._matrix[slot] = row
+        self._slots[key] = slot
+        for table, band_key in zip(self._tables, row.view(self._band).tolist()):
+            bucket = table.get(band_key)
+            if bucket is None:
+                table[band_key] = slot
+            elif type(bucket) is int:
+                table[band_key] = {bucket, slot}
+            else:
+                bucket.add(slot)
 
     def remove(self, key: Hashable) -> None:
         """Remove *key* if present (supports Aurum's incremental updates)."""
-        signature = self._signatures.pop(key, None)
-        if signature is None:
+        slot = self._slots.pop(key, None)
+        if slot is None:
             return
-        del self._rows[key]
-        for band, band_key in self._band_keys(signature):
-            bucket = self._tables[band].get(band_key)
-            if bucket:
-                bucket.discard(key)
-                if not bucket:
-                    del self._tables[band][band_key]
+        for table, band_key in zip(self._tables,
+                                   self._matrix[slot].view(self._band).tolist()):
+            bucket = table[band_key]
+            if type(bucket) is int:
+                del table[band_key]
+            else:
+                bucket.discard(slot)
+                if len(bucket) == 1:
+                    table[band_key] = bucket.pop()
+        self._keys[slot] = self._names[slot] = self._signatures[slot] = None
+        self._free.append(slot)
+
+    def _probe(self, row: np.ndarray) -> Set[int]:
+        """Slots colliding with *row* in at least one band (counted as probes)."""
+        found: Set[int] = set()
+        for table, band_key in zip(self._tables, row.view(self._band).tolist()):
+            bucket = table.get(band_key)
+            if bucket is None:
+                continue
+            if type(bucket) is int:
+                found.add(bucket)
+            else:
+                found |= bucket
+        self.probe_count += len(found)
+        return found
 
     def candidates(self, signature: MinHashSignature) -> Set[Hashable]:
         """Keys colliding with *signature* in at least one band."""
-        if len(signature) != self.num_perm:
-            raise ValueError(
-                f"query signature length {len(signature)} != index num_perm "
-                f"{self.num_perm}"
-            )
-        found: Set[Hashable] = set()
-        for band, band_key in self._band_keys(signature):
-            found |= self._tables[band].get(band_key, set())
-        self.probe_count += len(found)
-        return found
+        keys = self._keys
+        return {keys[slot] for slot in self._probe(self._row(signature, "query signature"))}
 
     def query(
         self,
@@ -127,22 +165,23 @@ class LSHIndex:
     ) -> List[Tuple[Hashable, float]]:
         """Candidates with estimated Jaccard >= *min_similarity*, best first."""
         floor = self.threshold if min_similarity is None else min_similarity
-        keys = [key for key in self.candidates(signature) if key != exclude]
-        if not keys:
+        row = self._row(signature, "query signature")
+        found = self._probe(row)
+        found.discard(self._slots.get(exclude))
+        if not found:
             return []
-        rows = np.stack([self._rows[key] for key in keys])
-        matches = np.count_nonzero(
-            rows == np.array(signature.values, dtype=np.uint32), axis=1)
-        hits = []
-        for key, count in zip(keys, matches.tolist()):
-            estimate = count / self.num_perm  # int / int, as jaccard divides
-            if estimate >= floor:
-                hits.append((key, estimate))
-        hits.sort(key=lambda pair: (-pair[1], str(pair[0])))
-        return hits
+        slots = np.fromiter(found, dtype=np.intp, count=len(found))
+        # int / int, as jaccard divides: float64 division of exact integers
+        estimates = np.count_nonzero(self._matrix[slots] == row, axis=1) / self.num_perm
+        over = estimates >= floor
+        names = self._names
+        hits = sorted(zip(slots[over].tolist(), estimates[over].tolist()),
+                      key=lambda hit: (-hit[1], names[hit[0]]))
+        keys = self._keys
+        return [(keys[slot], estimate) for slot, estimate in hits]
 
     def signature_of(self, key: Hashable) -> MinHashSignature:
-        return self._signatures[key]
+        return self._signatures[self._slots[key]]
 
     def keys(self) -> List[Hashable]:
-        return list(self._signatures)
+        return list(self._slots)

@@ -13,8 +13,12 @@ accelerated by precomputed adjacency (Aurum's "graph index").
 
 Relations between columns live in two places:
 
-- *stored edges* (a networkx graph), one per related column pair, for
-  relations scored per pair (Aurum's ``content_sim`` and ``pkfk``);
+- *stored edges*, one per related column pair, for relations scored per
+  pair (Aurum's ``content_sim`` and ``pkfk``).  They live in a plain
+  adjacency dict, ``node -> {neighbour: relations}``, whose two
+  directions share one ``relation -> weight`` dict; a dict of only
+  strings and floats is not tracked by the garbage collector, so a
+  stored edge costs it nothing;
 - *name classes*, the columns that share one name key (a hyperedge in
   the survey's sense, kept apart from :meth:`hyperedges`), and weighted
   *class links* between classes (Aurum's ``schema_sim``).  A link
@@ -25,16 +29,19 @@ Relations between columns live in two places:
 Every read (``neighbors``, ``table_weights``, ``relations_between``,
 ``paths``, ``num_edges``) merges the two, so a column's neighbours are
 the same as if each class link were stored as one edge per column pair.
+
+A table's hyperedge (:meth:`EnterpriseKnowledgeGraph.group_table`) is
+kept under its label, so replacing it, or dropping it with one of its
+columns, costs one dict operation however many tables there are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from operator import itemgetter
-from typing import (Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
-
-import networkx as nx
+from typing import (Any, Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
+                    List, Optional, Set, Tuple)
 
 
 #: a node in the EKG is one table column, addressed as (table, column)
@@ -55,8 +62,16 @@ class EnterpriseKnowledgeGraph:
     """Hypergraph of attribute nodes, weighted relation edges, hyperedges."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
-        self._hyperedges: List[HyperEdge] = []
+        # stored edges: node -> neighbour -> relation -> weight; both
+        # directions of an edge share its relations dict
+        self._adj: Dict[ColumnRef, Dict[ColumnRef, Dict[str, float]]] = {}
+        self._attributes: Dict[ColumnRef, Dict[str, Any]] = {}
+        self._num_stored = 0  # stored column pairs, a self-loop counting once
+        # in creation order: a table's hyperedge under its label, any
+        # other under a serial number (those are listed in _added)
+        self._hyperedges: Dict[Hashable, HyperEdge] = {}
+        self._added: Set[int] = set()
+        self._serials = count()
         self._by_table: Dict[str, Set[ColumnRef]] = {}
         self._class_of: Dict[ColumnRef, Hashable] = {}
         self._classes: Dict[Hashable, Set[ColumnRef]] = {}
@@ -66,8 +81,14 @@ class EnterpriseKnowledgeGraph:
     # -- construction --------------------------------------------------------------
 
     def add_column(self, table: str, column: str, **attributes: Any) -> ColumnRef:
+        """Add the node (table, column); a known one keeps its edges and
+        has *attributes* merged into its own."""
         node: ColumnRef = (table, column)
-        self._graph.add_node(node, **attributes)
+        if node in self._adj:
+            self._attributes[node].update(attributes)
+        else:
+            self._adj[node] = {}
+            self._attributes[node] = attributes
         self._by_table.setdefault(table, set()).add(node)
         return node
 
@@ -83,12 +104,14 @@ class EnterpriseKnowledgeGraph:
         Edge data maps relation name -> weight, so one column pair can be
         simultaneously content-similar and schema-similar.
         """
-        if left not in self._graph or right not in self._graph:
+        adjacent, other = self._adj.get(left), self._adj.get(right)
+        if adjacent is None or other is None:
             raise KeyError(f"both {left} and {right} must be EKG nodes")
-        if self._graph.has_edge(left, right):
-            self._graph[left][right]["relations"][relation] = weight
-        else:
-            self._graph.add_edge(left, right, relations={relation: weight})
+        relations = adjacent.get(right)
+        if relations is None:
+            relations = adjacent[right] = other[left] = {}
+            self._num_stored += 1
+        relations[relation] = weight
 
     def join_class(self, node: ColumnRef, name_class: Hashable) -> bool:
         """Put *node* in *name_class*; True when that creates the class.
@@ -97,7 +120,7 @@ class EnterpriseKnowledgeGraph:
         no-op.  A new class has no links until :meth:`link_classes` adds
         them.
         """
-        if node not in self._graph:
+        if node not in self._adj:
             raise KeyError(f"{node} must be an EKG node")
         current = self._class_of.get(node)
         if current is not None:
@@ -129,14 +152,23 @@ class EnterpriseKnowledgeGraph:
         A class whose last column goes is dropped with its links.
         """
         node = (table, column)
-        if node in self._graph:
-            self._graph.remove_node(node)
+        adjacent = self._adj.pop(node, None)
+        if adjacent is not None:
+            del self._attributes[node]
+            for other in adjacent:
+                if other != node:
+                    del self._adj[other][node]
+            self._num_stored -= len(adjacent)
         members = self._by_table.get(table)
         if members is not None:
             members.discard(node)
             if not members:
                 del self._by_table[table]
-        self._hyperedges = [h for h in self._hyperedges if node not in h.members]
+        label = f"table:{table}"  # the one table hyperedge that can hold node
+        grouped = self._hyperedges.get(label)
+        if grouped is not None and node in grouped.members:
+            del self._hyperedges[label]
+        self._drop_added(lambda hyperedge: node in hyperedge.members)
         name_class = self._class_of.pop(node, None)
         if name_class is None:
             return None
@@ -152,8 +184,17 @@ class EnterpriseKnowledgeGraph:
 
     def add_hyperedge(self, label: str, members: Iterable[ColumnRef]) -> HyperEdge:
         hyperedge = HyperEdge(label, frozenset(members))
-        self._hyperedges.append(hyperedge)
+        serial = next(self._serials)
+        self._hyperedges[serial] = hyperedge
+        self._added.add(serial)
         return hyperedge
+
+    def _drop_added(self, doomed: Callable[[HyperEdge], bool]) -> None:
+        """Drop the :meth:`add_hyperedge` hyperedges *doomed* picks (Aurum
+        adds none, so this scans nothing on its path)."""
+        for serial in [s for s in self._added if doomed(self._hyperedges[s])]:
+            self._added.remove(serial)
+            del self._hyperedges[serial]
 
     def group_table(self, table: str) -> HyperEdge:
         """Hyperedge connecting all attributes of *table* (table granularity).
@@ -162,42 +203,43 @@ class EnterpriseKnowledgeGraph:
         or re-grouping a table never accumulates duplicates.
         """
         label = f"table:{table}"
-        self._hyperedges = [h for h in self._hyperedges if h.label != label]
-        return self.add_hyperedge(label, self._by_table.get(table, ()))
+        self._hyperedges.pop(label, None)
+        self._drop_added(lambda hyperedge: hyperedge.label == label)
+        hyperedge = self._hyperedges[label] = HyperEdge(
+            label, frozenset(self._by_table.get(table, ())))
+        return hyperedge
 
     # -- structure access -----------------------------------------------------------
 
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def num_edges(self) -> int:
         """Related column pairs, whether stored or expanded from a class link."""
         expanded = sum(
             1 for node in self._class_of for other, _ in self._class_neighbors(node)
-            if node < other and not self._graph.has_edge(node, other))
-        return self._graph.number_of_edges() + expanded
+            if node < other and other not in self._adj[node])
+        return self._num_stored + expanded
 
     def columns(self, table: Optional[str] = None) -> List[ColumnRef]:
         if table is None:
-            return sorted(self._graph.nodes)
+            return sorted(self._adj)
         return sorted(self._by_table.get(table, ()))
 
     def relations_between(self, left: ColumnRef, right: ColumnRef) -> Dict[str, float]:
-        relations: Dict[str, float] = {}
-        if self._graph.has_edge(left, right):
-            relations.update(self._graph[left][right]["relations"])
+        relations = dict(self._adj.get(left, {}).get(right, {}))
         if left[0] != right[0] and left in self._class_of and right in self._class_of:
             relations.update(
                 self._links[self._class_of[left]].get(self._class_of[right], {}))
         return relations
 
     def hyperedges(self, label_prefix: str = "") -> List[HyperEdge]:
-        return [h for h in self._hyperedges if h.label.startswith(label_prefix)]
+        return [h for h in self._hyperedges.values() if h.label.startswith(label_prefix)]
 
     def node_attributes(self, node: ColumnRef) -> Dict[str, Any]:
-        return dict(self._graph.nodes[node])
+        return dict(self._attributes[node])
 
     def _class_neighbors(self, node: ColumnRef, relation: Optional[str] = None
                          ) -> Iterator[Tuple[ColumnRef, Dict[str, float]]]:
@@ -222,8 +264,7 @@ class EnterpriseKnowledgeGraph:
         neighbour keeps its own relations, and a link without *relation*
         would not change the weight of *relation* in them.
         """
-        adjacency = {other: data["relations"]
-                     for other, data in self._graph._adj[node].items()}
+        adjacency = dict(self._adj[node])
         for other, relations in self._class_neighbors(node, relation):
             stored = adjacency.get(other)
             adjacency[other] = relations if stored is None else {**stored, **relations}
@@ -235,7 +276,7 @@ class EnterpriseKnowledgeGraph:
         """Columns whose table or column name contains *keyword*."""
         needle = keyword.lower()
         return sorted(
-            node for node in self._graph.nodes
+            node for node in self._adj
             if needle in node[0].lower() or needle in node[1].lower()
         )
 
@@ -243,7 +284,7 @@ class EnterpriseKnowledgeGraph:
         """Columns whose stored value sample contains *keyword*."""
         needle = keyword.lower()
         out = []
-        for node, data in self._graph.nodes(data=True):
+        for node, data in self._attributes.items():
             sample = data.get("sample", ())
             if any(needle in str(v).lower() for v in sample):
                 out.append(node)
@@ -261,7 +302,7 @@ class EnterpriseKnowledgeGraph:
         relations; ties go by column ref.  A relation filter skips the
         class links that lack the relation instead of expanding them.
         """
-        if node not in self._graph:
+        if node not in self._adj:
             return []
         out = []
         for neighbor, relations in self._adjacency(node, relation).items():
@@ -294,16 +335,13 @@ class EnterpriseKnowledgeGraph:
         for node in sorted(self._by_table.get(table, ())):
             name_class = self._class_of.get(node)
             links = {} if name_class is None else self._links[name_class]
-            # the raw adjacency dict: the graph's AtlasView over it costs a
-            # __getitem__ call per edge read; its order is the same
-            stored = self._graph._adj[node]
+            stored = self._adj[node]
             # the tables a stored edge reaches (and *table*, which takes nothing)
             collected: Dict[str, List[float]] = {table: []}
-            for other, data in stored.items():
+            for other, relations in stored.items():
                 weights = collected.setdefault(other[0], [])
                 if other[0] == table:
                     continue
-                relations = data["relations"]
                 other_class = self._class_of.get(other, _UNCLASSED)
                 if other_class in links:  # merged as _adjacency merges it
                     relations = {**relations, **links[other_class]}
@@ -342,7 +380,7 @@ class EnterpriseKnowledgeGraph:
         column's path to itself is the one-node path, if the column has a
         *relation* edge.
         """
-        if source not in self._graph or target not in self._graph or max_hops < 0:
+        if source not in self._adj or target not in self._adj or max_hops < 0:
             return []
         if source == target:
             related = relation is None or any(
@@ -381,9 +419,8 @@ class EnterpriseKnowledgeGraph:
             reached: Set[str] = set()
             for table in frontier:
                 for node in self._by_table.get(table, ()):
-                    for neighbor, data in self._graph[node].items():
-                        if ("content_sim" in data["relations"]
-                                and neighbor[0] not in seen_tables):
+                    for neighbor, relations in self._adj[node].items():
+                        if "content_sim" in relations and neighbor[0] not in seen_tables:
                             reached.add(neighbor[0])
             seen_tables |= reached
             frontier = reached

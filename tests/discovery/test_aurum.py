@@ -549,7 +549,8 @@ class TestNameClasses:
         engine.add_table(note_table(50))
         engine.build_delta()
         assert calls == []
-        stored = [data["relations"] for *_, data in engine.ekg._graph.edges(data=True)]
+        stored = [relations for adjacent in engine.ekg._adj.values()
+                  for relations in adjacent.values()]
         assert not any("schema_sim" in relations for relations in stored)
         for i in range(50):
             assert engine.ekg.relations_between(("t50", "note"), (f"t{i}", "note")) == {

@@ -1,10 +1,13 @@
 """Tests for the banding LSH index."""
 
+import gc
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml.lsh import LSHIndex, choose_banding
-from repro.ml.minhash import MinHasher
+from repro.ml.minhash import MinHasher, MinHashSignature
 
 HASHER = MinHasher(num_perm=128)
 
@@ -129,3 +132,121 @@ def test_query_scores_equal_pairwise_jaccard(steps, queries, threshold):
                 assert hits == jaccard_query(index, signature, floor, exclude)
             assert index.query(signature, exclude=exclude) == jaccard_query(
                 index, signature, threshold, exclude)
+
+
+class TupleBucketLSH:
+    """The reference index: tuple band keys, one set of keys per bucket,
+    and a ``jaccard`` call per candidate."""
+
+    def __init__(self, num_perm, threshold):
+        self.threshold = threshold
+        self.bands, self.rows = choose_banding(num_perm, threshold)
+        self.tables = [defaultdict(set) for _ in range(self.bands)]
+        self.signatures = {}
+        self.probe_count = 0
+
+    def band_keys(self, signature):
+        for band in range(self.bands):
+            yield band, tuple(signature.values[band * self.rows:(band + 1) * self.rows])
+
+    def add(self, key, signature):
+        self.remove(key)
+        self.signatures[key] = signature
+        for band, band_key in self.band_keys(signature):
+            self.tables[band][band_key].add(key)
+
+    def remove(self, key):
+        signature = self.signatures.pop(key, None)
+        if signature is None:
+            return
+        for band, band_key in self.band_keys(signature):
+            bucket = self.tables[band][band_key]
+            bucket.discard(key)
+            if not bucket:
+                del self.tables[band][band_key]
+
+    def candidates(self, signature):
+        found = set()
+        for band, band_key in self.band_keys(signature):
+            found |= self.tables[band].get(band_key, set())
+        self.probe_count += len(found)
+        return found
+
+    def query(self, signature, min_similarity=None, exclude=None):
+        floor = self.threshold if min_similarity is None else min_similarity
+        hits = [(key, signature.jaccard(self.signatures[key]))
+                for key in self.candidates(signature) if key != exclude]
+        return sorted((hit for hit in hits if hit[1] >= floor),
+                      key=lambda hit: (-hit[1], str(hit[0])))
+
+
+# three base sets and small edits of them: equal signatures share every
+# bucket, near-equal ones most, so buckets hold one, two and many keys
+BASES = [frozenset(range(0, 20)), frozenset(range(10, 30)), frozenset(range(40, 48))]
+NEAR_SETS = st.builds(lambda base, edit: BASES[base] ^ edit, st.integers(0, len(BASES) - 1),
+                      st.frozensets(st.integers(0, 50), max_size=2))
+KEYS = [f"k{i}" for i in range(6)]
+LSH_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(KEYS), NEAR_SETS),
+    st.tuples(st.just("remove"), st.sampled_from(KEYS)),
+    st.tuples(st.just("query"), NEAR_SETS, st.sampled_from([None] + KEYS),
+              st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]))), max_size=40)
+
+
+@given(steps=LSH_STEPS, threshold=st.sampled_from([0.3, 0.5, 0.8]))
+@settings(max_examples=200, deadline=None)
+def test_index_answers_as_tuple_buckets_do(steps, threshold):
+    """Through adds, re-adds, removes and queries (with and without
+    ``exclude`` and ``min_similarity``), the slot index answers exactly as
+    the tuple-bucket reference: equal query lists, candidate sets and
+    probe counts, keys in the same order; a bucket is a slot while it
+    holds one key, and a removed key's slot is reused."""
+    index = LSHIndex(num_perm=128, threshold=threshold)
+    reference = TupleBucketLSH(num_perm=128, threshold=threshold)
+    most = 0
+    for step in steps:
+        if step[0] == "add":
+            signature = HASHER.signature(step[2])
+            index.add(step[1], signature)
+            reference.add(step[1], signature)
+        elif step[0] == "remove":
+            index.remove(step[1])
+            reference.remove(step[1])
+        else:
+            signature = HASHER.signature(step[1])
+            before, reference_before = index.probe_count, reference.probe_count
+            assert index.query(signature, step[3], step[2]) == reference.query(
+                signature, step[3], step[2])
+            assert index.candidates(signature) == reference.candidates(signature)
+            assert (index.probe_count - before
+                    == reference.probe_count - reference_before)
+        most = max(most, len(index))
+        assert index.keys() == list(reference.signatures)
+        for key in KEYS:
+            assert (key in index) == (key in reference.signatures)
+        for key, signature in reference.signatures.items():
+            assert index.signature_of(key) is signature
+            before = index.probe_count
+            assert index.query(signature, exclude=key) == reference.query(signature, exclude=key)
+            assert index.probe_count - before == len(reference.candidates(signature))
+        for table in index._tables:
+            assert all(type(bucket) is int or len(bucket) > 1 for bucket in table.values())
+    assert len(index._keys) == most
+
+
+def test_keys_in_their_own_buckets_add_no_container():
+    """A key alone in every bucket adds no garbage-collected container: its
+    values are a matrix row and each bucket holds a slot number.  One set
+    per bucket would add ``n * bands`` of them."""
+    index = LSHIndex(num_perm=128, threshold=0.5)
+    n = 200
+    keys = [f"k{i}" for i in range(n)]
+    signatures = [MinHashSignature(tuple(range(i * 128, (i + 1) * 128))) for i in range(n)]
+    gc.collect()
+    before = len(gc.get_objects())
+    for key, signature in zip(keys, signatures):
+        index.add(key, signature)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert grown < n * index.bands / 100, grown
+    assert all(len(table) == n for table in index._tables)

@@ -1,10 +1,13 @@
 """Tests for the enterprise knowledge graph."""
 
+import gc
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.modeling.ekg import EnterpriseKnowledgeGraph
+from repro.modeling.ekg import EnterpriseKnowledgeGraph, HyperEdge
 
 
 @pytest.fixture
@@ -278,3 +281,81 @@ def test_table_weights_add_each_columns_weights_strongest_first():
     g.add_relation(("a", "x"), ("b", "y"), "content_sim", 0.1)
     g.add_relation(("a", "x"), ("b", "z"), "pkfk", 0.3)
     assert g.table_weights("a") == neighbor_sums(g, "a") == {"b": 0.6, "c": 0.2}
+
+
+class HyperedgeList:
+    """The reference: every hyperedge in one list, which grouping a table
+    filters by label and removing a column filters by membership."""
+
+    def __init__(self):
+        self.items = []
+        self.by_table = {}
+
+    def add_hyperedge(self, label, members):
+        self.items.append(HyperEdge(label, frozenset(members)))
+
+    def group_table(self, table):
+        label = f"table:{table}"
+        self.items = [h for h in self.items if h.label != label]
+        self.add_hyperedge(label, self.by_table.get(table, ()))
+
+    def remove_column(self, node):
+        self.by_table.get(node[0], set()).discard(node)
+        self.items = [h for h in self.items if node not in h.members]
+
+
+HYPER_COLUMNS = [(table, column) for table in "ab" for column in "xy"]
+HYPER_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("column"), st.sampled_from(HYPER_COLUMNS)),
+    st.tuples(st.just("hyperedge"), st.sampled_from(["g", "h", "table:a", "table:b"]),
+              st.frozensets(st.sampled_from(HYPER_COLUMNS))),
+    st.tuples(st.just("group"), st.sampled_from("abc")),
+    st.tuples(st.just("remove"), st.sampled_from(HYPER_COLUMNS))), max_size=30)
+
+
+@given(steps=HYPER_STEPS)
+@settings(max_examples=300, deadline=None)
+def test_hyperedges_keep_the_order_of_one_list(steps):
+    """Table hyperedges kept by label list the same hyperedges, in the same
+    order, as one list does, for any mix of ``add_hyperedge`` (labels that
+    clash with a table's too), ``group_table`` and ``remove_column``."""
+    g = EnterpriseKnowledgeGraph()
+    reference = HyperedgeList()
+    for step in steps:
+        if step[0] == "column":
+            g.add_column(*step[1])
+            reference.by_table.setdefault(step[1][0], set()).add(step[1])
+        elif step[0] == "hyperedge":
+            g.add_hyperedge(step[1], step[2])
+            reference.add_hyperedge(step[1], step[2])
+        elif step[0] == "group":
+            assert g.group_table(step[1]) == HyperEdge(
+                f"table:{step[1]}", frozenset(reference.by_table.get(step[1], ())))
+            reference.group_table(step[1])
+        else:
+            g.remove_column(*step[1])
+            reference.remove_column(step[1])
+        for prefix in ["", "table:", "table:a", "g"]:
+            assert g.hyperedges(prefix) == [
+                h for h in reference.items if h.label.startswith(prefix)]
+
+
+def test_stored_edges_add_no_container():
+    """A stored edge adds no garbage-collected container: its relations
+    dict holds only strings and floats, which the collector does not
+    track.  Each column's adjacency dict is tracked once it holds a
+    neighbour (50 here); a wrapping data dict per edge would add 1,225."""
+    g = EnterpriseKnowledgeGraph()
+    nodes = [(f"t{i}", "c") for i in range(50)]
+    for node in nodes:
+        g.add_column(*node)
+    pairs = list(combinations(nodes, 2))
+    gc.collect()
+    before = len(gc.get_objects())
+    for left, right in pairs:
+        g.add_relation(left, right, "content_sim", 0.5)
+        g.add_relation(left, right, "pkfk", 1.0)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert grown < len(pairs) / 10, grown
+    assert g.num_edges == len(pairs)
