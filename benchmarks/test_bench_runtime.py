@@ -147,4 +147,4 @@ def test_bench_runtime_incremental_vs_full_rebuild(benchmark):
     assert answers["incremental_sync"] == answers["inline_full_rebuild"]
     assert answers["async_runtime"] == answers["inline_full_rebuild"]
     # async keeps the query path correct (drain happened) and jobs flowed
-    assert job_latency["count"] > TABLES  # metadata + catalog + refresh jobs
+    assert job_latency["count"] > TABLES  # a maintain job per ingest + refresh jobs

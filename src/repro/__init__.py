@@ -24,10 +24,10 @@ into an executable framework:
 - :mod:`repro.obs` -- the observability layer: tracing spans over every
   hot path, a process-wide metrics registry, and JSON/Prometheus/ASCII
   exporters (see ``lake.observability`` and docs/OBSERVABILITY.md).
-- :mod:`repro.runtime` -- the maintenance runtime: a dependency-aware
-  background job scheduler with retries, backpressure and dead-letter
-  semantics, plus incremental (delta-based) discovery-index upkeep
-  (see ``lake.runtime``, ``DataLake(async_maintenance=True)`` and
+- :mod:`repro.runtime` -- the maintenance runtime: a background job
+  scheduler with retries, backpressure and dead-letter semantics, plus
+  incremental (delta-based) discovery-index upkeep (see
+  ``lake.runtime``, ``DataLake(async_maintenance=True)`` and
   docs/RUNTIME.md).
 
 Quickstart::

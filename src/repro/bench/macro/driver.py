@@ -476,10 +476,14 @@ def run_crash_restart(max_points: Optional[int] = None) -> Dict[str, Any]:
 
 
 def run_serving(lake: DataLake, mix: ServingMix, seed: int) -> Dict[str, Any]:
-    """The multi-tenant phase: compliant tenants plus an optional abuser."""
+    """The multi-tenant phase: compliant tenants plus an optional abuser.
+
+    No request carries a deadline, so each admitted request runs on its
+    client's thread and the server's worker pool runs none.
+    """
     from repro.serving.quotas import TenantQuota
 
-    server = lake.server(workers=4, max_pending=128)
+    server = lake.server(max_pending=128)
     try:
         tokens: Dict[str, str] = {}
         abuser: Optional[str] = None

@@ -43,7 +43,6 @@ from repro.obs import get_registry
 from repro.serving import AuthRegistry, LakeServer, Session, TenantQuota
 
 SEED = 47
-MAX_PENDING = 512
 
 #: three compliant tenants x 34 clients = 102 concurrent clients, plus abuse
 COMPLIANT_TENANTS: Tuple[str, ...] = ("acme", "globex", "initech")
@@ -98,7 +97,7 @@ def build_server(tenants: Sequence[str], *, abuser: bool, seed: int = SEED,
     """A fresh lake + server with every tenant registered and seeded."""
     rng = random.Random(seed)
     server = LakeServer(DataLake.in_memory(), auth=AuthRegistry(),
-                        max_pending=MAX_PENDING)
+                        max_pending=512)
     sessions: Dict[str, Session] = {}
     for tenant in tenants:
         token = server.register_tenant(tenant, quota=COMPLIANT_QUOTA)

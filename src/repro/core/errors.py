@@ -72,10 +72,6 @@ class JobTimeout(MaintenanceError):
     """A job exceeded its deadline before or during execution."""
 
 
-class UpstreamFailed(MaintenanceError):
-    """A job was abandoned because one of its dependencies is dead."""
-
-
 class SchedulerClosed(MaintenanceError):
     """The scheduler no longer accepts work (``close()`` was called)."""
 

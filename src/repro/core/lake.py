@@ -41,8 +41,10 @@ class DataLake:
       also applies Aurum's delta before it returns, so a discovery
       query finds Aurum current; the keyword index applies its pending
       deltas when a keyword query next reads it;
-    - **async** (``async_maintenance=True``): ingest enqueues metadata
-      extraction, catalog registration and index-delta jobs on a
+    - **async** (``async_maintenance=True``): ingest marks the table
+      dirty, enqueues the same metadata extraction and catalog
+      registration as one ``maintain:<name>`` job, plus a coalesced
+      ``index:refresh`` job, on a
       :class:`~repro.runtime.scheduler.JobScheduler` and returns
       immediately — built for bulk loads; call :meth:`drain` (or any
       exploration query, which quiesces first) to reach a consistent view.
@@ -63,7 +65,10 @@ class DataLake:
     :class:`~repro.obs.context.RequestContext`, and the process-wide
     :mod:`repro.obs` recorder records one such request in 64 (install
     ``SpanRecorder(registry=get_registry())`` to keep them all; see
-    docs/OBSERVABILITY.md).  A sync lake starts no thread.
+    docs/OBSERVABILITY.md).  A sync lake starts no thread until a
+    caller submits work to :attr:`runtime`, as :meth:`repair_degraded`
+    does for each degraded placement: that starts the scheduler's
+    workers.
     """
 
     def __init__(
@@ -202,30 +207,49 @@ class DataLake:
         an apply that raises propagates from here with the dataset
         committed and the change still pending for the next reader, and
         a write whose request deadline has passed leaves the change to
-        the next reader.  In async mode the metadata/catalog/index work
-        is enqueued on :attr:`runtime` instead of running inline;
-        :meth:`drain` is the barrier that waits for it.
+        the next reader.  In async mode metadata extraction and catalog
+        registration run as one ``maintain:<name>`` job on
+        :attr:`runtime`, and the index delta as a coalesced
+        ``index:refresh`` job; the dirty mark, and the epoch bump it
+        fires, stay on the caller's thread, so no cache hit serves a
+        pre-write answer.  :meth:`drain` is the barrier that waits for
+        the jobs.
         """
         placement = self.polystore.store(dataset)
         replaced = dataset.name in self._datasets
         self._datasets[dataset.name] = dataset
         if self.async_maintenance:
-            self._enqueue_maintenance(dataset, placement, extract_metadata, replaced)
+            # the lazy stores are created here, on the caller's thread:
+            # they are not locked, and two jobs racing through first
+            # access would each build one (and one would be dropped)
+            self.catalog, self.provenance, self.metadata_repository
+            self.runtime.submit(
+                self._maintain, args=(dataset, placement, extract_metadata),
+                name=f"maintain:{dataset.name}", tags={"dataset": dataset.name})
         else:
-            if extract_metadata:
-                self._extract_metadata(dataset)
-            self._register_catalog(dataset, placement)
-            self._note_index_change(dataset, replaced)
+            self._maintain(dataset, placement, extract_metadata)
+        self._note_index_change(dataset, replaced)
         emit("ingest.committed", dataset=dataset.name, format=dataset.format,
              backend=placement.backend, mode="async" if self.async_maintenance
              else "sync")
-        if not self.async_maintenance:
+        if self.async_maintenance:
+            self._submit_index_refresh()
+        else:
             # after the commit event: an apply that raises leaves the
             # dataset committed and its change pending for the next reader
             self.maintainer.after_write()
         return dataset
 
-    # -- maintenance work units (run inline in sync mode, as jobs in async) --------
+    # -- maintenance work (run inline in sync mode, as one job in async) -----------
+
+    def _maintain(self, dataset: Dataset, placement, extract_metadata: bool) -> None:
+        """One write's maintenance: metadata extraction, then catalog
+        registration, so the catalog entry describes the enriched
+        dataset.  A retried job runs it whole again: the metadata
+        repository and the catalog replace an entry by name."""
+        if extract_metadata:
+            self._extract_metadata(dataset)
+        self._register_catalog(dataset, placement)
 
     def _extract_metadata(self, dataset: Dataset) -> None:
         from repro.ingestion.gemms import GemmsExtractor
@@ -253,29 +277,6 @@ class DataLake:
                 self.maintainer.note_removed(dataset.name)
             return
         self.maintainer.note(table)
-
-    def _enqueue_maintenance(self, dataset: Dataset, placement,
-                             extract_metadata: bool, replaced: bool) -> None:
-        # materialize the shared tier components on the caller thread: the
-        # lazy properties are not locked, and two worker-thread jobs racing
-        # through first access would each build (and one would drop) a store
-        self.catalog, self.provenance, self.metadata_repository
-        runtime = self.runtime
-        depends_on = []
-        if extract_metadata:
-            depends_on.append(runtime.submit(
-                self._extract_metadata, args=(dataset,),
-                name=f"metadata:{dataset.name}", tags={"dataset": dataset.name},
-            ))
-        # catalog entries describe the *enriched* dataset, so register after
-        # metadata extraction — same ordering the sync path guarantees
-        runtime.submit(
-            self._register_catalog, args=(dataset, placement),
-            name=f"catalog:{dataset.name}", depends_on=depends_on,
-            tags={"dataset": dataset.name},
-        )
-        self._note_index_change(dataset, replaced)  # the dirty mark itself is cheap
-        self._submit_index_refresh()
 
     def _submit_index_refresh(self) -> None:
         """Enqueue one index-delta job; pending refreshes coalesce."""
@@ -311,10 +312,13 @@ class DataLake:
                 raise
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Barrier: wait for all enqueued maintenance jobs; returns results.
+        """Barrier: wait for every job submitted to :attr:`runtime`;
+        returns every job's result.
 
-        A no-op returning ``{}`` in sync mode.  Always returns — jobs that
-        failed permanently are in ``lake.runtime.dead_letter()``.
+        Returns ``{}`` on a lake whose runtime was never used: a sync lake
+        unless :meth:`repair_degraded` (or a caller) submitted jobs.
+        Always returns — jobs that failed permanently are in
+        ``lake.runtime.dead_letter()``.
         """
         if self._runtime is None:
             return {}

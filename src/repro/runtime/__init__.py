@@ -8,23 +8,22 @@ substrate:
 - :mod:`repro.runtime.jobs` — :class:`Job` / :class:`JobResult` and
   :class:`RetryPolicy` (exponential backoff, deterministic jitter,
   dead-letter semantics);
-- :mod:`repro.runtime.scheduler` — :class:`JobScheduler`, a
-  dependency-aware bounded worker pool with backpressure, per-job status
-  introspection and a ``drain()`` barrier;
+- :mod:`repro.runtime.scheduler` — :class:`JobScheduler`, a bounded
+  worker pool with backpressure, per-job status introspection and a
+  ``drain()`` barrier;
 - :mod:`repro.runtime.incremental` — :class:`DirtySet` and
   :class:`IncrementalIndexMaintainer`, which turn full index rebuilds
   into per-table deltas over persistent Aurum / keyword indexes.
 
 ``DataLake`` wires these together: sync mode applies maintenance inline
-(incrementally), ``DataLake(async_maintenance=True)`` enqueues it as jobs
-for bulk loads — see docs/RUNTIME.md.
+(incrementally), ``DataLake(async_maintenance=True)`` enqueues each
+write's maintenance as one job for bulk loads — see docs/RUNTIME.md.
 """
 
 from repro.runtime.incremental import DirtySet, IncrementalIndexMaintainer
 from repro.runtime.jobs import (
     DEAD,
     NO_RETRY,
-    PENDING,
     QUEUED,
     RETRYING,
     RUNNING,
@@ -44,7 +43,6 @@ __all__ = [
     "JobResult",
     "JobScheduler",
     "NO_RETRY",
-    "PENDING",
     "QUEUED",
     "RETRYING",
     "RUNNING",

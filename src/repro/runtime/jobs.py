@@ -3,8 +3,8 @@
 The survey's maintenance tier is *continuous*: metadata extraction,
 catalog registration and discovery-index upkeep run alongside ingestion
 for the lifetime of the lake.  A :class:`Job` is one unit of that work —
-a callable plus scheduling metadata (dependencies, deadline, retry
-policy).  :class:`RetryPolicy` implements exponential backoff with
+a callable plus scheduling metadata (deadline, retry policy).
+:class:`RetryPolicy` implements exponential backoff with
 *deterministic* jitter (hash-derived, so reruns of the same job/attempt
 produce the same delay and tests stay reproducible), and a job that
 exhausts its attempts lands in the scheduler's dead-letter list instead
@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type
 
 #: job lifecycle states; ``SUCCEEDED`` and ``DEAD`` are terminal
-PENDING = "pending"        # submitted, waiting on dependencies
 QUEUED = "queued"          # ready to run, waiting for a worker
 RUNNING = "running"        # executing on a worker thread
 RETRYING = "retrying"      # failed transiently, waiting out its backoff delay
 SUCCEEDED = "succeeded"    # terminal: returned a value
 DEAD = "dead"              # terminal: dead-lettered (exhausted retries,
-                           # deadline exceeded, or upstream dependency dead)
+                           # deadline exceeded, or closed before it ran)
 
 TERMINAL_STATES = frozenset({SUCCEEDED, DEAD})
 
@@ -78,10 +77,10 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 class Job:
     """One schedulable unit of maintenance work.
 
-    ``depends_on`` names job ids that must *succeed* first; ``timeout`` is a
-    wall-clock deadline in seconds measured from submission — a job still
-    queued (or about to be retried) past its deadline is dead-lettered with
-    :class:`~repro.core.errors.JobTimeout` instead of running stale work.
+    ``timeout`` is a wall-clock deadline in seconds measured from
+    submission — a job still queued (or about to be retried) past its
+    deadline is dead-lettered with :class:`~repro.core.errors.JobTimeout`
+    instead of running stale work.
 
     ``context`` is the :class:`~repro.obs.context.RequestContext` captured
     at submission (typed loosely to keep this module obs-free); the
@@ -93,7 +92,6 @@ class Job:
     name: str = ""
     args: Tuple[Any, ...] = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    depends_on: Sequence[str] = ()
     timeout: Optional[float] = None
     retry: Optional[RetryPolicy] = None
     tags: Dict[str, Any] = field(default_factory=dict)

@@ -1,13 +1,14 @@
-"""Dependency-aware job scheduler over a bounded worker pool.
+"""Job scheduler over a bounded worker pool.
 
-The execution substrate of the maintenance runtime: jobs are submitted
-with optional dependencies (forming a DAG — a dependency must already be
-submitted, so topological order is guaranteed by construction), run on a
-small pool of daemon worker threads, and retried with backoff per their
+The execution substrate of the maintenance runtime: independent jobs
+are started first in, first out on a small pool of daemon worker
+threads, and retried with backoff per their
 :class:`~repro.runtime.jobs.RetryPolicy`.  Failure is contained, never
 contagious to the pool: a job that exhausts its retries (or misses its
-deadline) is dead-lettered, its dependents are abandoned with
-``UpstreamFailed``, and :meth:`JobScheduler.drain` still returns.
+deadline) is dead-lettered and :meth:`JobScheduler.drain` still returns.
+A job that reaches a terminal state keeps only its
+:class:`~repro.runtime.jobs.JobResult`: the scheduler releases the
+:class:`~repro.runtime.jobs.Job` and whatever its arguments hold.
 
 Backpressure is a bound on *outstanding* (non-terminal) jobs: once
 ``queue_size`` jobs are in flight, ``submit`` blocks (or raises
@@ -28,22 +29,14 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.errors import (
-    JobTimeout,
-    MaintenanceError,
-    QueueFull,
-    SchedulerClosed,
-    UpstreamFailed,
-)
+from repro.core.errors import JobTimeout, MaintenanceError, QueueFull, SchedulerClosed
 from repro.obs import bind_context, capture_context, emit, get_recorder, get_registry, traced
 from repro.runtime.jobs import (
     DEAD,
-    PENDING,
     QUEUED,
     RETRYING,
     RUNNING,
     SUCCEEDED,
-    TERMINAL_STATES,
     Job,
     JobResult,
     RetryPolicy,
@@ -51,7 +44,7 @@ from repro.runtime.jobs import (
 
 
 class JobScheduler:
-    """Bounded worker pool executing dependency-ordered maintenance jobs."""
+    """Bounded worker pool executing maintenance jobs."""
 
     def __init__(
         self,
@@ -67,13 +60,13 @@ class JobScheduler:
         self.queue_size = queue_size
         self.default_retry = default_retry or RetryPolicy()
         self._cv = threading.Condition()
+        # _jobs, _submitted_at and _attempts hold in-flight jobs only;
+        # _state and _results keep every job ever submitted
         self._jobs: Dict[str, Job] = {}
         self._state: Dict[str, str] = {}
         self._results: Dict[str, JobResult] = {}
         self._submitted_at: Dict[str, float] = {}
         self._attempts: Dict[str, int] = {}
-        self._waiting: Dict[str, set] = {}        # job id -> unresolved dep ids
-        self._dependents: Dict[str, List[str]] = {}
         self._ready: deque = deque()
         self._deferred: List = []                 # heap of (ready_at, seq, job id)
         self._dead: List[JobResult] = []
@@ -101,22 +94,15 @@ class JobScheduler:
         name: str = "",
         args: Sequence[Any] = (),
         kwargs: Optional[Dict[str, Any]] = None,
-        depends_on: Sequence[str] = (),
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         tags: Optional[Dict[str, Any]] = None,
         block: bool = True,
     ) -> str:
-        """Submit a job; returns its id.  Blocks under backpressure.
-
-        ``depends_on`` must name already-submitted jobs (the DAG is built in
-        topological order); a dependency that is already dead kills the new
-        job immediately with ``UpstreamFailed``.
-        """
+        """Submit a job; returns its id.  Blocks under backpressure."""
         job = Job(fn=fn, name=name, args=tuple(args), kwargs=kwargs or {},
-                  depends_on=tuple(depends_on), timeout=timeout,
-                  retry=retry or self.default_retry, tags=dict(tags or {}),
-                  context=capture_context())
+                  timeout=timeout, retry=retry or self.default_retry,
+                  tags=dict(tags or {}), context=capture_context())
         with self._cv:
             if self._closed:
                 raise SchedulerClosed("scheduler is closed")
@@ -131,40 +117,15 @@ class JobScheduler:
                 if self._closed:
                     raise SchedulerClosed("scheduler closed while waiting to submit")
             job_id = f"{job.name}#{next(self._seq)}"
-            unknown = [d for d in job.depends_on if d not in self._jobs]
-            if unknown:
-                raise MaintenanceError(f"job {job_id!r} depends on unknown job(s) {unknown}")
-            if job_id in job.depends_on:
-                raise MaintenanceError(f"job {job_id!r} cannot depend on itself")
             self._jobs[job_id] = job
             self._submitted_at[job_id] = time.monotonic()
             self._attempts[job_id] = 0
             self._outstanding += 1
             self._m_submitted.inc()
-            dead_deps = [d for d in job.depends_on if self._state.get(d) == DEAD]
-            if dead_deps:
-                self._state[job_id] = PENDING
-                self._kill_locked(job_id, UpstreamFailed(
-                    f"dependency {dead_deps[0]!r} is dead"), attempts=0)
-            else:
-                unresolved = {d for d in job.depends_on
-                              if self._state.get(d) not in TERMINAL_STATES}
-                for dep in unresolved:
-                    self._dependents.setdefault(dep, []).append(job_id)
-                if unresolved:
-                    self._state[job_id] = PENDING
-                    self._waiting[job_id] = unresolved
-                else:
-                    self._enqueue_locked(job_id)
+            self._enqueue_locked(job_id)
             self._ensure_workers_locked()
             self._cv.notify_all()
         return job_id
-
-    @traced("maintenance.runtime.submit_many", tier="maintenance", system="runtime",
-            function="job_scheduling")
-    def submit_many(self, fns: Sequence[Callable[..., Any]], **options: Any) -> List[str]:
-        """Submit a batch of independent jobs with shared options."""
-        return [self.submit(fn, **options) for fn in fns]
 
     # -- barriers ----------------------------------------------------------------
 
@@ -187,14 +148,11 @@ class JobScheduler:
                 self._cv.wait(remaining)
             return dict(self._results)
 
-    #: ``flush`` is the drain barrier under its buffered-IO name
-    flush = drain
-
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobResult:
         """Block until *job_id* is terminal; returns its result."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cv:
-            if job_id not in self._jobs:
+            if job_id not in self._state:
                 raise MaintenanceError(f"unknown job {job_id!r}")
             while job_id not in self._results:
                 remaining = None if deadline is None else deadline - time.monotonic()
@@ -215,7 +173,7 @@ class JobScheduler:
     def result(self, job_id: str) -> Optional[JobResult]:
         """The terminal result of *job_id*, or None while it is in flight."""
         with self._cv:
-            if job_id not in self._jobs:
+            if job_id not in self._state:
                 raise MaintenanceError(f"unknown job {job_id!r}")
             return self._results.get(job_id)
 
@@ -239,7 +197,7 @@ class JobScheduler:
             for state in self._state.values():
                 by_state[state] = by_state.get(state, 0) + 1
             return {
-                "jobs": len(self._jobs),
+                "jobs": len(self._state),
                 "outstanding": self._outstanding,
                 "queue_depth": len(self._ready) + len(self._deferred),
                 "dead_letter": len(self._dead),
@@ -249,7 +207,7 @@ class JobScheduler:
 
     def __len__(self) -> int:
         with self._cv:
-            return len(self._jobs)
+            return len(self._state)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -264,8 +222,8 @@ class JobScheduler:
                 return
             self._closed = True
             error = SchedulerClosed("scheduler closed before execution")
-            for job_id, state in list(self._state.items()):
-                if state not in TERMINAL_STATES and state != RUNNING:
+            for job_id in list(self._jobs):
+                if self._state[job_id] != RUNNING:
                     self._kill_locked(job_id, error, attempts=self._attempts[job_id])
             self._ready.clear()
             self._deferred.clear()
@@ -327,12 +285,12 @@ class JobScheduler:
             self._run_one(job_id)
 
     def _run_one(self, job_id: str) -> None:
-        job = self._jobs[job_id]
         with self._cv:
+            job = self._jobs[job_id]
+            submitted_at = self._submitted_at[job_id]
             attempt = self._attempts[job_id] + 1
             self._attempts[job_id] = attempt
-        deadline = (None if job.timeout is None
-                    else self._submitted_at[job_id] + job.timeout)
+        deadline = None if job.timeout is None else submitted_at + job.timeout
         if deadline is not None and time.monotonic() > deadline:
             with self._cv:
                 self._kill_locked(job_id, JobTimeout(
@@ -358,8 +316,9 @@ class JobScheduler:
                 self._finish_locked(job_id, JobResult(
                     job_id=job_id, name=job.name, status=SUCCEEDED, value=value,
                     attempts=attempt, latency_ms=latency_ms,
-                    total_ms=(time.monotonic() - self._submitted_at[job_id]) * 1000.0,
+                    total_ms=(time.monotonic() - submitted_at) * 1000.0,
                 ))
+                self._m_succeeded.inc()
             elif job.retry.retries(error, attempt) and not self._closed:
                 delay = job.retry.delay(job.name, attempt)
                 if deadline is not None and time.monotonic() + delay > deadline:
@@ -380,18 +339,12 @@ class JobScheduler:
             self._cv.notify_all()
 
     def _finish_locked(self, job_id: str, result: JobResult) -> None:
+        """Record *job_id*'s terminal result and release the job: only the
+        result outlives it, not the arguments the job held."""
+        del self._jobs[job_id], self._submitted_at[job_id], self._attempts[job_id]
         self._state[job_id] = result.status
         self._results[job_id] = result
         self._outstanding -= 1
-        self._m_succeeded.inc()
-        for child in self._dependents.pop(job_id, ()):
-            unresolved = self._waiting.get(child)
-            if unresolved is None:
-                continue
-            unresolved.discard(job_id)
-            if not unresolved:
-                del self._waiting[child]
-                self._enqueue_locked(child)
 
     def _kill_locked(
         self,
@@ -400,7 +353,7 @@ class JobScheduler:
         attempts: int,
         latency_ms: float = 0.0,
     ) -> None:
-        """Dead-letter *job_id* and cascade ``UpstreamFailed`` to dependents."""
+        """Dead-letter *job_id*."""
         job = self._jobs[job_id]
         result = JobResult(
             job_id=job_id, name=job.name, status=DEAD,
@@ -408,20 +361,10 @@ class JobScheduler:
             attempts=attempts, latency_ms=latency_ms,
             total_ms=(time.monotonic() - self._submitted_at[job_id]) * 1000.0,
         )
-        self._state[job_id] = DEAD
-        self._results[job_id] = result
+        self._finish_locked(job_id, result)
         self._dead.append(result)
-        self._outstanding -= 1
         self._m_dead.inc()
         emit("job.dead_letter",
              request_id=getattr(job.context, "request_id", None),
              job=job.name, job_id=job_id, attempts=attempts,
              error=type(error).__name__)
-        self._waiting.pop(job_id, None)
-        for child in self._dependents.pop(job_id, ()):
-            if self._state.get(child) not in TERMINAL_STATES:
-                self._kill_locked(
-                    child,
-                    UpstreamFailed(f"dependency {job_id!r} is dead: {error}"),
-                    attempts=self._attempts.get(child, 0),
-                )

@@ -1,13 +1,17 @@
 """Tests for the DataLake's maintenance modes: sync and async."""
 
+import gc
 import threading
+import weakref
+from collections import Counter
 
 import pytest
 
 from repro import DataLake
-from repro.core.dataset import Dataset
+from repro.core.dataset import Dataset, Table
 from repro.ingestion.gemms import GemmsExtractor
 from repro.obs import get_registry
+from repro.organization.goods_catalog import GoodsCatalog
 from repro.runtime import RetryPolicy
 
 
@@ -60,6 +64,29 @@ class TestAsyncMode:
         assert lake.metadata_repository.get("flaky").properties["num_columns"] == 1
         lake.close()
 
+    def test_transient_catalog_fault_is_retried_to_success(self, monkeypatch):
+        calls = {"n": 0}
+        original = GoodsCatalog.register
+
+        def flaky(self, dataset, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise OSError("transient catalog fault")
+            return original(self, dataset, **kwargs)
+
+        monkeypatch.setattr(GoodsCatalog, "register", flaky)
+        lake = DataLake(async_maintenance=True)
+        lake.runtime.default_retry = RetryPolicy(max_attempts=3, base_delay=0.002)
+        lake.ingest_table("flaky", {"a": [1, 2, 3]})
+        results = lake.drain()
+        (job,) = [r for r in results.values() if r.name == "maintain:flaky"]
+        assert job.ok and job.attempts == 2
+        # the retry ran metadata extraction again, which replaced its record
+        assert len(lake.metadata_repository) == 1
+        assert lake.catalog.entry("flaky").content["num_columns"] == 1
+        assert len(lake.provenance.events_about("flaky")) == 1
+        lake.close()
+
     def test_permanent_fault_dead_letters_without_wedging(self, monkeypatch):
         def broken(self, dataset):
             raise RuntimeError("extractor is down")
@@ -68,12 +95,12 @@ class TestAsyncMode:
         lake = DataLake(async_maintenance=True)
         lake.runtime.default_retry = RetryPolicy(max_attempts=2, base_delay=0.002)
         lake.ingest_table("doomed", {"a": [1]})
-        results = lake.drain()  # must return despite the dead jobs
+        lake.drain()  # must return despite the dead job
         dead = lake.runtime.dead_letter()
-        assert any(r.name == "metadata:doomed" for r in dead)
-        # catalog registration depends on metadata -> abandoned upstream
-        assert any(r.name == "catalog:doomed" and r.error_type == "UpstreamFailed"
-                   for r in results.values())
+        assert [(r.name, r.error_type) for r in dead] == [
+            ("maintain:doomed", "RuntimeError")]
+        # catalog registration follows metadata extraction in the same job
+        assert "doomed" not in lake.catalog
         # the lake itself is not wedged: later ingests still work
         monkeypatch.undo()
         lake.ingest_table("healthy", {"b": [2]})
@@ -96,6 +123,38 @@ class TestAsyncMode:
         # strictly fewer refresh jobs than ingests proves coalescing
         assert 1 <= len(refreshes) < 12
         assert len(lake.keyword_search("berlin", k=20)) == 12
+        lake.close()
+
+    def test_bulk_load_submits_one_maintain_job_per_write(self):
+        lake = DataLake(async_maintenance=True)
+        gate = threading.Event()
+        for _ in range(lake.runtime.workers):
+            lake.runtime.submit(gate.wait, name="gate")
+        fill(lake, count=8)
+        lake.ingest_table("table_0", {"id": ["again"]})  # a re-ingest is a write
+        gate.set()
+        results = lake.drain()
+        names = Counter(r.name for r in results.values())
+        assert 1 <= names.pop("index:refresh") < 9  # coalesced while queued
+        assert names.pop("gate") == lake.runtime.workers
+        assert names == Counter(
+            [f"maintain:table_{i}" for i in range(8)] + ["maintain:table_0"])
+        assert all(r.ok for r in results.values())
+        lake.close()
+
+    def test_finished_jobs_keep_no_superseded_version(self):
+        lake = DataLake(async_maintenance=True)
+        versions = []
+        for version in range(5):
+            table = Table.from_columns("orders", {"id": [version] * 10})
+            dataset = Dataset(name="orders", payload=table, format="table")
+            versions.append(weakref.ref(dataset))
+            lake.ingest(dataset)
+            del dataset, table
+        lake.drain()
+        gc.collect()
+        alive = [ref() for ref in versions if ref() is not None]
+        assert alive == [lake.dataset("orders")]
         lake.close()
 
     def test_architecture_report_includes_runtime(self):

@@ -1,7 +1,9 @@
-"""Tests for the dependency-aware, backpressured JobScheduler."""
+"""Tests for the backpressured JobScheduler."""
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -30,33 +32,31 @@ class TestExecution:
         assert sorted(results[j].value for j in ids) == [i * i for i in range(10)]
         assert all(results[j].status == SUCCEEDED for j in ids)
 
-    def test_dependency_ordering(self, scheduler):
-        order = []
-        first = scheduler.submit(lambda: order.append("first"), name="first")
-        second = scheduler.submit(lambda: order.append("second"),
-                                  name="second", depends_on=[first])
-        third = scheduler.submit(lambda: order.append("third"),
-                                 name="third", depends_on=[second])
-        scheduler.drain()
-        assert order == ["first", "second", "third"]
-        assert scheduler.status(third) == SUCCEEDED
-
-    def test_dependency_on_already_finished_job(self, scheduler):
-        first = scheduler.submit(lambda: 1, name="first")
-        scheduler.drain()
-        second = scheduler.submit(lambda: 2, name="second", depends_on=[first])
-        assert scheduler.drain()[second].value == 2
-
-    def test_unknown_dependency_rejected(self, scheduler):
-        with pytest.raises(MaintenanceError, match="unknown job"):
-            scheduler.submit(lambda: 1, depends_on=["ghost#99"])
-
     def test_results_and_wait(self, scheduler):
         job_id = scheduler.submit(lambda: "done", name="solo")
         assert scheduler.wait(job_id, timeout=5).value == "done"
         assert scheduler.result(job_id).ok
         with pytest.raises(MaintenanceError):
             scheduler.status("nope#0")
+
+    def test_finished_job_answers_after_its_job_is_released(self, scheduler):
+        class Payload:
+            pass
+
+        payload = Payload()
+        held = weakref.ref(payload)
+        job_id = scheduler.submit(lambda item: "done", args=(payload,), name="held")
+        del payload
+        scheduler.drain()
+        gc.collect()
+        # the scheduler keeps the result, not the job and its arguments
+        assert held() is None
+        assert scheduler.wait(job_id, timeout=5).value == "done"
+        assert scheduler.result(job_id).ok
+        assert scheduler.status(job_id) == SUCCEEDED
+        for call in (scheduler.wait, scheduler.result, scheduler.status):
+            with pytest.raises(MaintenanceError, match="unknown job"):
+                call("ghost#99")
 
 
 class TestRetry:
@@ -98,19 +98,6 @@ class TestRetry:
         result = scheduler.wait(job_id, timeout=5)
         assert result.status == DEAD
         assert result.attempts == 1
-
-    def test_dead_dependency_cascades_upstream_failed(self, scheduler):
-        dead_id = scheduler.submit(lambda: (_ for _ in ()).throw(RuntimeError("x")),
-                                   name="dead")
-        child = scheduler.submit(lambda: "never", name="child", depends_on=[dead_id])
-        grandchild = scheduler.submit(lambda: "never", name="grandchild",
-                                      depends_on=[child])
-        results = scheduler.drain()
-        assert results[child].error_type == "UpstreamFailed"
-        assert results[grandchild].error_type == "UpstreamFailed"
-        # submitting against an already-dead dependency dies immediately
-        late = scheduler.submit(lambda: "late", name="late", depends_on=[dead_id])
-        assert scheduler.wait(late, timeout=5).error_type == "UpstreamFailed"
 
 
 class TestDeadlines:
