@@ -18,7 +18,7 @@ from repro.serving import AuthRegistry, LakeServer, TenantQuota
 
 def main() -> None:
     lake = DataLake.in_memory()
-    server = LakeServer(lake, auth=AuthRegistry(), workers=4)
+    server = LakeServer(lake, auth=AuthRegistry())
 
     # -- two tenants, two quotas ---------------------------------------------
     acme_token = server.register_tenant("acme", quota=TenantQuota(

@@ -19,9 +19,11 @@ run.  No wall-clock reads besides ``time.perf_counter`` — the
 from __future__ import annotations
 
 import random
+import statistics
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +39,7 @@ from repro.faults import (FaultInjector, FaultSchedule, FaultSpec,
 from repro.faults.crash import (KILL, ProcessCrash, crash_census, crashing,
                                 registered_crash_points)
 from repro.ingestion.datamaran import Datamaran
+from repro.obs import get_registry
 from repro.runtime.jobs import RetryPolicy
 from repro.storage.lakehouse import LakehouseTable
 from repro.storage.object_store import ObjectStore
@@ -474,89 +477,175 @@ def run_crash_restart(max_points: Optional[int] = None) -> Dict[str, Any]:
 
 # -- serving phase ---------------------------------------------------------
 
+#: the tenant that floods, when the serving mix has an abusive tenant
+ABUSER = "tenant0"
 
-def run_serving(lake: DataLake, mix: ServingMix, seed: int) -> Dict[str, Any]:
-    """The multi-tenant phase: compliant tenants plus an optional abuser.
+#: rounds per side; the abuse-free and the abusive side alternate which
+#: goes first, each round on a fresh server over the same lake
+SERVING_ROUNDS = 10
 
-    No request carries a deadline, so each admitted request runs on its
-    client's thread and the server's worker pool runs none.
+#: share of compliant requests that must be served, on both sides
+COMPLIANT_AVAILABILITY = 1.0
+
+#: the abuser's requests must be shed more often than this
+ABUSER_SHED_FRACTION = 0.5
+
+#: bound on the compliant reads' median per-round p95 under abuse, over
+#: the same median without the abuser's clients
+MAX_P95_RATIO = 2.0
+
+#: what each client ingests, and the table the abuser floods
+_SERVED_TABLE = {"id": list(range(6)), "value": [1, 1, 2, 3, 5, 8]}
+
+
+def _serving_round(lake: DataLake, mix: ServingMix, flood: bool,
+                   ) -> Tuple[Dict[str, Counter], List[float]]:
+    """One round on a fresh server over *lake*: each tenant's outcome
+    counts, and the latency in ms of every compliant read.
+
+    Each compliant client ingests its own table, then reads it.  With
+    *flood*, the abuser's clients fetch the abuser's table far past its
+    quota.  The abuser ingests that table before any client starts, so
+    each of its fetches is served or shed, never failed.
     """
     from repro.serving.quotas import TenantQuota
 
+    abuser = ABUSER if mix.abusive_tenant else None
     server = lake.server(max_pending=128)
     try:
-        tokens: Dict[str, str] = {}
-        abuser: Optional[str] = None
+        sessions = {}
         for index in range(mix.tenants):
             tenant = f"tenant{index}"
-            if index == 0 and mix.abusive_tenant:
-                abuser = tenant
+            if tenant == abuser:
                 quota = TenantQuota(max_in_flight=2, requests_per_sec=50.0,
                                     burst=4)
             else:
                 quota = TenantQuota(max_in_flight=8, requests_per_sec=500.0,
                                     burst=64)
-            tokens[tenant] = server.register_tenant(tenant, quota=quota)
+            sessions[tenant] = server.connect(
+                server.register_tenant(tenant, quota=quota))
+        if abuser is not None:
+            sessions[abuser].ingest("flood", _SERVED_TABLE).raise_for_status()
 
-        tallies = {tenant: {"ok": 0, "shed": 0, "error": 0}
-                   for tenant in tokens}
-        lock = threading.Lock()
-        clients = [(tenant, client_index)
-                   for tenant in sorted(tokens)
-                   for client_index in range(mix.clients_per_tenant)]
+        # (tenant, index, responses, read ms): each thread fills its own lists
+        clients = [(tenant, index, [], [])
+                   for tenant in sessions if flood or tenant != abuser
+                   for index in range(mix.clients_per_tenant)]
         barrier = threading.Barrier(len(clients) + 1)
 
-        def client(tenant: str, client_index: int) -> None:
-            session = server.connect(tokens[tenant])
-            own = f"own_{client_index}"
-            requests = mix.requests_per_client
-            if tenant == abuser:
-                requests *= 5
+        def client(tenant: str, index: int, responses: List[Any],
+                   read_ms: List[float]) -> None:
+            session = sessions[tenant]
             barrier.wait()
-            response = session.ingest(own, {"id": list(range(6)),
-                                            "value": [1, 1, 2, 3, 5, 8]})
-            self_tally(tenant, response)
-            for request_index in range(requests):
-                if request_index % 3 == 2 and tenant != abuser:
+            if tenant == abuser:
+                for _ in range(5 * mix.requests_per_client):
+                    responses.append(session.fetch("flood"))
+                return
+            own = f"own_{index}"
+            responses.append(session.ingest(own, _SERVED_TABLE))
+            for request_index in range(mix.requests_per_client):
+                started = time.perf_counter()
+                if request_index % 3 == 2:
                     response = session.discover(kind="related", table=own, k=3)
                 else:
                     response = session.fetch(own)
-                self_tally(tenant, response)
+                read_ms.append((time.perf_counter() - started) * 1000.0)
+                responses.append(response)
 
-        def self_tally(tenant: str, response: Any) -> None:
-            with lock:
-                if response.ok:
-                    tallies[tenant]["ok"] += 1
-                elif response.shed:
-                    tallies[tenant]["shed"] += 1
-                else:
-                    tallies[tenant]["error"] += 1
-
-        threads = [threading.Thread(target=client, args=pair, daemon=True)
-                   for pair in clients]
+        threads = [threading.Thread(target=client, args=args, daemon=True)
+                   for args in clients]
         for thread in threads:
             thread.start()
         barrier.wait()
         for thread in threads:
             thread.join()
-
-        compliant_ok = compliant_total = 0
-        for tenant, tally in tallies.items():
-            if tenant == abuser:
-                continue
-            compliant_ok += tally["ok"]
-            compliant_total += sum(tally.values())
-        return {
-            "tenants": mix.tenants,
-            "abuser": abuser,
-            "per_tenant": tallies,
-            "compliant_availability": (compliant_ok / compliant_total
-                                       if compliant_total else 1.0),
-            "abuser_shed": (tallies[abuser]["shed"] > 0
-                            if abuser is not None else None),
-        }
     finally:
         server.close()
+
+    outcomes = {tenant: Counter(ok=0, shed=0, failed=0) for tenant in sessions}
+    latencies: List[float] = []
+    for tenant, _, responses, read_ms in clients:
+        outcomes[tenant].update(
+            "ok" if response.ok else "shed" if response.shed else "failed"
+            for response in responses)
+        latencies.extend(read_ms)
+    return outcomes, latencies
+
+
+def run_serving(lake: DataLake, mix: ServingMix) -> Dict[str, Any]:
+    """The multi-tenant phase: compliant tenants, with and without abuse.
+
+    Runs :data:`SERVING_ROUNDS` rounds of the "baseline" side (the
+    compliant clients alone) and, with an abusive tenant, as many of the
+    "abusive" side (the same clients while the abuser floods).  Reports
+    the compliant outcomes per side, each round's p95 over the compliant
+    reads, and the abuser's outcomes with the delta of its
+    ``serving.throttled`` counter; :func:`_serving_gates` judges them.
+    No request carries a deadline, so each admitted request runs on its
+    client's thread and the server's worker pool runs none.
+    """
+    sides = ("baseline", "abusive") if mix.abusive_tenant else ("baseline",)
+    compliant = {side: Counter(ok=0, shed=0, failed=0) for side in sides}
+    p95_ms: Dict[str, List[float]] = {side: [] for side in sides}
+    abuser = Counter(ok=0, shed=0, failed=0)
+    throttled = get_registry().counter("serving.throttled", tenant=ABUSER)
+    throttled_before = throttled.value
+    for round_index in range(SERVING_ROUNDS):
+        for side in (sides if round_index % 2 == 0 else sides[::-1]):
+            outcomes, read_ms = _serving_round(lake, mix,
+                                               flood=side == "abusive")
+            if mix.abusive_tenant:
+                abuser.update(outcomes.pop(ABUSER))
+            for tally in outcomes.values():
+                compliant[side].update(tally)
+            p95_ms[side].append(round(_percentile(read_ms, 0.95), 4))
+    return {
+        "tenants": mix.tenants,
+        "rounds": SERVING_ROUNDS,
+        "compliant": {side: dict(tally) for side, tally in compliant.items()},
+        "p95_ms": p95_ms,
+        "abuser": ({**abuser,
+                    "throttled": int(throttled.value - throttled_before)}
+                   if mix.abusive_tenant else None),
+    }
+
+
+def _serving_gates(serving: Dict[str, Any]) -> Dict[str, Any]:
+    """Gates derived from the serving mix: no compliant request shed or
+    failed on any side; with an abuser, most of its requests shed through
+    the typed path and counted, and the compliant p95 ratio bounded."""
+    availability = {side: (tally["ok"] / sum(tally.values())
+                           if sum(tally.values()) else 1.0)
+                    for side, tally in serving["compliant"].items()}
+    gates: Dict[str, Any] = {"compliant_availability": {
+        "pass": all(value >= COMPLIANT_AVAILABILITY
+                    for value in availability.values()),
+        "value": availability,
+        "min": COMPLIANT_AVAILABILITY,
+    }}
+    abuser = serving["abuser"]
+    if abuser is None:
+        return gates
+    requests = abuser["ok"] + abuser["shed"] + abuser["failed"]
+    shed_fraction = abuser["shed"] / requests if requests else 0.0
+    gates["abuser_shed"] = {
+        "pass": (shed_fraction > ABUSER_SHED_FRACTION
+                 and abuser["failed"] == 0
+                 and abuser["throttled"] == abuser["shed"]),
+        "shed_fraction": round(shed_fraction, 4),
+        **abuser,
+    }
+    medians = {side: round(statistics.median(values), 4)
+               for side, values in serving["p95_ms"].items()}
+    ratio = (medians["abusive"] / medians["baseline"]
+             if medians["baseline"] else None)
+    gates["compliant_p95_ratio"] = {
+        "pass": ratio is not None and ratio <= MAX_P95_RATIO,
+        "value": None if ratio is None else round(ratio, 3),
+        "max": MAX_P95_RATIO,
+        "median_p95_ms": medians,
+    }
+    return gates
 
 
 # -- the scenario runner ---------------------------------------------------
@@ -600,15 +689,7 @@ def _evaluate_gates(scenario: Scenario, stats: Dict[str, Any]) -> Dict[str, Any]
             "failures": crash.get("failures", ["crash phase did not run"]),
         }
     if scenario.serving is not None:
-        serving = stats.get("serving") or {}
-        gates["compliant_availability"] = {
-            "pass": (serving.get("compliant_availability", 0.0)
-                     >= spec.min_compliant_availability),
-            "value": serving.get("compliant_availability"),
-            "min": spec.min_compliant_availability,
-        }
-        if spec.require_abuser_shed:
-            gates["abuser_shed"] = {"pass": bool(serving.get("abuser_shed"))}
+        gates.update(_serving_gates(stats["serving"]))
     faults = stats["faults"]
     if scenario.fault_rate > 0:
         # a chaos run whose injector never fired proves nothing
@@ -689,8 +770,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
         if scenario.crash_restart:
             stats["crash_restart"] = run_crash_restart()
         if scenario.serving is not None:
-            stats["serving"] = run_serving(lake, scenario.serving,
-                                           scenario.seed)
+            stats["serving"] = run_serving(lake, scenario.serving)
         stats["faults"] = {
             "injected": polystore.relational.injected_counts(),
             "breaker_transitions": len(polystore.health.transitions()),

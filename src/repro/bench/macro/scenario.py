@@ -70,7 +70,13 @@ class OpMix:
 
 @dataclass(frozen=True)
 class ServingMix:
-    """The optional multi-tenant serving phase of a scenario."""
+    """The optional multi-tenant serving phase of a scenario.
+
+    Its gates are derived from the mix, not set in :class:`Gates`:
+    compliant availability always, and with an abusive tenant also the
+    abuser's shedding and the compliant p95 ratio (see
+    :func:`repro.bench.macro.driver.run_serving`).
+    """
 
     tenants: int = 3
     clients_per_tenant: int = 2
@@ -88,8 +94,6 @@ class Gates:
     require_sql_oracle: bool = True        # SQL row counts match the oracle
     min_discovery_answers: int = 0         # non-empty discovery results
     require_committed_visible: bool = False  # crash-restart recovery gate
-    min_compliant_availability: float = 0.0  # serving: non-abuser tenants
-    require_abuser_shed: bool = False        # serving: abuser got throttled
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class Scenario:
     serving: Optional[ServingMix] = None
     gates: Gates = Gates()
 
-    def scaled(self, fraction: float = 0.25,
+    def scaled(self, fraction: float,
                max_ops: int = 24, max_clients: int = 2) -> "Scenario":
         """A smoke-sized copy: smaller corpus, fewer ops, fewer clients."""
         serving = self.serving

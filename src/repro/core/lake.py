@@ -297,8 +297,8 @@ class DataLake:
         Gated on ``outstanding()`` — jobs still queued or running — not on
         ``len()``, which counts every job ever submitted and therefore
         stays truthy forever after the first ingest, turning every query
-        on an idle lake into a full drain (results-dict copy included).
-        The wait is bounded by the active request's deadline, and raises
+        on an idle lake into a traced wait.  The wait copies no job
+        result.  It is bounded by the active request's deadline, and raises
         :class:`~repro.core.errors.DeadlineExceeded` when that passes
         first; without a deadline it waits for every job.
         """
@@ -306,7 +306,8 @@ class DataLake:
                 and self._runtime.outstanding()):
             ctx = current_context()
             try:
-                self._runtime.drain(ctx.remaining() if ctx is not None else None)
+                self._runtime.wait_idle(
+                    ctx.remaining() if ctx is not None else None)
             except JobTimeout:
                 check_deadline("maintenance.quiesce")  # the deadline has passed
                 raise
@@ -327,7 +328,7 @@ class DataLake:
     def close(self) -> None:
         """Drain and stop the maintenance runtime."""
         if self._runtime is not None:
-            self._runtime.drain()
+            self._runtime.wait_idle()
             self._runtime.close()
 
     def ingest_table(
@@ -653,7 +654,7 @@ class DataLake:
         if not job_ids:
             return []
         if wait:
-            self.runtime.drain()
+            self.runtime.wait_idle()
         return job_ids
 
     def server(self, **kwargs) -> Any:

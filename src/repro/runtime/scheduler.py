@@ -137,16 +137,20 @@ class JobScheduler:
         Dead-lettered jobs are terminal, so ``drain`` returns even when work
         has failed permanently — inspect :meth:`dead_letter` afterwards.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cv:
-            while self._outstanding > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise JobTimeout(
-                        f"drain timed out with {self._outstanding} jobs outstanding"
-                    )
-                self._cv.wait(remaining)
+            self._wait_idle_locked(timeout)
             return dict(self._results)
+
+    @traced("maintenance.runtime.drain", tier="maintenance", system="runtime",
+            function="job_scheduling")
+    def wait_idle(self, timeout: Optional[float] = None) -> None:
+        """:meth:`drain` without the copy of every result it returns.
+
+        Raises :class:`~repro.core.errors.JobTimeout` if jobs are still
+        outstanding after *timeout* seconds.
+        """
+        with self._cv:
+            self._wait_idle_locked(timeout)
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobResult:
         """Block until *job_id* is terminal; returns its result."""
@@ -236,11 +240,21 @@ class JobScheduler:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.drain()
+        self.wait_idle()
         self.close()
         return False
 
     # -- internals (all *_locked helpers require self._cv held) -------------------
+
+    def _wait_idle_locked(self, timeout: Optional[float]) -> None:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while self._outstanding > 0:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise JobTimeout(
+                    f"drain timed out with {self._outstanding} jobs outstanding"
+                )
+            self._cv.wait(remaining)
 
     def _ensure_workers_locked(self) -> None:
         while len(self._threads) < self.workers:

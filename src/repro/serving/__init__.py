@@ -15,7 +15,7 @@ that makes our lake servable (see ``docs/SERVING.md``):
   has a deadline, per-tenant namespaces over one shared
   :class:`~repro.core.lake.DataLake`, per-tenant circuit breakers, and
   per-request :class:`~repro.obs.context.RequestContext` activation so
-  every span/metric/event/profile sample is tenant-attributed.
+  every span, metric and event is tenant-attributed.
 
 Two-tenant quickstart::
 

@@ -19,7 +19,6 @@ EXPECTED_ARTIFACTS = {
     "BENCH_macro.json",
     "BENCH_primitives.json",
     "BENCH_runtime.json",
-    "BENCH_serving.json",
 }
 
 

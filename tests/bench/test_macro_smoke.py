@@ -5,17 +5,21 @@ gates — smaller corpus, fewer ops, fewer clients) so the full DLBench
 surface is exercised on every test run in well under a minute.  The
 scaled runs must pass the exact gates the full-size matrix enforces:
 availability, zero unhandled exceptions, discovery answers equal to a
-fresh serial reference, SQL oracles, crash-restart visibility, and
-abusive-tenant shedding.
+fresh serial reference, SQL oracles, crash-restart visibility,
+abusive-tenant shedding, and the compliant p95 under abuse.
 """
 
 import dataclasses
+import importlib.util
+import json
+import pathlib
+import sys
 
 import pytest
 
-from repro.bench.macro import (MATRIX, Gates, Scenario, get_scenario,
-                               run_matrix, run_scenario, scenario_names,
-                               smoke_matrix)
+from repro.bench.macro import (MATRIX, Gates, Scenario, ServingMix,
+                               get_scenario, run_matrix, run_scenario,
+                               scenario_names, smoke_matrix)
 from repro.bench.macro.driver import _evaluate_gates
 from repro.bench.results import validate_envelope
 
@@ -65,9 +69,23 @@ def test_text_and_document_scenarios_do_real_discovery():
 
 
 def test_serving_abuse_sheds_the_abuser_not_the_compliant():
-    serving = _report("serving_abuse")["stats"]["serving"]
-    assert serving["abuser_shed"] is True
-    assert serving["compliant_availability"] >= 0.99
+    report = _report("serving_abuse")
+    serving, gates = report["stats"]["serving"], report["gates"]
+    # no compliant request shed or failed, with or without the abuser
+    for side in ("baseline", "abusive"):
+        assert serving["compliant"][side]["ok"] > 0, side
+        assert serving["compliant"][side]["shed"] == 0, side
+        assert serving["compliant"][side]["failed"] == 0, side
+    # the abuser is shed through the typed path, and the counter saw each
+    abuser = serving["abuser"]
+    assert gates["abuser_shed"]["shed_fraction"] > 0.5
+    assert abuser["failed"] == 0
+    assert abuser["throttled"] == abuser["shed"]
+    # abuse does not spread: median per-round p95 over 10 rounds per side
+    assert serving["rounds"] == 10
+    assert {side: len(p95) for side, p95 in serving["p95_ms"].items()} == {
+        "baseline": 10, "abusive": 10}
+    assert gates["compliant_p95_ratio"]["value"] <= 2.0
 
 
 def test_chaos_scenario_holds_availability_under_faults():
@@ -104,14 +122,29 @@ def test_run_matrix_wraps_reports_in_the_shared_envelope():
     assert doc["gates"]["baseline_mixed"]["pass"] is True
 
 
-def _derived(scenario, injected=None, transitions=0, degraded=0):
+def _derived(scenario, injected=None, transitions=0, degraded=0,
+             serving=None):
     """Gate verdicts for synthetic stats (discovery/SQL gates switched off)."""
     stats = {"availability": 1.0, "unhandled_errors": [],
              "faults": {"injected": injected or {},
                         "breaker_transitions": transitions,
-                        "degraded_placements": degraded}}
+                        "degraded_placements": degraded},
+             "serving": serving}
     return {name: gate["pass"]
             for name, gate in _evaluate_gates(scenario, stats).items()}
+
+
+def _serving(ratio=1.0, compliant_shed=0, abuser_failed=0, abuser_shed=40,
+             throttled=None):
+    """Synthetic serving-phase stats: 10 rounds per side."""
+    return {
+        "compliant": {"baseline": {"ok": 50, "shed": 0, "failed": 0},
+                      "abusive": {"ok": 50 - compliant_shed,
+                                  "shed": compliant_shed, "failed": 0}},
+        "p95_ms": {"baseline": [0.2] * 10, "abusive": [0.2 * ratio] * 10},
+        "abuser": {"ok": 4, "shed": abuser_shed, "failed": abuser_failed,
+                   "throttled": abuser_shed if throttled is None else throttled},
+    }
 
 
 def test_derived_gates_fail_when_they_should():
@@ -129,3 +162,39 @@ def test_derived_gates_fail_when_they_should():
     assert _derived(chaos)["faults_fired"] is False
     fired = _derived(chaos, injected={"table": 5}, transitions=3, degraded=1)
     assert fired["faults_fired"] is True and "clean_health" not in fired
+
+    abusive = dataclasses.replace(clean, serving=ServingMix(abusive_tenant=True))
+    assert _derived(abusive, serving=_serving()) == {
+        "availability": True, "unhandled": True, "clean_health": True,
+        "compliant_availability": True, "abuser_shed": True,
+        "compliant_p95_ratio": True}
+    for breach, gate in (({"ratio": 2.5}, "compliant_p95_ratio"),
+                         ({"compliant_shed": 1}, "compliant_availability"),
+                         ({"abuser_failed": 1}, "abuser_shed"),
+                         ({"abuser_shed": 0}, "abuser_shed"),
+                         ({"throttled": 39}, "abuser_shed")):
+        verdicts = _derived(abusive, serving=_serving(**breach))
+        assert verdicts[gate] is False, breach
+        assert sum(not verdict for verdict in verdicts.values()) == 1, breach
+
+    compliant_only = dataclasses.replace(clean, serving=ServingMix())
+    alone = _serving()
+    alone.update(compliant={"baseline": alone["compliant"]["baseline"]},
+                 p95_ms={"baseline": alone["p95_ms"]["baseline"]}, abuser=None)
+    assert _derived(compliant_only, serving=alone) == {
+        "availability": True, "unhandled": True, "clean_health": True,
+        "compliant_availability": True}
+
+
+def test_cli_smoke_scenario_runs_the_tier_one_shape(monkeypatch, capsys):
+    root = pathlib.Path(__file__).resolve().parents[2]
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the CLI prepends src/
+    spec = importlib.util.spec_from_file_location(
+        "_macro_bench_cli", root / "tools" / "macro_bench.py")
+    cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli)
+
+    assert cli.main(["--smoke", "--scenario", "serving_abuse",
+                     "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert reports["serving_abuse"]["scenario"] == SMOKE["serving_abuse"].to_dict()

@@ -44,6 +44,30 @@ class TestAsyncMode:
         assert joinable
         lake.close()
 
+    def test_queries_wait_out_a_job_without_copying_every_result(self, monkeypatch):
+        # uncached, so the query reads the engine and quiesces first
+        lake = fill(DataLake(async_maintenance=True, cache=False))
+        lake.drain()
+        expected = lake.discover_related("table_0", k=3)
+        assert expected
+        gate = threading.Event()
+        lake.runtime.submit(gate.wait, name="gate")
+
+        def copy_of_every_result(timeout=None):
+            pytest.fail("a query called drain(), which copies every job result")
+
+        monkeypatch.setattr(lake.runtime, "drain", copy_of_every_result)
+        opener = threading.Timer(0.05, gate.set)
+        opener.start()
+        try:
+            assert lake.discover_related("table_0", k=3) == expected
+            assert gate.is_set() and lake.runtime.outstanding() == 0
+        finally:
+            gate.set()
+            opener.join(5.0)
+            monkeypatch.undo()
+            lake.close()
+
     def test_transient_fault_is_retried_to_success(self, monkeypatch):
         calls = {"n": 0}
         original = GemmsExtractor.extract

@@ -64,7 +64,8 @@ def main(argv=None) -> int:
         except KeyError as exc:
             parser.error(str(exc.args[0]))
         if args.smoke:
-            chosen = [scenario.scaled() for scenario in chosen]
+            smoke = {scenario.name: scenario for scenario in smoke_matrix()}
+            chosen = [smoke[scenario.name] for scenario in chosen]
         reports = {scenario.name: run_scenario(scenario)
                    for scenario in chosen}
         ok = all(report["passed"] for report in reports.values())
