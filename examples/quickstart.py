@@ -76,8 +76,11 @@ def main() -> None:
     print(lake.observability.render_report())
 
     # -- maintenance runtime: bulk ingest, then drain ------------------------
-    # For bulk loads, maintenance (metadata, catalog, index upkeep) can run
-    # as background jobs instead of inline; drain() is the barrier.
+    # For bulk loads, each ingest's maintenance (metadata, catalog, and
+    # Aurum's delta once a query has built Aurum) can run as one background
+    # job instead of inline; drain() is the barrier.  The indexes are built
+    # by their first reader, as in a sync lake: here the discover_joinable
+    # below.
     bulk = DataLake(async_maintenance=True)
     for month in ("jan", "feb", "mar", "apr", "may", "jun"):
         bulk.ingest_table(f"sales_{month}", {

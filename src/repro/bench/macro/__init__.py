@@ -12,7 +12,7 @@ docs/BENCHMARKING.md.
 from repro.bench.macro.scenario import (DataMix, Gates, OpMix, Scenario,
                                         ServingMix)
 from repro.bench.macro.driver import (build_corpus, build_schedule,
-                                      run_crash_restart, run_scenario)
+                                      run_scenario)
 from repro.bench.macro.matrix import (MATRIX, get_scenario, run_matrix,
                                       scenario_names, smoke_matrix)
 
@@ -26,7 +26,6 @@ __all__ = [
     "build_corpus",
     "build_schedule",
     "get_scenario",
-    "run_crash_restart",
     "run_matrix",
     "run_scenario",
     "scenario_names",

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import random
 import statistics
-import tempfile
 import threading
 import time
 from collections import Counter
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.macro.scenario import OP_KINDS, Scenario, ServingMix
@@ -33,25 +31,18 @@ from repro.core.errors import DataLakeError
 from repro.core.lake import DataLake
 from repro.datagen import (EvolvingDocumentGenerator, LakeGenerator,
                            LogGenerator, TextCorpusGenerator)
+from repro.durability.matrix import run_crash_matrix
 from repro.exploration.federation import FederatedQueryEngine
 from repro.faults import (FaultInjector, FaultSchedule, FaultSpec,
                           ResilienceConfig)
-from repro.faults.crash import (KILL, ProcessCrash, crash_census, crashing,
-                                registered_crash_points)
 from repro.ingestion.datamaran import Datamaran
 from repro.obs import get_registry
 from repro.runtime.jobs import RetryPolicy
-from repro.storage.lakehouse import LakehouseTable
-from repro.storage.object_store import ObjectStore
 from repro.storage.polystore import Polystore
 from repro.storage.relational import RelationalStore
 
 #: client-side retry budget for ops on unguarded paths under injected faults
 SQL_RETRIES = 3
-
-#: crash-restart phase: scripted append batches (5 rows each)
-CRASH_BATCHES = 4
-CRASH_BATCH_ROWS = 5
 
 
 def _percentile(values: List[float], fraction: float) -> float:
@@ -402,79 +393,6 @@ def _verify_against_reference(lake: DataLake, scenario: Scenario,
         reference.close()
 
 
-# -- crash-restart phase ---------------------------------------------------
-
-
-def _crash_batches() -> List[List[Dict[str, int]]]:
-    return [[{"id": batch * CRASH_BATCH_ROWS + row, "v": (batch * 7 + row) % 13}
-             for row in range(CRASH_BATCH_ROWS)]
-            for batch in range(CRASH_BATCHES)]
-
-
-def _crash_workload(root: Path) -> int:
-    store = ObjectStore(root, fsync=False)
-    table = LakehouseTable("macro_tx", store)
-    committed = 0
-    for batch in _crash_batches():
-        table.append(batch)
-        committed += len(batch)
-    return committed
-
-
-def run_crash_restart(max_points: Optional[int] = None) -> Dict[str, Any]:
-    """Crash the scripted lakehouse workload at every reachable point.
-
-    The invariant is DLBench's "committed data stays visible" taken to
-    the storage layer: after a crash at any protocol step and a cold
-    reload, the recovered table holds an exact prefix of the append
-    sequence — every fully committed batch, possibly the in-flight one,
-    never a torn row set.
-    """
-    with tempfile.TemporaryDirectory(prefix="macro-census-") as tmp:
-        with crash_census() as census:
-            _crash_workload(Path(tmp) / "lake")
-        reachable = sorted(census.counts)
-    if max_points is not None:
-        reachable = reachable[:max_points]
-    kinds = {point.name: point.kinds for point in registered_crash_points()}
-    scenarios = 0
-    failures: List[str] = []
-    replayed_total = 0
-    for name in reachable:
-        mode = KILL if KILL in kinds.get(name, (KILL,)) else kinds[name][0]
-        scenarios += 1
-        with tempfile.TemporaryDirectory(prefix="macro-crash-") as tmp:
-            root = Path(tmp) / "lake"
-            committed = 0
-            try:
-                with crashing(name, mode, hit=1):
-                    store = ObjectStore(root, fsync=False)
-                    table = LakehouseTable("macro_tx", store)
-                    for batch in _crash_batches():
-                        table.append(batch)
-                        committed += len(batch)
-            except ProcessCrash:
-                pass
-            store = ObjectStore(root, fsync=False)
-            recovered = LakehouseTable("macro_tx", store)
-            replayed_total += recovered.recovery_report.get("replayed", 0)
-            rows = recovered.row_count()
-            visible_ids = sorted(
-                row["id"] for row in recovered.snapshot().rows())
-            prefix_ok = (committed <= rows <= committed + CRASH_BATCH_ROWS
-                         and rows % CRASH_BATCH_ROWS == 0
-                         and visible_ids == list(range(rows)))
-            if not prefix_ok:
-                failures.append(f"{name}/{mode}: committed={committed} "
-                                f"recovered={rows} ids={visible_ids[:8]}")
-    return {
-        "scenarios": scenarios,
-        "failures": failures,
-        "committed_visible": not failures,
-        "replayed_commits": replayed_total,
-    }
-
-
 # -- serving phase ---------------------------------------------------------
 
 #: the tenant that floods, when the serving mix has an abusive tenant
@@ -493,6 +411,12 @@ ABUSER_SHED_FRACTION = 0.5
 #: bound on the compliant reads' median per-round p95 under abuse, over
 #: the same median without the abuser's clients
 MAX_P95_RATIO = 2.0
+
+#: share of a scenario's scheduled ops that must succeed
+MIN_AVAILABILITY = 0.99
+
+#: exceptions outside the lake's typed errors that a scenario may raise
+MAX_UNHANDLED = 0
 
 #: what each client ingests, and the table the abuser floods
 _SERVED_TABLE = {"id": list(range(6)), "value": [1, 1, 2, 3, 5, 8]}
@@ -655,25 +579,23 @@ def _evaluate_gates(scenario: Scenario, stats: Dict[str, Any]) -> Dict[str, Any]
     spec = scenario.gates
     gates: Dict[str, Any] = {}
     gates["availability"] = {
-        "pass": stats["availability"] >= spec.min_availability,
+        "pass": stats["availability"] >= MIN_AVAILABILITY,
         "value": stats["availability"],
-        "min": spec.min_availability,
+        "min": MIN_AVAILABILITY,
     }
     gates["unhandled"] = {
-        "pass": len(stats["unhandled_errors"]) <= spec.max_unhandled,
+        "pass": len(stats["unhandled_errors"]) <= MAX_UNHANDLED,
         "count": len(stats["unhandled_errors"]),
-        "max": spec.max_unhandled,
+        "max": MAX_UNHANDLED,
     }
-    if spec.require_discovery_match:
-        gates["discovery_match"] = {
-            "pass": stats["verification"]["match"],
-            "mismatches": stats["verification"]["mismatches"],
-        }
-    if spec.require_sql_oracle:
-        gates["sql_oracle"] = {
-            "pass": not stats["sql_mismatches"],
-            "mismatches": stats["sql_mismatches"],
-        }
+    gates["discovery_match"] = {
+        "pass": stats["verification"]["match"],
+        "mismatches": stats["verification"]["mismatches"],
+    }
+    gates["sql_oracle"] = {
+        "pass": not stats["sql_mismatches"],
+        "mismatches": stats["sql_mismatches"],
+    }
     if spec.min_discovery_answers > 0:
         answers = (stats["discovery_answers"]
                    + stats["verification"]["non_empty_answers"])
@@ -682,11 +604,12 @@ def _evaluate_gates(scenario: Scenario, stats: Dict[str, Any]) -> Dict[str, Any]
             "value": answers,
             "min": spec.min_discovery_answers,
         }
-    if spec.require_committed_visible:
-        crash = stats.get("crash_restart") or {}
+    if scenario.crash_restart:
+        crash = stats["crash_restart"]
         gates["committed_visible"] = {
-            "pass": bool(crash.get("committed_visible")),
-            "failures": crash.get("failures", ["crash phase did not run"]),
+            "pass": crash["committed_visible"],
+            "failures": crash["failures"],
+            "unreached_points": crash["unreached_points"],
         }
     if scenario.serving is not None:
         gates.update(_serving_gates(stats["serving"]))
@@ -768,7 +691,17 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
             "health_degraded": lake.polystore.health.degraded(),
         }
         if scenario.crash_restart:
-            stats["crash_restart"] = run_crash_restart()
+            # the durability crash matrix: every reachable (point, mode,
+            # hit) of its workload, checked against its recovery
+            # invariants after a cold reload
+            matrix = run_crash_matrix()
+            stats["crash_restart"] = {
+                "scenarios": matrix["scenarios"],
+                "failures": matrix["failures"],
+                "unreached_points": matrix["unreached_points"],
+                "committed_visible": not (matrix["failures"]
+                                          or matrix["unreached_points"]),
+            }
         if scenario.serving is not None:
             stats["serving"] = run_serving(lake, scenario.serving)
         stats["faults"] = {

@@ -7,7 +7,8 @@ from ``repro.datagen``), *what traffic* hits it (:class:`OpMix` weights
 over ingest/discover/sql/fetch/federation, client count), *under what
 conditions* (async maintenance, injected fault rate, a crash–restart
 phase, an optional multi-tenant serving phase), and *what must hold*
-(:class:`Gates` — the per-scenario regression gates the driver asserts).
+(:class:`Gates` — the per-scenario bound on discovery answers; the
+driver derives every other gate).
 
 Scenarios are frozen, fully seeded, and round-trip through plain dicts
 (:meth:`Scenario.to_dict` / :meth:`Scenario.from_dict`), so the matrix
@@ -86,14 +87,15 @@ class ServingMix:
 
 @dataclass(frozen=True)
 class Gates:
-    """Per-scenario regression gates the driver evaluates in-run."""
+    """The one gate bound that differs between scenarios.
 
-    min_availability: float = 0.99
-    max_unhandled: int = 0
-    require_discovery_match: bool = True   # answers == uncached serial ref
-    require_sql_oracle: bool = True        # SQL row counts match the oracle
+    Every scenario also gets the driver's fixed gates (availability,
+    unhandled exceptions, discovery answers equal to the uncached serial
+    reference, SQL row counts equal to their oracles) and the gates
+    derived from its conditions (faults, crash–restart, serving).
+    """
+
     min_discovery_answers: int = 0         # non-empty discovery results
-    require_committed_visible: bool = False  # crash-restart recovery gate
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,12 @@ class MaintenanceError(DataLakeError):
 
 
 class JobTimeout(MaintenanceError):
-    """A job exceeded its deadline before or during execution."""
+    """A scheduler wait (``wait``, ``wait_idle`` or ``drain``) ran out of
+    time before the jobs it waits for were terminal."""
 
 
 class SchedulerClosed(MaintenanceError):
     """The scheduler no longer accepts work (``close()`` was called)."""
-
-
-class QueueFull(MaintenanceError):
-    """Backpressure: the scheduler's bounded queue rejected a non-blocking submit."""
 
 
 class ProvenanceError(DataLakeError):

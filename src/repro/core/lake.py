@@ -42,12 +42,15 @@ class DataLake:
       query finds Aurum current; the keyword index applies its pending
       deltas when a keyword query next reads it;
     - **async** (``async_maintenance=True``): ingest marks the table
-      dirty, enqueues the same metadata extraction and catalog
-      registration as one ``maintain:<name>`` job, plus a coalesced
-      ``index:refresh`` job, on a
+      dirty, enqueues the sync path's post-store steps (metadata
+      extraction, catalog registration, then Aurum's delta once Aurum
+      has been built) as one ``maintain:<name>`` job on a
       :class:`~repro.runtime.scheduler.JobScheduler` and returns
       immediately — built for bulk loads; call :meth:`drain` (or any
-      exploration query, which quiesces first) to reach a consistent view.
+      exploration query, which quiesces first) to reach a consistent
+      view.  The indexes are applied as in sync mode: Aurum by its first
+      reader and then by each write, the keyword index by keyword
+      queries.
 
     Discovery runs on the caller's thread (see docs/EXPLORATION.md).
     ``cache=`` sets the lake-wide
@@ -89,8 +92,6 @@ class DataLake:
         self._metadata_repository = None
         self._runtime = None
         self._maintainer = None
-        self._index_refresh_pending = False  # coalesces async refresh jobs
-        self._index_flag_lock = threading.Lock()
         self._epochs = EpochClock()
         if isinstance(cache, QueryCache):
             self._query_cache: Optional[QueryCache] = cache
@@ -207,13 +208,13 @@ class DataLake:
         an apply that raises propagates from here with the dataset
         committed and the change still pending for the next reader, and
         a write whose request deadline has passed leaves the change to
-        the next reader.  In async mode metadata extraction and catalog
-        registration run as one ``maintain:<name>`` job on
-        :attr:`runtime`, and the index delta as a coalesced
-        ``index:refresh`` job; the dirty mark, and the epoch bump it
-        fires, stay on the caller's thread, so no cache hit serves a
-        pre-write answer.  :meth:`drain` is the barrier that waits for
-        the jobs.
+        the next reader.  In async mode the dirty mark, and the epoch
+        bump it fires, come first and stay on the caller's thread, so no
+        cache hit serves a pre-write answer; metadata extraction,
+        catalog registration and the Aurum delta then run, in that
+        order, as one ``maintain:<name>`` job on :attr:`runtime`, and an
+        apply that raises fails the job into its retry.  :meth:`drain`
+        is the barrier that waits for the jobs.
         """
         placement = self.polystore.store(dataset)
         replaced = dataset.name in self._datasets
@@ -222,19 +223,20 @@ class DataLake:
             # the lazy stores are created here, on the caller's thread:
             # they are not locked, and two jobs racing through first
             # access would each build one (and one would be dropped)
-            self.catalog, self.provenance, self.metadata_repository
+            self.catalog, self.provenance, self.metadata_repository, self.maintainer
+            # marked before the job is queued, so its apply finds the change
+            self._note_index_change(dataset, replaced)
             self.runtime.submit(
-                self._maintain, args=(dataset, placement, extract_metadata),
+                self._maintain_and_apply,
+                args=(dataset, placement, extract_metadata),
                 name=f"maintain:{dataset.name}", tags={"dataset": dataset.name})
         else:
             self._maintain(dataset, placement, extract_metadata)
-        self._note_index_change(dataset, replaced)
+            self._note_index_change(dataset, replaced)
         emit("ingest.committed", dataset=dataset.name, format=dataset.format,
              backend=placement.backend, mode="async" if self.async_maintenance
              else "sync")
-        if self.async_maintenance:
-            self._submit_index_refresh()
-        else:
+        if not self.async_maintenance:
             # after the commit event: an apply that raises leaves the
             # dataset committed and its change pending for the next reader
             self.maintainer.after_write()
@@ -250,6 +252,13 @@ class DataLake:
         if extract_metadata:
             self._extract_metadata(dataset)
         self._register_catalog(dataset, placement)
+
+    def _maintain_and_apply(self, dataset: Dataset, placement,
+                            extract_metadata: bool) -> None:
+        """An async write's job: :meth:`_maintain`, then Aurum's delta,
+        the sync write's post-store steps in their order."""
+        self._maintain(dataset, placement, extract_metadata)
+        self.maintainer.after_write()
 
     def _extract_metadata(self, dataset: Dataset) -> None:
         from repro.ingestion.gemms import GemmsExtractor
@@ -278,19 +287,6 @@ class DataLake:
             return
         self.maintainer.note(table)
 
-    def _submit_index_refresh(self) -> None:
-        """Enqueue one index-delta job; pending refreshes coalesce."""
-        with self._index_flag_lock:
-            if self._index_refresh_pending:
-                return
-            self._index_refresh_pending = True
-        self.runtime.submit(self._run_index_refresh, name="index:refresh")
-
-    def _run_index_refresh(self) -> int:
-        with self._index_flag_lock:
-            self._index_refresh_pending = False
-        return self.maintainer.refresh()
-
     def _quiesce(self) -> None:
         """In async mode, wait out enqueued maintenance before querying.
 
@@ -314,7 +310,8 @@ class DataLake:
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Barrier: wait for every job submitted to :attr:`runtime`;
-        returns every job's result.
+        returns the results it keeps, those of its last ``queue_size``
+        finished jobs.
 
         Returns ``{}`` on a lake whose runtime was never used: a sync lake
         unless :meth:`repair_degraded` (or a caller) submitted jobs.

@@ -9,15 +9,16 @@ substrate:
   :class:`RetryPolicy` (exponential backoff, deterministic jitter,
   dead-letter semantics);
 - :mod:`repro.runtime.scheduler` — :class:`JobScheduler`, a bounded
-  worker pool with backpressure, per-job status introspection and a
-  ``drain()`` barrier;
+  worker pool with backpressure, per-job status introspection over a
+  window of recent results, and a ``drain()`` barrier;
 - :mod:`repro.runtime.incremental` — :class:`DirtySet` and
   :class:`IncrementalIndexMaintainer`, which turn full index rebuilds
   into per-table deltas over persistent Aurum / keyword indexes.
 
 ``DataLake`` wires these together: sync mode applies maintenance inline
-(incrementally), ``DataLake(async_maintenance=True)`` enqueues each
-write's maintenance as one job for bulk loads — see docs/RUNTIME.md.
+(incrementally), ``DataLake(async_maintenance=True)`` enqueues the same
+post-store steps of each write as one job for bulk loads — see
+docs/RUNTIME.md.
 """
 
 from repro.runtime.incremental import DirtySet, IncrementalIndexMaintainer

@@ -18,14 +18,14 @@ rebuilding them from all tables:
 
 A query applies only what the index it reads needs: ``engine()`` applies
 Aurum's dirty set, ``searcher()`` the keyword index's and Aurum's.
-Once Aurum has been built, a sync writer applies Aurum's set itself
-(``after_write()``), so a discovery query after a write finds Aurum
-current; the keyword index's set still waits for a keyword query.
-``refresh()`` applies both; it is idempotent and cheap when clean, so
-scheduler jobs and other callers can invoke it at any time.  A refresh
-that raises puts the changes it had not applied back in their dirty
-sets, so the next refresh (a query's, a write's, or a job's retry)
-applies them.
+Once Aurum has been built, a writer applies Aurum's set itself
+(``after_write()``: a sync write before it returns, an async one in its
+job), so a discovery query after a write finds Aurum current; the
+keyword index's set still waits for a keyword query.  ``refresh()``
+applies both; it is idempotent and cheap when clean, so any caller can
+invoke it at any time.  A refresh that raises puts the changes it had
+not applied back in their dirty sets, so the next refresh (a query's, a
+write's, or a job's retry) applies them.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ class IncrementalIndexMaintainer:
     both.  A keyword index equals one built from the surviving tables,
     so deferring its changes changes no answer; Aurum keeps a table's
     old profiles under its change threshold, so its answers depend on
-    when a change is applied.  Once Aurum has been built, a sync writer
+    when a change is applied.  Once Aurum has been built, a writer
     applies its own change to Aurum with :meth:`after_write`, so Aurum's
     answers then depend on the sequence of writes alone, not on when
     queries ran; every query still applies Aurum's set, for a change a
@@ -242,7 +242,7 @@ class IncrementalIndexMaintainer:
             function="index_upkeep")
     def refresh(self) -> int:
         """Apply both indexes' pending changes; returns the number of
-        tables applied (scheduler jobs and explicit calls)."""
+        tables applied (explicit calls)."""
         with self._lock:
             return self._apply_pending_locked(keyword=True)
 
@@ -337,8 +337,9 @@ class IncrementalIndexMaintainer:
             self._m_clean.inc()
 
     def after_write(self) -> int:
-        """Apply Aurum's pending changes for a sync writer that has just
-        noted its change; returns the number of tables applied.
+        """Apply Aurum's pending changes for a writer that has noted its
+        change (a sync write, or an async write's job); returns the
+        number of tables applied.
 
         Before Aurum's first build this applies nothing: a bulk load
         waits for Aurum's first reader, which builds it in one pass, and

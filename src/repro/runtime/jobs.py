@@ -3,7 +3,7 @@
 The survey's maintenance tier is *continuous*: metadata extraction,
 catalog registration and discovery-index upkeep run alongside ingestion
 for the lifetime of the lake.  A :class:`Job` is one unit of that work —
-a callable plus scheduling metadata (deadline, retry policy).
+a callable plus scheduling metadata (retry policy, span tags).
 :class:`RetryPolicy` implements exponential backoff with
 *deterministic* jitter (hash-derived, so reruns of the same job/attempt
 produce the same delay and tests stay reproducible), and a job that
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 #: job lifecycle states; ``SUCCEEDED`` and ``DEAD`` are terminal
 QUEUED = "queued"          # ready to run, waiting for a worker
@@ -23,7 +23,7 @@ RUNNING = "running"        # executing on a worker thread
 RETRYING = "retrying"      # failed transiently, waiting out its backoff delay
 SUCCEEDED = "succeeded"    # terminal: returned a value
 DEAD = "dead"              # terminal: dead-lettered (exhausted retries,
-                           # deadline exceeded, or closed before it ran)
+                           # a non-retryable error, or closed before it ran)
 
 TERMINAL_STATES = frozenset({SUCCEEDED, DEAD})
 
@@ -77,11 +77,6 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 class Job:
     """One schedulable unit of maintenance work.
 
-    ``timeout`` is a wall-clock deadline in seconds measured from
-    submission — a job still queued (or about to be retried) past its
-    deadline is dead-lettered with :class:`~repro.core.errors.JobTimeout`
-    instead of running stale work.
-
     ``context`` is the :class:`~repro.obs.context.RequestContext` captured
     at submission (typed loosely to keep this module obs-free); the
     scheduler re-binds it on the worker thread for every attempt, so work
@@ -91,8 +86,6 @@ class Job:
     fn: Callable[..., Any]
     name: str = ""
     args: Tuple[Any, ...] = ()
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-    timeout: Optional[float] = None
     retry: Optional[RetryPolicy] = None
     tags: Dict[str, Any] = field(default_factory=dict)
     context: Optional[Any] = None
@@ -102,12 +95,10 @@ class Job:
             raise TypeError(f"job fn must be callable, got {type(self.fn).__name__}")
         if not self.name:
             self.name = getattr(self.fn, "__name__", "job")
-        if self.timeout is not None and self.timeout < 0:
-            raise ValueError("timeout must be non-negative")
 
     def run(self) -> Any:
         """Execute the payload once (retries are the scheduler's concern)."""
-        return self.fn(*self.args, **dict(self.kwargs))
+        return self.fn(*self.args)
 
 
 @dataclass

@@ -4,16 +4,20 @@ The execution substrate of the maintenance runtime: independent jobs
 are started first in, first out on a small pool of daemon worker
 threads, and retried with backoff per their
 :class:`~repro.runtime.jobs.RetryPolicy`.  Failure is contained, never
-contagious to the pool: a job that exhausts its retries (or misses its
-deadline) is dead-lettered and :meth:`JobScheduler.drain` still returns.
-A job that reaches a terminal state keeps only its
-:class:`~repro.runtime.jobs.JobResult`: the scheduler releases the
-:class:`~repro.runtime.jobs.Job` and whatever its arguments hold.
+contagious to the pool: a job that exhausts its retries is dead-lettered
+and :meth:`JobScheduler.drain` still returns.
 
-Backpressure is a bound on *outstanding* (non-terminal) jobs: once
-``queue_size`` jobs are in flight, ``submit`` blocks (or raises
-``QueueFull`` when ``block=False``) until workers free capacity — a bulk
-producer can never grow the queue without limit.
+``queue_size`` bounds what the scheduler holds, in both directions:
+
+- *outstanding* (non-terminal) jobs: once ``queue_size`` are in flight,
+  ``submit`` blocks until workers free capacity, so a bulk producer can
+  never grow the queue without limit;
+- finished jobs: a job that reaches a terminal state keeps only its
+  :class:`~repro.runtime.jobs.JobResult` (the scheduler releases the
+  :class:`~repro.runtime.jobs.Job` and whatever its arguments hold), and
+  only the results of the last ``queue_size`` finished jobs are kept.
+  An older id answers as one the scheduler never issued.  Lifetime
+  counts per state, and every dead letter, are kept.
 
 Every state transition feeds ``repro.obs``: a ``runtime.queue_depth``
 gauge, submitted/succeeded/retried/dead counters, a ``runtime.job_ms``
@@ -26,10 +30,10 @@ import heapq
 import itertools
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.errors import JobTimeout, MaintenanceError, QueueFull, SchedulerClosed
+from repro.core.errors import JobTimeout, MaintenanceError, SchedulerClosed
 from repro.obs import bind_context, capture_context, emit, get_recorder, get_registry, traced
 from repro.runtime.jobs import (
     DEAD,
@@ -60,17 +64,18 @@ class JobScheduler:
         self.queue_size = queue_size
         self.default_retry = default_retry or RetryPolicy()
         self._cv = threading.Condition()
-        # _jobs, _submitted_at and _attempts hold in-flight jobs only;
-        # _state and _results keep every job ever submitted
+        # _jobs, _state, _submitted_at and _attempts hold in-flight jobs
+        # only; _results the last queue_size finished ones, oldest first;
+        # _finished the lifetime count per terminal state
         self._jobs: Dict[str, Job] = {}
         self._state: Dict[str, str] = {}
-        self._results: Dict[str, JobResult] = {}
+        self._results: "OrderedDict[str, JobResult]" = OrderedDict()
+        self._finished: Dict[str, int] = {}
         self._submitted_at: Dict[str, float] = {}
         self._attempts: Dict[str, int] = {}
         self._ready: deque = deque()
         self._deferred: List = []                 # heap of (ready_at, seq, job id)
         self._dead: List[JobResult] = []
-        self._outstanding = 0
         self._seq = itertools.count()
         self._threads: List[threading.Thread] = []
         self._closed = False
@@ -93,25 +98,17 @@ class JobScheduler:
         *,
         name: str = "",
         args: Sequence[Any] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-        timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         tags: Optional[Dict[str, Any]] = None,
-        block: bool = True,
     ) -> str:
         """Submit a job; returns its id.  Blocks under backpressure."""
-        job = Job(fn=fn, name=name, args=tuple(args), kwargs=kwargs or {},
-                  timeout=timeout, retry=retry or self.default_retry,
+        job = Job(fn=fn, name=name, args=tuple(args),
+                  retry=retry or self.default_retry,
                   tags=dict(tags or {}), context=capture_context())
         with self._cv:
             if self._closed:
                 raise SchedulerClosed("scheduler is closed")
-            while self._outstanding >= self.queue_size:
-                if not block:
-                    raise QueueFull(
-                        f"{self._outstanding} jobs outstanding "
-                        f"(queue_size={self.queue_size})"
-                    )
+            while len(self._jobs) >= self.queue_size:
                 self._m_backpressure.inc()
                 self._cv.wait()
                 if self._closed:
@@ -120,7 +117,6 @@ class JobScheduler:
             self._jobs[job_id] = job
             self._submitted_at[job_id] = time.monotonic()
             self._attempts[job_id] = 0
-            self._outstanding += 1
             self._m_submitted.inc()
             self._enqueue_locked(job_id)
             self._ensure_workers_locked()
@@ -132,7 +128,8 @@ class JobScheduler:
     @traced("maintenance.runtime.drain", tier="maintenance", system="runtime",
             function="job_scheduling")
     def drain(self, timeout: Optional[float] = None) -> Dict[str, JobResult]:
-        """Block until every submitted job is terminal; returns all results.
+        """Block until every submitted job is terminal; returns the kept
+        results, those of the last ``queue_size`` finished jobs.
 
         Dead-lettered jobs are terminal, so ``drain`` returns even when work
         has failed permanently — inspect :meth:`dead_letter` afterwards.
@@ -144,7 +141,7 @@ class JobScheduler:
     @traced("maintenance.runtime.drain", tier="maintenance", system="runtime",
             function="job_scheduling")
     def wait_idle(self, timeout: Optional[float] = None) -> None:
-        """:meth:`drain` without the copy of every result it returns.
+        """:meth:`drain` without the copy of the results it returns.
 
         Raises :class:`~repro.core.errors.JobTimeout` if jobs are still
         outstanding after *timeout* seconds.
@@ -153,37 +150,34 @@ class JobScheduler:
             self._wait_idle_locked(timeout)
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobResult:
-        """Block until *job_id* is terminal; returns its result."""
+        """Block until *job_id* is terminal; returns its result.
+
+        A job that finished and left the result window meanwhile raises
+        as an unknown id does.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cv:
-            if job_id not in self._state:
-                raise MaintenanceError(f"unknown job {job_id!r}")
-            while job_id not in self._results:
+            while job_id in self._state:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise JobTimeout(f"wait({job_id!r}) timed out")
                 self._cv.wait(remaining)
-            return self._results[job_id]
+            return self._result_locked(job_id)
 
     # -- introspection -----------------------------------------------------------
 
     def status(self, job_id: str) -> str:
         with self._cv:
-            try:
+            if job_id in self._state:
                 return self._state[job_id]
-            except KeyError:
-                raise MaintenanceError(f"unknown job {job_id!r}") from None
+            return self._result_locked(job_id).status
 
     def result(self, job_id: str) -> Optional[JobResult]:
         """The terminal result of *job_id*, or None while it is in flight."""
         with self._cv:
-            if job_id not in self._state:
-                raise MaintenanceError(f"unknown job {job_id!r}")
-            return self._results.get(job_id)
-
-    def results(self) -> Dict[str, JobResult]:
-        with self._cv:
-            return dict(self._results)
+            if job_id in self._state:
+                return None
+            return self._result_locked(job_id)
 
     def dead_letter(self) -> List[JobResult]:
         """Results of permanently failed jobs, oldest first."""
@@ -192,17 +186,17 @@ class JobScheduler:
 
     def outstanding(self) -> int:
         with self._cv:
-            return self._outstanding
+            return len(self._jobs)
 
     def stats(self) -> Dict[str, Any]:
-        """Counts by state plus queue depth and pool size."""
+        """Lifetime counts by state plus queue depth and pool size."""
         with self._cv:
-            by_state: Dict[str, int] = {}
+            by_state = dict(self._finished)
             for state in self._state.values():
                 by_state[state] = by_state.get(state, 0) + 1
             return {
-                "jobs": len(self._state),
-                "outstanding": self._outstanding,
+                "jobs": sum(by_state.values()),
+                "outstanding": len(self._jobs),
                 "queue_depth": len(self._ready) + len(self._deferred),
                 "dead_letter": len(self._dead),
                 "workers": len(self._threads),
@@ -210,8 +204,9 @@ class JobScheduler:
             }
 
     def __len__(self) -> int:
+        """Every job ever submitted, finished or not."""
         with self._cv:
-            return len(self._state)
+            return len(self._state) + sum(self._finished.values())
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -246,13 +241,21 @@ class JobScheduler:
 
     # -- internals (all *_locked helpers require self._cv held) -------------------
 
+    def _result_locked(self, job_id: str) -> JobResult:
+        """The kept result of *job_id*; an id that is in flight, has left
+        the window or was never issued raises."""
+        try:
+            return self._results[job_id]
+        except KeyError:
+            raise MaintenanceError(f"unknown job {job_id!r}") from None
+
     def _wait_idle_locked(self, timeout: Optional[float]) -> None:
         deadline = None if timeout is None else time.monotonic() + timeout
-        while self._outstanding > 0:
+        while self._jobs:
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 raise JobTimeout(
-                    f"drain timed out with {self._outstanding} jobs outstanding"
+                    f"drain timed out with {len(self._jobs)} jobs outstanding"
                 )
             self._cv.wait(remaining)
 
@@ -304,14 +307,6 @@ class JobScheduler:
             submitted_at = self._submitted_at[job_id]
             attempt = self._attempts[job_id] + 1
             self._attempts[job_id] = attempt
-        deadline = None if job.timeout is None else submitted_at + job.timeout
-        if deadline is not None and time.monotonic() > deadline:
-            with self._cv:
-                self._kill_locked(job_id, JobTimeout(
-                    f"deadline of {job.timeout}s passed before attempt {attempt}"
-                ), attempts=attempt - 1)
-                self._cv.notify_all()
-            return
         start = time.perf_counter()
         error: Optional[BaseException] = None
         value: Any = None
@@ -335,18 +330,12 @@ class JobScheduler:
                 self._m_succeeded.inc()
             elif job.retry.retries(error, attempt) and not self._closed:
                 delay = job.retry.delay(job.name, attempt)
-                if deadline is not None and time.monotonic() + delay > deadline:
-                    self._kill_locked(job_id, JobTimeout(
-                        f"deadline of {job.timeout}s leaves no room for retry "
-                        f"after: {error!r}"
-                    ), attempts=attempt, latency_ms=latency_ms)
-                else:
-                    self._m_retried.inc()
-                    emit("job.retry",
-                         request_id=getattr(job.context, "request_id", None),
-                         job=job.name, job_id=job_id, attempt=attempt,
-                         error=type(error).__name__, delay_s=round(delay, 4))
-                    self._enqueue_locked(job_id, ready_at=time.monotonic() + delay)
+                self._m_retried.inc()
+                emit("job.retry",
+                     request_id=getattr(job.context, "request_id", None),
+                     job=job.name, job_id=job_id, attempt=attempt,
+                     error=type(error).__name__, delay_s=round(delay, 4))
+                self._enqueue_locked(job_id, ready_at=time.monotonic() + delay)
             else:
                 self._kill_locked(job_id, error, attempts=attempt,
                                   latency_ms=latency_ms)
@@ -354,11 +343,14 @@ class JobScheduler:
 
     def _finish_locked(self, job_id: str, result: JobResult) -> None:
         """Record *job_id*'s terminal result and release the job: only the
-        result outlives it, not the arguments the job held."""
-        del self._jobs[job_id], self._submitted_at[job_id], self._attempts[job_id]
-        self._state[job_id] = result.status
+        result outlives it, not the arguments the job held, and only until
+        ``queue_size`` later jobs have finished."""
+        del self._jobs[job_id], self._state[job_id]
+        del self._submitted_at[job_id], self._attempts[job_id]
+        self._finished[result.status] = self._finished.get(result.status, 0) + 1
         self._results[job_id] = result
-        self._outstanding -= 1
+        if len(self._results) > self.queue_size:
+            self._results.popitem(last=False)
 
     def _kill_locked(
         self,

@@ -17,9 +17,9 @@ import sys
 
 import pytest
 
-from repro.bench.macro import (MATRIX, Gates, Scenario, ServingMix,
-                               get_scenario, run_matrix, run_scenario,
-                               scenario_names, smoke_matrix)
+from repro.bench.macro import (MATRIX, Scenario, ServingMix, get_scenario,
+                               run_matrix, run_scenario, scenario_names,
+                               smoke_matrix)
 from repro.bench.macro.driver import _evaluate_gates
 from repro.bench.results import validate_envelope
 
@@ -123,15 +123,23 @@ def test_run_matrix_wraps_reports_in_the_shared_envelope():
 
 
 def _derived(scenario, injected=None, transitions=0, degraded=0,
-             serving=None):
-    """Gate verdicts for synthetic stats (discovery/SQL gates switched off)."""
+             serving=None, crash=None):
+    """Gate verdicts for synthetic stats (verification and SQL passing)."""
     stats = {"availability": 1.0, "unhandled_errors": [],
+             "verification": {"match": True, "mismatches": [],
+                              "non_empty_answers": 0},
+             "sql_mismatches": [],
              "faults": {"injected": injected or {},
                         "breaker_transitions": transitions,
                         "degraded_placements": degraded},
-             "serving": serving}
+             "serving": serving, "crash_restart": crash}
     return {name: gate["pass"]
             for name, gate in _evaluate_gates(scenario, stats).items()}
+
+
+#: the verdicts every synthetic scenario gets
+FIXED = {"availability": True, "unhandled": True, "discovery_match": True,
+         "sql_oracle": True}
 
 
 def _serving(ratio=1.0, compliant_shed=0, abuser_failed=0, abuser_shed=40,
@@ -148,13 +156,10 @@ def _serving(ratio=1.0, compliant_shed=0, abuser_failed=0, abuser_shed=40,
 
 
 def test_derived_gates_fail_when_they_should():
-    clean = Scenario(name="synthetic",
-                     gates=Gates(require_discovery_match=False,
-                                 require_sql_oracle=False))
+    clean = Scenario(name="synthetic")
     chaos = dataclasses.replace(clean, fault_rate=0.2)
 
-    assert _derived(clean) == {"availability": True, "unhandled": True,
-                               "clean_health": True}
+    assert _derived(clean) == {**FIXED, "clean_health": True}
     for noise in ({"injected": {"table": 1}}, {"transitions": 2},
                   {"degraded": 1}):
         assert _derived(clean, **noise)["clean_health"] is False, noise
@@ -165,9 +170,8 @@ def test_derived_gates_fail_when_they_should():
 
     abusive = dataclasses.replace(clean, serving=ServingMix(abusive_tenant=True))
     assert _derived(abusive, serving=_serving()) == {
-        "availability": True, "unhandled": True, "clean_health": True,
-        "compliant_availability": True, "abuser_shed": True,
-        "compliant_p95_ratio": True}
+        **FIXED, "clean_health": True, "compliant_availability": True,
+        "abuser_shed": True, "compliant_p95_ratio": True}
     for breach, gate in (({"ratio": 2.5}, "compliant_p95_ratio"),
                          ({"compliant_shed": 1}, "compliant_availability"),
                          ({"abuser_failed": 1}, "abuser_shed"),
@@ -182,8 +186,19 @@ def test_derived_gates_fail_when_they_should():
     alone.update(compliant={"baseline": alone["compliant"]["baseline"]},
                  p95_ms={"baseline": alone["p95_ms"]["baseline"]}, abuser=None)
     assert _derived(compliant_only, serving=alone) == {
-        "availability": True, "unhandled": True, "clean_health": True,
-        "compliant_availability": True}
+        **FIXED, "clean_health": True, "compliant_availability": True}
+
+    crashed = dataclasses.replace(clean, crash_restart=True)
+    green = {"scenarios": 132, "failures": [], "unreached_points": [],
+             "committed_visible": True}
+    assert _derived(crashed, crash=green) == {
+        **FIXED, "clean_health": True, "committed_visible": True}
+    red = {**green, "unreached_points": ["lakehouse.commit.ack"],
+           "committed_visible": False}
+    verdicts = _derived(crashed, crash=red)
+    assert verdicts["committed_visible"] is False
+    assert sum(not verdict for verdict in verdicts.values()) == 1
+    assert "committed_visible" not in _derived(clean, crash=red)
 
 
 def test_cli_smoke_scenario_runs_the_tier_one_shape(monkeypatch, capsys):

@@ -265,19 +265,27 @@ class TestFailedRefresh:
         assert lake.maintainer.dirty() == []
 
     def test_async_retry_applies_the_restored_changes(self, monkeypatch):
-        expected = self._answers(self._filled(DataLake()))
-        for index in self.FAILING:
-            with monkeypatch.context() as patch:
-                lake = DataLake(async_maintenance=True)
-                failures = self._fail_once(patch, index, "other")
-                try:
-                    self._filled(lake)
-                    lake.drain()
-                    assert failures == ["other"]
-                    assert lake.runtime.dead_letter() == []
-                    assert self._answers(lake) == expected
-                finally:
-                    lake.close()
+        def started(lake):
+            lake.ingest_table("big", self.TABLES["big"])
+            lake.discover_related("big")  # Aurum is built: writes apply their delta
+            return lake
+
+        expected = self._answers(self._filled(started(DataLake())))
+        lake = started(DataLake(async_maintenance=True))
+        try:
+            failures = self._fail_once(monkeypatch, "aurum", "other")
+            self._filled(lake)
+            results = lake.drain()
+            # the apply failed inside a maintain job, whose retry applied it
+            assert failures == ["other"]
+            assert lake.runtime.dead_letter() == []
+            attempts = sorted(r.attempts for r in results.values())
+            assert attempts == [1, 1, 1, 2]
+            assert lake.maintainer._aurum_dirty.peek() == []
+            assert "other" in lake.maintainer
+            assert self._answers(lake) == expected
+        finally:
+            lake.close()
 
 
 class TestKeywordUpkeepFollowsItsReaders:

@@ -1,5 +1,7 @@
 """Tests for Job, JobResult and the deterministic-jitter RetryPolicy."""
 
+import functools
+
 import pytest
 
 from repro.runtime import NO_RETRY, Job, JobResult, RetryPolicy
@@ -59,13 +61,14 @@ class TestJob:
         assert job.run() == "ok"
 
     def test_runs_with_args_and_kwargs(self):
-        job = Job(fn=lambda a, b=0: a + b, args=(2,), kwargs={"b": 3})
+        # keyword arguments are bound into the callable
+        job = Job(fn=functools.partial(lambda a, b=0: a + b, b=3), args=(2,))
         assert job.run() == 5
 
     def test_rejects_non_callable_and_negative_timeout(self):
         with pytest.raises(TypeError):
             Job(fn="not-callable")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # a job has no deadline of its own
             Job(fn=lambda: None, timeout=-1)
 
 

@@ -12,7 +12,7 @@ from repro.core.dataset import Dataset, Table
 from repro.ingestion.gemms import GemmsExtractor
 from repro.obs import get_registry
 from repro.organization.goods_catalog import GoodsCatalog
-from repro.runtime import RetryPolicy
+from repro.runtime import IncrementalIndexMaintainer, RetryPolicy
 
 
 def fill(lake, count=6):
@@ -132,23 +132,6 @@ class TestAsyncMode:
         assert "healthy" in lake.catalog
         lake.close()
 
-    def test_refresh_jobs_coalesce(self):
-        lake = DataLake(async_maintenance=True)
-        # hold every worker until all ingests are in: a refresh coalesces
-        # only while it is still queued, and an idle worker starts each
-        # one at once
-        gate = threading.Event()
-        for _ in range(lake.runtime.workers):
-            lake.runtime.submit(gate.wait, name="gate")
-        fill(lake, count=12)
-        gate.set()
-        lake.drain()
-        refreshes = [j for j in lake.runtime.results() if j.startswith("index:refresh")]
-        # strictly fewer refresh jobs than ingests proves coalescing
-        assert 1 <= len(refreshes) < 12
-        assert len(lake.keyword_search("berlin", k=20)) == 12
-        lake.close()
-
     def test_bulk_load_submits_one_maintain_job_per_write(self):
         lake = DataLake(async_maintenance=True)
         gate = threading.Event()
@@ -159,11 +142,49 @@ class TestAsyncMode:
         gate.set()
         results = lake.drain()
         names = Counter(r.name for r in results.values())
-        assert 1 <= names.pop("index:refresh") < 9  # coalesced while queued
         assert names.pop("gate") == lake.runtime.workers
         assert names == Counter(
             [f"maintain:table_{i}" for i in range(8)] + ["maintain:table_0"])
         assert all(r.ok for r in results.values())
+        lake.close()
+
+    def test_indexes_are_built_by_their_readers_as_in_a_sync_lake(self):
+        lake = fill(DataLake(async_maintenance=True))
+        lake.drain()
+        # no query has read an index, so no job has built one
+        assert len(lake.maintainer) == 0
+        assert len(lake.maintainer._keyword) == 0
+        assert lake.discover_related("table_0", k=3)  # builds Aurum in one pass
+        assert len(lake.maintainer) == 6
+        lake.ingest_table("late", {"customer_id": [f"c{r}" for r in range(20)]})
+        results = lake.drain()
+        (job,) = [r for r in results.values() if r.name == "maintain:late"]
+        assert job.ok
+        # the write's own job applied its Aurum delta; no query has run
+        assert "late" in lake.maintainer
+        assert lake.maintainer._aurum_dirty.peek() == []
+        assert len(lake.maintainer._keyword) == 0
+        assert len(lake.maintainer.dirty()) == 7  # the keyword backlog
+        lake.close()
+
+    def test_the_index_maintainer_is_built_on_the_ingesting_thread(self, monkeypatch):
+        built = []
+        original = IncrementalIndexMaintainer.__init__
+
+        def recording(self, *args, **kwargs):
+            built.append(threading.current_thread())
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalIndexMaintainer, "__init__", recording)
+        lake = DataLake(async_maintenance=True)
+        # a text dataset marks no table, so only its job would reach the maintainer
+        lake.ingest(Dataset(name="notes", payload="free text", format="text"))
+        lake.drain()
+        fill(lake, count=2)
+        lake.drain()
+        # one maintainer, built before any job could race the caller to it
+        assert built == [threading.current_thread()]
+        assert lake.discover_related("table_0", k=3)
         lake.close()
 
     def test_finished_jobs_keep_no_superseded_version(self):

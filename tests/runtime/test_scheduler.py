@@ -7,12 +7,7 @@ import weakref
 
 import pytest
 
-from repro.core.errors import (
-    JobTimeout,
-    MaintenanceError,
-    QueueFull,
-    SchedulerClosed,
-)
+from repro.core.errors import JobTimeout, MaintenanceError, SchedulerClosed
 from repro.runtime import DEAD, SUCCEEDED, JobScheduler, RetryPolicy
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.002, max_delay=0.01)
@@ -100,45 +95,7 @@ class TestRetry:
         assert result.attempts == 1
 
 
-class TestDeadlines:
-    def test_expired_deadline_skips_execution(self, scheduler):
-        ran = []
-        gate = threading.Event()
-        # saturate the workers so the deadlined job sits in the queue
-        blockers = [scheduler.submit(gate.wait, name=f"block{i}") for i in range(3)]
-        job_id = scheduler.submit(lambda: ran.append(1), name="stale", timeout=0.05)
-        time.sleep(0.15)
-        gate.set()
-        results = scheduler.drain()
-        assert results[job_id].status == DEAD
-        assert results[job_id].error_type == "JobTimeout"
-        assert ran == []
-        assert all(results[b].status == SUCCEEDED for b in blockers)
-
-    def test_deadline_cuts_retry_loop_short(self, scheduler):
-        policy = RetryPolicy(max_attempts=50, base_delay=0.05, max_delay=0.05)
-        job_id = scheduler.submit(lambda: 1 / 0, name="doomed",
-                                  timeout=0.08, retry=policy)
-        result = scheduler.wait(job_id, timeout=10)
-        assert result.status == DEAD
-        assert result.error_type == "JobTimeout"
-        assert result.attempts < 50
-
-
 class TestBackpressure:
-    def test_non_blocking_submit_raises_queue_full(self):
-        scheduler = JobScheduler(workers=1, queue_size=2)
-        gate = threading.Event()
-        try:
-            scheduler.submit(gate.wait, name="hold")
-            scheduler.submit(lambda: 1, name="queued")
-            with pytest.raises(QueueFull):
-                scheduler.submit(lambda: 2, name="rejected", block=False)
-        finally:
-            gate.set()
-            scheduler.drain()
-            scheduler.close()
-
     def test_blocking_submit_waits_for_capacity(self):
         scheduler = JobScheduler(workers=1, queue_size=1)
         gate = threading.Event()
@@ -172,6 +129,74 @@ class TestLifecycle:
         assert stats["outstanding"] == 0
         assert stats["by_state"] == {SUCCEEDED: 5}
         assert all(scheduler.status(i) == SUCCEEDED for i in ids)
+
+    def test_finished_results_are_kept_for_the_last_queue_size_jobs(self):
+        scheduler = JobScheduler(workers=2, queue_size=8)
+        try:
+            ids = [scheduler.submit(lambda i=i: i, name=f"n{i}") for i in range(20)]
+            results = scheduler.drain()
+            # which jobs finish last depends on the two workers' interleaving
+            assert len(results) == 8 and set(results) <= set(ids)
+            evicted = [job_id for job_id in ids if job_id not in results]
+            assert len(evicted) == 12
+            for job_id in evicted:
+                for call in (scheduler.wait, scheduler.result, scheduler.status):
+                    with pytest.raises(MaintenanceError, match="unknown job"):
+                        call(job_id)
+            for job_id, result in results.items():
+                assert scheduler.wait(job_id, timeout=5) is result
+                assert scheduler.status(job_id) == SUCCEEDED
+            # the lifetime counts outlive the window
+            stats = scheduler.stats()
+            assert len(scheduler) == stats["jobs"] == 20
+            assert stats["by_state"] == {SUCCEEDED: 20}
+        finally:
+            scheduler.close()
+
+    def test_wait_on_a_job_evicted_while_it_waited_does_not_hang(self):
+        scheduler = JobScheduler(workers=1, queue_size=1)
+        gate, entered, wake = threading.Event(), threading.Event(), threading.Event()
+        real_wait = scheduler._cv.wait
+
+        def sleep_through_notifications(timeout=None):
+            # the waiter stays asleep while its job finishes and is evicted
+            if threading.current_thread() is not waiter:
+                return real_wait(timeout)
+            entered.set()
+            while not wake.is_set():
+                real_wait()
+            return True
+
+        outcome = []
+
+        def wait_for_held():
+            try:
+                outcome.append(scheduler.wait(held, timeout=10))
+            except MaintenanceError as exc:
+                outcome.append(exc)
+
+        held = scheduler.submit(gate.wait, name="held")
+        waiter = threading.Thread(target=wait_for_held)
+        scheduler._cv.wait = sleep_through_notifications
+        try:
+            waiter.start()
+            assert entered.wait(5)
+            gate.set()
+            later = scheduler.submit(lambda: None, name="later")
+            assert scheduler.wait(later, timeout=5).ok  # and "held" left the window
+            with scheduler._cv:
+                wake.set()
+                scheduler._cv.notify_all()
+            waiter.join(15)
+            assert not waiter.is_alive()
+            (error,) = outcome
+            assert isinstance(error, MaintenanceError)
+            assert not isinstance(error, JobTimeout)
+            assert "unknown job" in str(error)
+        finally:
+            gate.set()
+            wake.set()
+            scheduler.close()
 
     def test_submit_after_close_raises(self, scheduler):
         scheduler.submit(lambda: 1)
