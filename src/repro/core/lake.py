@@ -18,6 +18,7 @@ and free of cycles.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -213,8 +214,9 @@ class DataLake:
         cache hit serves a pre-write answer; metadata extraction,
         catalog registration and the Aurum delta then run, in that
         order, as one ``maintain:<name>`` job on :attr:`runtime`, and an
-        apply that raises fails the job into its retry.  :meth:`drain`
-        is the barrier that waits for the jobs.
+        apply that raises fails the job into its retry, which applies
+        the change again without registering the write twice.
+        :meth:`drain` is the barrier that waits for the jobs.
         """
         placement = self.polystore.store(dataset)
         replaced = dataset.name in self._datasets
@@ -226,9 +228,11 @@ class DataLake:
             self.catalog, self.provenance, self.metadata_repository, self.maintainer
             # marked before the job is queued, so its apply finds the change
             self._note_index_change(dataset, replaced)
+            steps = [functools.partial(self._maintain, dataset, placement,
+                                       extract_metadata),
+                     self.maintainer.after_write]
             self.runtime.submit(
-                self._maintain_and_apply,
-                args=(dataset, placement, extract_metadata),
+                self._run_steps, args=(steps,),
                 name=f"maintain:{dataset.name}", tags={"dataset": dataset.name})
         else:
             self._maintain(dataset, placement, extract_metadata)
@@ -253,12 +257,13 @@ class DataLake:
             self._extract_metadata(dataset)
         self._register_catalog(dataset, placement)
 
-    def _maintain_and_apply(self, dataset: Dataset, placement,
-                            extract_metadata: bool) -> None:
-        """An async write's job: :meth:`_maintain`, then Aurum's delta,
-        the sync write's post-store steps in their order."""
-        self._maintain(dataset, placement, extract_metadata)
-        self.maintainer.after_write()
+    @staticmethod
+    def _run_steps(steps: List[Any]) -> None:
+        """An async write's job: *steps* in order, each dropped once it
+        has run, so a retry resumes at the step that raised."""
+        while steps:
+            steps[0]()
+            del steps[0]
 
     def _extract_metadata(self, dataset: Dataset) -> None:
         from repro.ingestion.gemms import GemmsExtractor

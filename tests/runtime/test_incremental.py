@@ -281,6 +281,9 @@ class TestFailedRefresh:
             assert lake.runtime.dead_letter() == []
             attempts = sorted(r.attempts for r in results.values())
             assert attempts == [1, 1, 1, 2]
+            # the retry resumed at the apply: no write was registered twice
+            assert [len(lake.provenance.events_about(name))
+                    for name in ("big", "other", "third")] == [2, 1, 1]
             assert lake.maintainer._aurum_dirty.peek() == []
             assert "other" in lake.maintainer
             assert self._answers(lake) == expected
