@@ -22,7 +22,7 @@ import zipfile
 NAME = "repro"
 VERSION = "1.0.0"
 TAG = "py3-none-any"
-DEPENDENCIES = ("numpy", "networkx", "scipy")
+DEPENDENCIES = ("numpy", "networkx")
 ROOT = os.path.dirname(os.path.abspath(__file__))
 
 

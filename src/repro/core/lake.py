@@ -12,8 +12,8 @@ implementations of every tier behind one coherent API:
   are maintained over the ingested datasets;
 - **exploration**: query-driven discovery and heterogeneous querying.
 
-Tier subsystems are imported lazily so the core package stays import-light
-and free of cycles.
+Tier subsystems are imported when a lake is built, not when this module
+is, so the core package stays import-light and free of cycles.
 """
 
 from __future__ import annotations
@@ -54,16 +54,22 @@ class DataLake:
       queries.
 
     Discovery runs on the caller's thread (see docs/EXPLORATION.md).
-    ``cache=`` sets the lake-wide
-    :class:`~repro.exploration.parallel.QueryCache`: ``True`` (the
-    default) memoizes discovery/keyword answers keyed by (engine,
-    normalized query, index epoch); ``False`` disables it; a
-    ``QueryCache`` instance is used as given (``QueryCache(max_entries=n)``
-    bounds it, and one instance may be shared by several lakes).  Any
-    other value raises :class:`TypeError`.
+    ``cache=`` is a bool: ``True`` (the default) gives the lake its own
+    :class:`~repro.exploration.parallel.QueryCache`, which memoizes
+    discovery/keyword answers keyed by (engine, normalized query, index
+    epoch); ``False`` disables it.  Any other value, a ``QueryCache``
+    instance among them, raises :class:`TypeError`: a cache key names no
+    lake, so a cache shared by two lakes would serve each one the
+    other's answers.
 
     ``polystore=`` supplies the storage tier (a default in-memory
     :class:`~repro.storage.polystore.Polystore` otherwise).
+
+    The constructor builds every other part once, as a plain attribute:
+    the catalog, provenance recorder, metadata repository, zone manager,
+    governance tool, job scheduler, index maintainer and observability
+    facade.  No part is built on first use, so threads making a fresh
+    lake's first writes all reach the same parts.
 
     Every entry point is traced: a call that starts a request mints a
     :class:`~repro.obs.context.RequestContext`, and the process-wide
@@ -80,27 +86,43 @@ class DataLake:
         *,
         async_maintenance: bool = False,
         polystore: Optional["Polystore"] = None,
-        cache: Any = True,
+        cache: bool = True,
     ):
+        from repro.core.zones import ZoneManager
         from repro.exploration.parallel import EpochClock, QueryCache
+        from repro.modeling.gemms_model import MetadataRepository
+        from repro.organization.goods_catalog import GoodsCatalog
+        from repro.provenance.events import ProvenanceRecorder
+        from repro.provenance.governance import GovernanceTool
+        from repro.runtime.incremental import IncrementalIndexMaintainer
+        from repro.runtime.scheduler import JobScheduler
         from repro.storage.polystore import Polystore
 
+        if not isinstance(cache, bool):
+            raise TypeError(f"cache= takes True or False, not {cache!r}")
         self.polystore = polystore if polystore is not None else Polystore()
         self.async_maintenance = async_maintenance
         self._datasets: Dict[str, Dataset] = {}
-        self._catalog = None
-        self._provenance = None
-        self._metadata_repository = None
-        self._runtime = None
-        self._maintainer = None
         self._epochs = EpochClock()
-        if isinstance(cache, QueryCache):
-            self._query_cache: Optional[QueryCache] = cache
-        elif isinstance(cache, bool):
-            self._query_cache = QueryCache() if cache else None
-        else:
-            raise TypeError(
-                f"cache= takes True, False or a QueryCache, not {cache!r}")
+        self._query_cache = QueryCache() if cache else None
+        #: the GOODS-style dataset catalog
+        self.catalog = GoodsCatalog()
+        #: the provenance recorder, shared by the zone and governance tools
+        self.provenance = ProvenanceRecorder()
+        #: the GEMMS metadata repository
+        self.metadata_repository = MetadataRepository()
+        #: the zone life-cycle manager
+        self.zones = ZoneManager(recorder=self.provenance)
+        #: the request/approval governance tool
+        self.governance = GovernanceTool(recorder=self.provenance)
+        #: the maintenance job scheduler; its workers start on the first submit
+        self.runtime = JobScheduler()
+        #: the incremental index maintainer, wired to the lake's epoch
+        #: clock: every noted table change bumps the index epoch, which
+        #: is what invalidates the query cache
+        self.maintainer = IncrementalIndexMaintainer(on_change=self._bump_epoch)
+        #: spans and metrics over this process's lake operations (repro.obs)
+        self.observability = Observability()
         # (epoch, index): published as one value so no reader pairs an
         # index with another build's epoch
         self._union: Tuple[int, Any] = (-1, None)
@@ -110,77 +132,6 @@ class DataLake:
     def in_memory(cls) -> "DataLake":
         """Create a fully in-memory lake (the default configuration)."""
         return cls()
-
-    # -- lazy tier components -------------------------------------------------
-
-    @property
-    def catalog(self):
-        """The GOODS-style dataset catalog (created on first access)."""
-        if self._catalog is None:
-            from repro.organization.goods_catalog import GoodsCatalog
-
-            self._catalog = GoodsCatalog()
-        return self._catalog
-
-    @property
-    def provenance(self):
-        """The provenance recorder (created on first access)."""
-        if self._provenance is None:
-            from repro.provenance.events import ProvenanceRecorder
-
-            self._provenance = ProvenanceRecorder()
-        return self._provenance
-
-    @property
-    def metadata_repository(self):
-        """The GEMMS metadata repository (created on first access)."""
-        if self._metadata_repository is None:
-            from repro.modeling.gemms_model import MetadataRepository
-
-            self._metadata_repository = MetadataRepository()
-        return self._metadata_repository
-
-    @property
-    def zones(self):
-        """A zone life-cycle manager sharing this lake's provenance."""
-        if getattr(self, "_zones", None) is None:
-            from repro.core.zones import ZoneManager
-
-            self._zones = ZoneManager(recorder=self.provenance)
-        return self._zones
-
-    @property
-    def governance(self):
-        """The request/approval governance tool, provenance-integrated."""
-        if getattr(self, "_governance", None) is None:
-            from repro.provenance.governance import GovernanceTool
-
-            self._governance = GovernanceTool(recorder=self.provenance)
-        return self._governance
-
-    @property
-    def runtime(self):
-        """The maintenance job scheduler (created on first access)."""
-        if self._runtime is None:
-            from repro.runtime.scheduler import JobScheduler
-
-            self._runtime = JobScheduler()
-        return self._runtime
-
-    @property
-    def maintainer(self):
-        """The incremental index maintainer (created on first access).
-
-        Wired to the lake's epoch clock: every noted table change bumps
-        the index epoch, which is what invalidates the query cache (stale
-        entries stop matching rather than being scanned for).
-        """
-        if self._maintainer is None:
-            from repro.runtime.incremental import IncrementalIndexMaintainer
-
-            self._maintainer = IncrementalIndexMaintainer(
-                on_change=self._bump_epoch)
-        return self._maintainer
 
     # -- query-cache epoch ----------------------------------------------------
 
@@ -222,10 +173,6 @@ class DataLake:
         replaced = dataset.name in self._datasets
         self._datasets[dataset.name] = dataset
         if self.async_maintenance:
-            # the lazy stores are created here, on the caller's thread:
-            # they are not locked, and two jobs racing through first
-            # access would each build one (and one would be dropped)
-            self.catalog, self.provenance, self.metadata_repository, self.maintainer
             # marked before the job is queued, so its apply finds the change
             self._note_index_change(dataset, replaced)
             steps = [functools.partial(self._maintain, dataset, placement,
@@ -303,11 +250,10 @@ class DataLake:
         :class:`~repro.core.errors.DeadlineExceeded` when that passes
         first; without a deadline it waits for every job.
         """
-        if (self.async_maintenance and self._runtime is not None
-                and self._runtime.outstanding()):
+        if self.async_maintenance and self.runtime.outstanding():
             ctx = current_context()
             try:
-                self._runtime.wait_idle(
+                self.runtime.wait_idle(
                     ctx.remaining() if ctx is not None else None)
             except JobTimeout:
                 check_deadline("maintenance.quiesce")  # the deadline has passed
@@ -318,20 +264,17 @@ class DataLake:
         returns the results it keeps, those of its last ``queue_size``
         finished jobs.
 
-        Returns ``{}`` on a lake whose runtime was never used: a sync lake
+        Returns ``{}`` on a lake whose runtime ran no job: a sync lake
         unless :meth:`repair_degraded` (or a caller) submitted jobs.
         Always returns — jobs that failed permanently are in
         ``lake.runtime.dead_letter()``.
         """
-        if self._runtime is None:
-            return {}
-        return self._runtime.drain(timeout)
+        return self.runtime.drain(timeout)
 
     def close(self) -> None:
         """Drain and stop the maintenance runtime."""
-        if self._runtime is not None:
-            self._runtime.wait_idle()
-            self._runtime.close()
+        self.runtime.wait_idle()
+        self.runtime.close()
 
     def ingest_table(
         self,
@@ -562,13 +505,6 @@ class DataLake:
 
     # -- reporting ---------------------------------------------------------------------
 
-    @property
-    def observability(self) -> Observability:
-        """Spans + metrics over this process's lake operations (repro.obs)."""
-        if getattr(self, "_observability", None) is None:
-            self._observability = Observability()
-        return self._observability
-
     def flight_recorder(self, last: int = 100,
                         request_id: Optional[str] = None) -> str:
         """The newest *last* structured events as JSONL — the dump-on-error
@@ -592,16 +528,13 @@ class DataLake:
         the single flag a load balancer or operator dashboard polls.
         """
         report = self.polystore.health_report()
-        runtime_report: Dict[str, Any] = {"dead_letter": 0, "outstanding": 0}
-        if self._runtime is not None:
-            dead = self._runtime.dead_letter()
-            runtime_report = {
-                "dead_letter": len(dead),
-                "dead_jobs": [result.name for result in dead],
-                "outstanding": self._runtime.outstanding(),
-            }
-        report["runtime"] = runtime_report
-        report["healthy"] = report["healthy"] and not runtime_report["dead_letter"]
+        dead = self.runtime.dead_letter()
+        report["runtime"] = {
+            "dead_letter": len(dead),
+            "dead_jobs": [result.name for result in dead],
+            "outstanding": self.runtime.outstanding(),
+        }
+        report["healthy"] = report["healthy"] and not dead
         root = getattr(self.polystore.objects, "root", None)
         if root is not None:
             from repro.durability.fsck import fsck_lake
@@ -672,18 +605,16 @@ class DataLake:
 
     def architecture_report(self) -> Dict[str, Any]:
         """Live snapshot of the Fig. 2 architecture for this lake instance."""
-        report = {
+        return {
             "storage": self.polystore.backend_summary(),
             "datasets": len(self),
             "catalog_entries": len(self.catalog),
             "provenance_events": len(self.provenance),
             "metadata_records": len(self.metadata_repository),
+            "maintenance_jobs": self.runtime.stats(),
+            "exploration": {
+                "cache": (self._query_cache.stats()
+                          if self._query_cache is not None else None),
+                "epoch": self._epochs.epoch(),
+            },
         }
-        if self._runtime is not None:
-            report["maintenance_jobs"] = self._runtime.stats()
-        report["exploration"] = {
-            "cache": (self._query_cache.stats()
-                      if self._query_cache is not None else None),
-            "epoch": self._epochs.epoch(),
-        }
-        return report

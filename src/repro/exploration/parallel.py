@@ -171,9 +171,10 @@ class DiscoveryQuery(_QueryFields):
     ``kind`` is one of ``joinable`` / ``related`` / ``union`` /
     ``keyword``; the other fields are kind-specific (``table``+``column``
     for joinable, ``table`` for related/union, ``keywords`` for keyword).
-    ``k`` is a plain ``int`` (not a ``bool``) of at least 1.  An
-    immutable tuple, validated whenever one is built, by ``_replace``
-    too; a bad field raises :class:`ValueError`.
+    ``k`` is a plain ``int`` (not a ``bool``) of at least 1, and
+    ``min_score`` an ``int`` or ``float`` (not a ``bool``) other than
+    NaN.  An immutable tuple, validated whenever one is built, by
+    ``_replace`` too; a bad field raises :class:`ValueError`.
     """
 
     __slots__ = ()
@@ -196,6 +197,10 @@ class DiscoveryQuery(_QueryFields):
             raise ValueError(f"k must be an int, not {type(k).__name__}")
         if k < 1:
             raise ValueError("k must be >= 1")
+        if type(min_score) not in (int, float) or min_score != min_score:
+            # a bool is no score, and NaN (unequal to itself) admits none
+            raise ValueError(f"min_score must be an int or float other "
+                             f"than NaN, not {min_score!r}")
         return _record(cls, (kind, table, column, keywords, k, min_score))
 
     def _replace(self, **changes: Any) -> "DiscoveryQuery":

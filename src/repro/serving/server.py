@@ -89,6 +89,15 @@ WHOLE_RANKING = sys.maxsize
 DEADLINE_GRACE = 0.1
 
 
+def _check_timeout(field: str, timeout: Optional[float]) -> None:
+    """Reject a *timeout* that is not in ``(0, threading.TIMEOUT_MAX]``
+    seconds, NaN and infinity among them: no deadline wait could take
+    it.  ``None`` asks for no deadline."""
+    if timeout is not None and not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(f"{field} must be in (0, {threading.TIMEOUT_MAX:.0f}] "
+                         f"seconds, or None, not {timeout!r}")
+
+
 def qualify(tenant: str, name: str) -> str:
     """The shared-lake dataset name for *tenant*'s dataset *name*."""
     return f"{tenant}{NAMESPACE_SEPARATOR}{name}"
@@ -108,7 +117,8 @@ class ServingRequest:
 
     ``timeout`` (seconds) bounds the whole request including queue time —
     it becomes the :class:`~repro.obs.context.RequestContext` deadline
-    that the lake's deadline checkpoints enforce.
+    that the lake's deadline checkpoints enforce.  It must lie in
+    ``(0, threading.TIMEOUT_MAX]``; ``None`` means no deadline.
     """
 
     op: str
@@ -127,8 +137,7 @@ class ServingRequest:
     def __post_init__(self) -> None:
         if self.op not in OPS:
             raise ValueError(f"unknown op {self.op!r}; expected one of {OPS}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        _check_timeout("timeout", self.timeout)
         if not isinstance(self.keywords, str):  # accept ["a", "b"] too
             object.__setattr__(self, "keywords", " ".join(self.keywords))
 
@@ -240,10 +249,11 @@ class LakeServer:
     bounds its own in-flight requests.  A request without a deadline
     runs on its caller's thread; ``workers`` bounds how many requests
     with a deadline run at once, on the pool.
-    ``default_timeout`` becomes each request's deadline when the request
-    itself does not carry one; ``resilience`` shapes the per-tenant
-    breakers (a dedicated :class:`~repro.faults.HealthRegistry` — tenant
-    breakers must not degrade the lake's own storage health verdict).
+    ``default_timeout`` (checked as a request's ``timeout`` is) becomes
+    each request's deadline when the request itself does not carry one;
+    ``resilience`` shapes the per-tenant breakers (a dedicated
+    :class:`~repro.faults.HealthRegistry` — tenant breakers must not
+    degrade the lake's own storage health verdict).
     """
 
     def __init__(
@@ -262,6 +272,7 @@ class LakeServer:
 
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        _check_timeout("default_timeout", default_timeout)
         self.lake = lake if lake is not None else DataLake.in_memory()
         self.auth = auth or AuthRegistry(clock=clock)
         self.workers = workers

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import threading
 from collections import Counter
 
 import pytest
@@ -176,6 +177,73 @@ class TestConstructor:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == ["MainThread"]
+
+
+class TestFirstWrites:
+    """Threads making a fresh lake's first writes all reach the same
+    parts: every write is catalogued, described, recorded and indexed."""
+
+    TRIALS = 150
+    NAMES = ("t0", "t1", "t2", "t3")
+
+    def _race(self, async_maintenance):
+        """One fresh lake per trial, its first writes made by four threads
+        at once under a tiny switch interval; returns the failed checks."""
+        failures = Counter()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(self.TRIALS):
+                lake = DataLake(async_maintenance=async_maintenance)
+                start = threading.Barrier(len(self.NAMES))
+
+                def write(name):
+                    start.wait()
+                    lake.ingest_table(name, {"city": [name, "berlin", "paris"]})
+
+                threads = [threading.Thread(target=write, args=(name,))
+                           for name in self.NAMES]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                lake.drain()
+                failures["catalog"] += len(lake.catalog) != 4
+                failures["metadata"] += len(lake.metadata_repository) != 4
+                failures["provenance"] += len(lake.provenance.events("ingest")) != 4
+                lake.discover_related("t0")
+                failures["aurum"] += len(lake.discovery.table_names()) != 4
+                lake.close()
+        finally:
+            sys.setswitchinterval(interval)
+        return +failures
+
+    def test_sync_first_writes_lose_nothing(self):
+        assert self._race(async_maintenance=False) == {}
+
+    def test_async_first_writes_lose_nothing(self, monkeypatch):
+        from repro.runtime.scheduler import JobScheduler
+
+        built = []
+        init = JobScheduler.__init__
+
+        def counted(scheduler, *args, **kwargs):
+            built.append(scheduler)
+            init(scheduler, *args, **kwargs)
+
+        monkeypatch.setattr(JobScheduler, "__init__", counted)
+        assert self._race(async_maintenance=True) == {}
+        assert len(built) == self.TRIALS  # one scheduler per lake
+
+    def test_async_workers_start_on_the_first_write(self):
+        lake = DataLake(async_maintenance=True)
+        try:
+            assert lake.runtime.stats()["workers"] == 0
+            lake.ingest_table("t0", {"city": ["berlin"]})
+            assert lake.runtime.stats()["workers"] > 0
+        finally:
+            lake.close()
 
 
 def _answers(lake):

@@ -22,7 +22,8 @@ class TestHealth:
         lake = DataLake.in_memory()
         report = lake.health()
         assert report["healthy"]
-        assert report["runtime"] == {"dead_letter": 0, "outstanding": 0}
+        assert report["runtime"] == {"dead_letter": 0, "dead_jobs": [],
+                                     "outstanding": 0}
 
     def test_breaker_trip_and_degraded_placement_surface(self):
         lake, _ = degraded_lake()

@@ -196,25 +196,11 @@ class TestLakeCoherence:
         assert (after["hits"] - before["hits"],
                 after["misses"] - before["misses"]) == (1, 0)
 
-    def test_eviction_via_lake_knob(self):
-        lake = self._lake(cache=QueryCache(max_entries=2))
-        assert lake.query_cache.max_entries == 2
-        lake.keyword_search("alpha")
-        lake.keyword_search("beta")
-        lake.keyword_search("alpha beta")  # third entry: evicts the oldest
-        assert lake.query_cache.stats()["evictions"] == 1
-        assert lake.query_cache.stats()["entries"] == 2
-
     def test_cache_disabled_recomputes(self):
         lake = DataLake(cache=False)
         lake.ingest_table("t", {"id": [1], "tag": ["alpha"]})
         assert lake.query_cache is None
         assert lake.keyword_search("alpha") == lake.keyword_search("alpha")
-
-    def test_shared_cache_instance_knob(self):
-        shared = QueryCache(max_entries=16)
-        lake = DataLake(cache=shared)
-        assert lake.query_cache is shared
 
     @pytest.mark.parametrize("call", [
         lambda lake: lake.discover_related("facts", k=0),
@@ -228,6 +214,12 @@ class TestLakeCoherence:
         lambda lake: lake.discover_batch([("related", "facts", 0)]),
         lambda lake: lake.discover_batch([{"kind": "joinable", "table": "facts",
                                            "column": ""}]),
+        lambda lake: lake.discover_union("facts", min_score="0.3"),
+        lambda lake: lake.discover_union("facts", min_score=None),
+        lambda lake: lake.discover_union("facts", min_score=float("nan")),
+        lambda lake: lake.discover_union("facts", min_score=True),
+        lambda lake: lake.discover_batch([{"kind": "union", "table": "facts",
+                                           "min_score": "0.3"}]),
     ])
     def test_entry_points_reject_bad_arguments(self, call):
         lake = self._lake()
@@ -243,8 +235,10 @@ class TestLakeCoherence:
         stats = lake.query_cache.stats()
         assert (stats["hits"], stats["misses"]) == (0, 0)
 
-    @pytest.mark.parametrize("bad", ["on", 2.0, [1], 2, None])
+    @pytest.mark.parametrize("bad", ["on", 2.0, [1], 2, None, QueryCache()])
     def test_unrecognised_cache_value_is_rejected(self, bad):
-        # a typo must not quietly turn the cache off
+        # a typo must not quietly turn the cache off, and a cache shared
+        # with another lake would serve that lake's answers: its keys
+        # name no lake
         with pytest.raises(TypeError, match="cache="):
             DataLake(cache=bad)

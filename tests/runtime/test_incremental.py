@@ -476,7 +476,7 @@ class TestDeferredKeywordUpkeep:
     @settings(max_examples=60, deadline=None)
     def test_answers_match_eager_upkeep(self, seeds, ops):
         deferred, eager = DataLake(cache=False), DataLake(cache=False)
-        eager._maintainer = EagerMaintainer(on_change=eager._bump_epoch)
+        eager.maintainer = EagerMaintainer(on_change=eager._bump_epoch)
         # every table starts in the lake: most queries then read an indexed one
         ops = [("ingest", name, seed) for name, seed in zip(NAMES, seeds)] + ops
         contents = {}

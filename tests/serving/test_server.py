@@ -61,6 +61,14 @@ class TestRequestResponseTypes:
         with pytest.raises(ValueError, match="timeout"):
             ServingRequest(op="fetch", name="x", timeout=0.0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 1e10])
+    def test_timeout_no_wait_can_take_is_rejected(self, timeout):
+        # past threading.TIMEOUT_MAX a deadline wait raises OverflowError
+        with pytest.raises(ValueError, match="timeout"):
+            ServingRequest(op="fetch", name="x", timeout=timeout)
+        with pytest.raises(ValueError, match="default_timeout"):
+            LakeServer(DataLake.in_memory(), default_timeout=timeout)
+
     def test_keyword_list_normalized_to_string(self):
         request = ServingRequest(op="discover", kind="keyword",
                                  keywords=["region", "tier"])
@@ -266,6 +274,20 @@ class TestTenantIsolation:
         assert [e.seq for e in log.events(kind="serving.internal_error")] == internal_before
         assert server.breakers.snapshot() == breakers
 
+    def test_bad_min_score_is_the_callers_query_error(self, server, acme):
+        """A union ``min_score`` that is no number is rejected before any
+        candidate is scored: the caller's error, which moves no error
+        counter and no breaker, so the tenant's next request is served."""
+        errors = get_registry().counter("serving.errors", tenant="acme")
+        errors_before = errors.value
+        for bad in ("0.3", "", None, [0.3], "high", float("nan")):
+            response = acme.discover_batch(
+                [{"kind": "union", "table": "sales", "min_score": bad}])
+            assert response.error_type == "QueryError", response.error
+        assert errors.value == errors_before
+        assert server.breakers.breaker("tenant:acme").state == "closed"
+        assert acme.discover("related", "sales").ok
+
     def test_bad_k_does_not_reveal_foreign_datasets(self, server, acme):
         """Which discovery requests fail, and how, never depends on what
         another tenant holds: an engine k grown by beta's datasets and
@@ -466,6 +488,9 @@ class TestDeadlines:
 
     def test_generous_deadline_passes(self, acme):
         assert acme.fetch("sales", timeout=30.0).ok
+
+    def test_longest_deadline_passes(self, acme):
+        assert acme.fetch("sales", timeout=threading.TIMEOUT_MAX).ok
 
     def test_server_default_timeout_applies(self):
         with LakeServer(DataLake.in_memory(), auth=AuthRegistry(), workers=1,
