@@ -264,9 +264,13 @@ class _TracedRLock(_Traced):
         return acquired
 
     def release(self) -> None:
+        if not self._inner._is_owned():
+            self._inner.release()  # raises: no bookkeeping for a non-owner
+        # the depth moves while this thread still owns the lock: a thread
+        # that takes it the moment it is released must read the new depth
         depth = self._depth
-        self._inner.release()  # raises if not owned — before our bookkeeping
         self._depth = depth - 1
+        self._inner.release()
         if depth == 1:
             self._collector.on_release(self._site, threading.get_ident())
 
@@ -274,8 +278,8 @@ class _TracedRLock(_Traced):
         return self._inner._is_owned()
 
     def _release_save(self):
+        depth, self._depth = self._depth, 0  # while still owned, as in release
         state = self._inner._release_save()  # drops all recursion levels
-        depth, self._depth = self._depth, 0
         self._collector.on_release(self._site, threading.get_ident())
         return (state, depth)
 

@@ -19,8 +19,7 @@ is, so the core package stays import-light and free of cycles.
 from __future__ import annotations
 
 import functools
-import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.dataset import Dataset, Table
 from repro.core.errors import DatasetNotFound, JobTimeout, SchemaError
@@ -31,17 +30,19 @@ from repro.obs import (Observability, check_deadline, current_context, emit,
 class DataLake:
     """A complete data lake: storage + ingestion + maintenance + exploration.
 
-    The Aurum and keyword indexes are persistent structures kept current
-    with per-table deltas by :attr:`maintainer`.  Maintenance runs in one
-    of two modes (see docs/RUNTIME.md):
+    The three discovery indexes (Aurum, keyword search and table union
+    search) are persistent structures kept current with per-table deltas
+    by :attr:`maintainer`; every discovery query reads them through it.
+    Maintenance runs in one of two modes (see docs/RUNTIME.md):
 
     - **sync** (the default): metadata extraction and catalog
       registration run inline during ``ingest``, which marks the table
       dirty in the index maintainer.  Once Aurum has been built (by its
       first reader, which applies a bulk load in one pass), ``ingest``
       also applies Aurum's delta before it returns, so a discovery
-      query finds Aurum current; the keyword index applies its pending
-      deltas when a keyword query next reads it;
+      query finds Aurum current; the keyword and union indexes apply
+      their pending deltas when a keyword or union query next reads
+      them;
     - **async** (``async_maintenance=True``): ingest marks the table
       dirty, enqueues the sync path's post-store steps (metadata
       extraction, catalog registration, then Aurum's delta once Aurum
@@ -50,8 +51,8 @@ class DataLake:
       immediately — built for bulk loads; call :meth:`drain` (or any
       exploration query, which quiesces first) to reach a consistent
       view.  The indexes are applied as in sync mode: Aurum by its first
-      reader and then by each write, the keyword index by keyword
-      queries.
+      reader and then by each write, the keyword and union indexes by
+      their own queries.
 
     Discovery runs on the caller's thread (see docs/EXPLORATION.md).
     ``cache=`` is a bool: ``True`` (the default) gives the lake its own
@@ -123,10 +124,6 @@ class DataLake:
         self.maintainer = IncrementalIndexMaintainer(on_change=self._bump_epoch)
         #: spans and metrics over this process's lake operations (repro.obs)
         self.observability = Observability()
-        # (epoch, index): published as one value so no reader pairs an
-        # index with another build's epoch
-        self._union: Tuple[int, Any] = (-1, None)
-        self._union_lock = threading.Lock()
 
     @classmethod
     def in_memory(cls) -> "DataLake":
@@ -346,34 +343,6 @@ class DataLake:
         self._quiesce()
         return self.maintainer.engine()
 
-    def _union_search(self):
-        """The lake's union-search index, rebuilt only when its epoch moves.
-
-        A rebuild profiles every column of every table again, embedding
-        each one's values, so it runs only after a tabular change.  The
-        index is immutable once built, so maintenance is build-and-swap:
-        readers of the previous index are unaffected.  The build runs
-        outside any lock; publishing takes ``_union_lock`` and never
-        replaces the index of a newer epoch with an older build.
-        """
-        self._quiesce()
-        epoch = self._epochs.epoch()
-        published_epoch, index = self._union
-        if published_epoch >= epoch:
-            return index
-        from repro.discovery.table_union import TableUnionSearch
-
-        with get_recorder().span("maintenance.union.index_build",
-                                 tier="maintenance", system="TableUnionSearch",
-                                 function="related_dataset_discovery"):
-            index = TableUnionSearch()
-            for table in self.tables():
-                index.add_table(table)
-        with self._union_lock:
-            if self._union[0] < epoch:
-                self._union = (epoch, index)
-            return self._union[1]
-
     # -- the cache funnel ------------------------------------------------------
     #
     # Every engine query in this facade flows through _cached(): the epoch is
@@ -401,15 +370,19 @@ class DataLake:
                            lambda: self._run_discovery_uncached(query))
 
     def _run_discovery_uncached(self, query):
-        """The engine's answer to *query*, computed on the caller's thread."""
+        """The engine's answer to *query*, computed on the caller's thread
+        from the maintainer's index for its kind."""
+        self._quiesce()
         if query.kind == "union":
-            return self._union_search().top_k(
-                self.table(query.table), k=query.k, min_score=query.min_score)
-        if query.kind == "keyword":
-            engine = self._keyword_searcher()
+            engine = self.maintainer.union_index()
+        elif query.kind == "keyword":
+            engine = self.maintainer.searcher()
         else:
-            engine = self.discovery
+            engine = self.maintainer.engine()
         with self.maintainer.reading():
+            if query.kind == "union":
+                return engine.top_k(self.table(query.table), k=query.k,
+                                    min_score=query.min_score)
             if query.kind == "keyword":
                 return engine.search(query.keywords, k=query.k)
             if query.kind == "joinable":
@@ -494,14 +467,6 @@ class DataLake:
             return []  # term-free queries match nothing and are never cached
         query = DiscoveryQuery(kind="keyword", keywords=keywords, k=k)
         return self._cached(query, keyword_key(terms, k))
-
-    def _keyword_searcher(self):
-        """The lake's keyword index: the maintainer's persistent,
-        delta-maintained searcher, never rebuilt per query; reading it
-        applies the keyword backlog (every table written since the last
-        keyword query)."""
-        self._quiesce()
-        return self.maintainer.searcher()
 
     # -- reporting ---------------------------------------------------------------------
 

@@ -111,6 +111,11 @@ class TableUnionSearch:
         self._tables[table.name] = self._profile(table)
         self._sources[table.name] = table
 
+    def remove_table(self, name: str) -> None:
+        """Drop table *name*; a no-op for a name that is not indexed."""
+        self._tables.pop(name, None)
+        self._sources.pop(name, None)
+
     def _query_profiles(self, query: Table) -> List[_AttributeProfile]:
         """The stored profiles of an indexed query, else fresh ones."""
         if self._sources.get(query.name) is query:

@@ -6,26 +6,28 @@ rebuilding them from all tables:
 - :class:`DirtySet` — a thread-safe set of changed tables awaiting index
   application (the latest change wins when a table is marked twice);
 - :class:`IncrementalIndexMaintainer` — owns one persistent
-  :class:`~repro.discovery.aurum.Aurum` engine and one persistent
-  :class:`~repro.exploration.keyword.KeywordSearch` index, keeps one
-  dirty set per index, and applies each as deltas: new tables are
+  :class:`~repro.discovery.aurum.Aurum` engine, one
+  :class:`~repro.exploration.keyword.KeywordSearch` index and one
+  :class:`~repro.discovery.table_union.TableUnionSearch` index, keeps
+  one dirty set per index, and applies each as deltas: new tables are
   staged with ``add_table`` and edged with ``build_delta``, which probes
   only the fresh columns' LSH bucket mates and the columns sharing a
   name token or a value with them, never every indexed column; changed
   tables go through Aurum's change-threshold ``update_table`` (itself a
-  ``build_delta``) and a keyword re-add; removed tables leave each index
-  through its ``remove_table``.
+  ``build_delta``) and a keyword or union re-add; removed tables leave
+  each index through its ``remove_table``.
 
 A query applies only what the index it reads needs: ``engine()`` applies
-Aurum's dirty set, ``searcher()`` the keyword index's and Aurum's.
-Once Aurum has been built, a writer applies Aurum's set itself
-(``after_write()``: a sync write before it returns, an async one in its
-job), so a discovery query after a write finds Aurum current; the
-keyword index's set still waits for a keyword query.  ``refresh()``
-applies both; it is idempotent and cheap when clean, so any caller can
-invoke it at any time.  A refresh that raises puts the changes it had
-not applied back in their dirty sets, so the next refresh (a query's, a
-write's, or a job's retry) applies them.
+Aurum's dirty set, ``searcher()`` the keyword index's and Aurum's,
+``union_index()`` the union index's.  Once Aurum has been built, a
+writer applies Aurum's set itself (``after_write()``: a sync write
+before it returns, an async one in its job), so a discovery query after
+a write finds Aurum current; the keyword and union sets wait for their
+own queries.  ``refresh()`` applies all three; it is idempotent and
+cheap when clean, so any caller can invoke it at any time.  A refresh
+that raises puts the changes it had not applied back in their dirty
+sets, so the next refresh (a query's, a write's, or a job's retry)
+applies them.
 """
 
 from __future__ import annotations
@@ -144,11 +146,6 @@ class DirtySet:
         with self._lock:
             return list(self._pending)
 
-    def union_size(self, names: List[str]) -> int:
-        """How many tables are dirty here or named in *names* (no repeats)."""
-        with self._lock:
-            return len(self._pending) + sum(name not in self._pending for name in names)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._pending)
@@ -159,35 +156,40 @@ class DirtySet:
 
 
 class IncrementalIndexMaintainer:
-    """Keeps one Aurum engine and one keyword index current via deltas.
+    """Keeps an Aurum engine, a keyword index and a union-search index
+    current via deltas.
 
     Each index has its own dirty set.  :meth:`note` and
-    :meth:`note_removed` mark a change in both, and each set is applied
-    when something reads its index: :meth:`engine` applies Aurum's,
-    :meth:`searcher` the keyword index's and Aurum's, :meth:`refresh`
-    both.  A keyword index equals one built from the surviving tables,
-    so deferring its changes changes no answer; Aurum keeps a table's
-    old profiles under its change threshold, so its answers depend on
-    when a change is applied.  Once Aurum has been built, a writer
-    applies its own change to Aurum with :meth:`after_write`, so Aurum's
-    answers then depend on the sequence of writes alone, not on when
-    queries ran; every query still applies Aurum's set, for a change a
-    write left pending.
+    :meth:`note_removed` mark a change in all three, and each set is
+    applied when something reads its index: :meth:`engine` applies
+    Aurum's, :meth:`searcher` the keyword index's and Aurum's,
+    :meth:`union_index` the union index's alone, :meth:`refresh` all
+    three.  A keyword or union index equals one built from the surviving
+    tables, so deferring their changes changes no answer; Aurum keeps a
+    table's old profiles under its change threshold, so its answers
+    depend on when a change is applied.  Once Aurum has been built, a
+    writer applies its own change to Aurum with :meth:`after_write`, so
+    Aurum's answers then depend on the sequence of writes alone, not on
+    when queries ran; every Aurum or keyword query still applies Aurum's
+    set, for a change a write left pending.
 
     All mutation happens under one re-entrant lock, so scheduler workers
     and the facade thread can mark and refresh concurrently; queries
-    should go through :meth:`engine` / :meth:`searcher`.
+    should go through :meth:`engine` / :meth:`searcher` /
+    :meth:`union_index` and read under :meth:`reading`.
     """
 
-    def __init__(self, aurum=None, keyword=None,
-                 on_change: Optional[Callable[[str], None]] = None):
+    def __init__(self, on_change: Optional[Callable[[str], None]] = None):
         from repro.discovery.aurum import Aurum
+        from repro.discovery.table_union import TableUnionSearch
         from repro.exploration.keyword import KeywordSearch
 
-        self._aurum = aurum if aurum is not None else Aurum()
-        self._keyword = keyword if keyword is not None else KeywordSearch()
-        self._aurum_dirty = DirtySet()
-        self._keyword_dirty = DirtySet()
+        self._aurum = Aurum()
+        self._keyword = KeywordSearch()
+        self._union = TableUnionSearch()
+        #: each index's pending changes, keyed by the index
+        self._dirty = {index: DirtySet()
+                       for index in (self._aurum, self._keyword, self._union)}
         self._indexed: set = set()  # the tables Aurum holds
         self._aurum_built = False  # Aurum's set has been applied once
         self._lock = threading.RLock()
@@ -203,17 +205,15 @@ class IncrementalIndexMaintainer:
     # -- change tracking ---------------------------------------------------------
 
     def note(self, table: Table) -> bool:
-        """Mark *table* dirty (new or changed) in both indexes; cheap, safe
+        """Mark *table* dirty (new or changed) in every index; cheap, safe
         from any thread.  Returns True when no index had it pending."""
-        fresh = self._aurum_dirty.mark(table)
-        fresh = self._keyword_dirty.mark(table) and fresh
+        fresh = all([dirty.mark(table) for dirty in self._dirty.values()])
         return self._noted(table.name, fresh)
 
     def note_removed(self, name: str) -> bool:
-        """Mark table *name* for removal from both indexes (a no-op for a
+        """Mark table *name* for removal from every index (a no-op for a
         name that is not indexed); cheap, safe from any thread."""
-        fresh = self._aurum_dirty.mark_removed(name)
-        fresh = self._keyword_dirty.mark_removed(name) and fresh
+        fresh = all([dirty.mark_removed(name) for dirty in self._dirty.values()])
         return self._noted(name, fresh)
 
     def _noted(self, name: str, fresh: bool) -> bool:
@@ -227,59 +227,61 @@ class IncrementalIndexMaintainer:
 
     def dirty(self) -> List[str]:
         """Tables that some index still has pending, in mark order."""
-        return list(dict.fromkeys(self._keyword_dirty.peek()
-                                  + self._aurum_dirty.peek()))
+        sets = sorted(self._dirty.values(), key=len, reverse=True)
+        return list(dict.fromkeys(name for dirty in sets for name in dirty.peek()))
 
     def _set_dirty_gauge(self) -> None:
-        """Set ``runtime.index.dirty`` to ``len(dirty())`` without listing
-        the keyword backlog, which holds every table written since the
-        last keyword query."""
-        self._g_dirty.set(self._keyword_dirty.union_size(self._aurum_dirty.peek()))
+        """Set ``runtime.index.dirty`` to the largest set's length, which
+        holds every pending table (a note marks every set, an apply takes
+        a whole set) but for a note racing a take."""
+        self._g_dirty.set(max(len(dirty) for dirty in self._dirty.values()))
 
     # -- delta application -------------------------------------------------------
 
     @traced("maintenance.runtime.refresh", tier="maintenance", system="runtime",
             function="index_upkeep")
     def refresh(self) -> int:
-        """Apply both indexes' pending changes; returns the number of
+        """Apply every index's pending changes; returns the number of
         tables applied (explicit calls)."""
         with self._lock:
-            return self._apply_pending_locked(keyword=True)
+            return self._apply_pending_locked(tuple(self._dirty))
 
     @traced("maintenance.runtime.refresh", tier="maintenance", system="runtime",
             function="index_upkeep")
-    def _refresh_aurum(self) -> int:
-        """:meth:`refresh` for Aurum's pending changes alone."""
+    def _apply(self, *indexes) -> int:
+        """:meth:`refresh` for the pending changes of *indexes* alone."""
         with self._lock:
-            return self._apply_pending_locked(keyword=False)
+            return self._apply_pending_locked(indexes)
 
-    def _apply_pending_locked(self, keyword: bool) -> int:
-        """Apply Aurum's pending changes, then the keyword index's when
-        *keyword*; the caller holds ``_lock``.
+    def _apply_pending_locked(self, indexes) -> int:
+        """Apply the pending changes of *indexes*, in the order given
+        (Aurum's first); the caller holds ``_lock``.
 
         When an apply raises, the changes it had not finished applying
-        (Aurum's if its apply raised, and the keyword index's) go back to
-        their sets, unless the table was marked again meanwhile;
-        re-applying is idempotent, and the next ``build_delta`` links
-        whatever is still staged.
+        (those of the index whose apply raised, and of the indexes after
+        it) go back to their sets, unless the table was marked again
+        meanwhile; re-applying is idempotent, and the next
+        ``build_delta`` links whatever is still staged.
         """
-        aurum = self._aurum_dirty.take()
-        words = self._keyword_dirty.take() if keyword else []
-        if not aurum and not words:
+        taken = [(index, self._dirty[index].take()) for index in indexes]
+        applied = len({name for _, changes in taken for name, _ in changes})
+        if not applied:
             return 0
-        applied = len(dict.fromkeys(name for name, _ in aurum + words))
         annotate(delta_tables=applied)
         try:
-            # the engines mutate in place: exclude in-flight index readers
-            # (discovery queries on other threads) for the delta's duration
+            # the indexes mutate in place: exclude in-flight index readers
+            # (queries on other threads) for the delta's duration
             with self._rw.writing():
-                if aurum:
-                    self._apply_aurum_locked(aurum)
-                    aurum = []  # applied: nothing of Aurum's to put back
-                self._apply_keyword_locked(words)
+                while taken:
+                    index, changes = taken[0]
+                    if index is self._aurum:
+                        self._apply_aurum_locked(changes)
+                    else:
+                        self._replace_locked(index, changes)
+                    del taken[0]  # applied: nothing of this index's to put back
         except BaseException:
-            self._aurum_dirty.restore(aurum)
-            self._keyword_dirty.restore(words)
+            for index, changes in taken:
+                self._dirty[index].restore(changes)
             raise
         finally:
             self._set_dirty_gauge()
@@ -288,6 +290,8 @@ class IncrementalIndexMaintainer:
         return applied
 
     def _apply_aurum_locked(self, pending: List[Tuple[str, Optional[Table]]]) -> None:
+        if not pending:
+            return  # an empty delta must not count as Aurum's first build
         for name, table in pending:
             if table is None:
                 if name in self._indexed:
@@ -302,39 +306,42 @@ class IncrementalIndexMaintainer:
         self._aurum.build_delta()
         self._aurum_built = True
 
-    def _apply_keyword_locked(self, pending: List[Tuple[str, Optional[Table]]]) -> None:
+    @staticmethod
+    def _replace_locked(index, pending: List[Tuple[str, Optional[Table]]]) -> None:
+        """Apply *pending* to the keyword or union *index* by name."""
         for name, table in pending:
             if table is None:
-                self._keyword.remove_table(name)
+                index.remove_table(name)
             else:
-                self._keyword.add_table(table)  # replaces an indexed version
+                index.add_table(table)  # replaces an indexed version
 
     # -- query access (deltas applied first) --------------------------------------
 
     def reading(self):
-        """Context manager for engine readers; excludes in-place deltas.
+        """Context manager for index readers; excludes in-place deltas.
 
         Queries hold this (shared) side while traversing the returned
-        engines so a concurrent :meth:`refresh` cannot mutate postings or
-        EKG edges mid-iteration; writer preference keeps a steady query
-        stream from starving maintenance.
+        indexes so a concurrent apply cannot mutate postings, profiles
+        or EKG edges mid-iteration; writer preference keeps a steady
+        query stream from starving maintenance.
         """
         return self._rw.reading()
 
-    def _refresh_for_query(self, pending: int, refresh: Callable[[], int]) -> None:
-        """Run *refresh* before a query reads when *pending* changes wait;
-        the caller holds the lock.
+    def _refresh_for_query(self, *indexes) -> None:
+        """Apply the pending changes of *indexes* for a query about to
+        read them.
 
-        Clean accesses skip the (traced) refresh machinery entirely, so
-        repeated queries on an unchanged lake do no maintenance work.  A
-        request that expired while it waited for the lock fails with
+        Clean accesses skip the (traced) apply entirely, so repeated
+        queries on an unchanged lake do no maintenance work.  A request
+        that expired while it waited for the lock fails with
         ``DeadlineExceeded`` and leaves the dirty sets to the next caller.
         """
-        if pending:
-            check_deadline("maintenance.refresh")
-            refresh()
-        else:
-            self._m_clean.inc()
+        with self._lock:
+            if any(len(self._dirty[index]) for index in indexes):
+                check_deadline("maintenance.refresh")
+                self._apply(*indexes)
+            else:
+                self._m_clean.inc()
 
     def after_write(self) -> int:
         """Apply Aurum's pending changes for a writer that has noted its
@@ -345,33 +352,37 @@ class IncrementalIndexMaintainer:
         waits for Aurum's first reader, which builds it in one pass, and
         a lake that no query reads Aurum in never indexes into it.  A
         write whose request deadline has passed leaves its changes to
-        the next reader instead of failing.  The keyword index's changes
-        always wait for a keyword query.  An apply that raises keeps the
-        change in Aurum's dirty set, as any refresh does.
+        the next reader instead of failing.  The keyword and union
+        indexes' changes always wait for a query of their own.  An apply
+        that raises keeps the change in Aurum's dirty set, as any
+        refresh does.
         """
         with self._lock:
-            if not self._aurum_built or not len(self._aurum_dirty):
+            if not self._aurum_built or not len(self._dirty[self._aurum]):
                 return 0
             ctx = current_context()
             if ctx is not None and ctx.expired():
                 return 0
-            return self._refresh_aurum()
+            return self._apply(self._aurum)
 
     def engine(self):
         """The maintained Aurum engine, with Aurum's pending changes
-        applied; the keyword index's stay pending."""
-        with self._lock:
-            self._refresh_for_query(len(self._aurum_dirty), self._refresh_aurum)
-            return self._aurum
+        applied; the other indexes' stay pending."""
+        self._refresh_for_query(self._aurum)
+        return self._aurum
 
     def searcher(self):
         """The maintained keyword index, with its pending changes applied,
         and Aurum's too, so that Aurum applies a change at the same point
-        whichever index the next query reads."""
-        with self._lock:
-            self._refresh_for_query(
-                len(self._keyword_dirty) + len(self._aurum_dirty), self.refresh)
-            return self._keyword
+        whether the next query reads Aurum or the keyword index."""
+        self._refresh_for_query(self._aurum, self._keyword)
+        return self._keyword
+
+    def union_index(self):
+        """The maintained union-search index, with its pending changes
+        applied; Aurum's and the keyword index's stay pending."""
+        self._refresh_for_query(self._union)
+        return self._union
 
     def __len__(self) -> int:
         with self._lock:

@@ -49,11 +49,16 @@ class TenantQuota:
     max_result_rows: int = 10_000
 
     def __post_init__(self) -> None:
+        for name in ("max_in_flight", "max_result_rows"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if self.requests_per_sec <= 0:
+        # NaN fails every comparison, so each bound is written to reject it
+        if not self.requests_per_sec > 0:
             raise ValueError("requests_per_sec must be positive")
-        if self.burst is not None and self.burst < 1:
+        if self.burst is not None and not self.burst >= 1:
             raise ValueError("burst must be >= 1")
         if self.max_result_rows < 1:
             raise ValueError("max_result_rows must be >= 1")

@@ -12,6 +12,7 @@ while the lake's concurrent paths run.
 
 import importlib.util
 import pathlib
+import sys
 import textwrap
 import threading
 
@@ -207,6 +208,69 @@ class TestReentrantNonFinding:
         assert "src/pkg/reent.py:6" in str(error)  # the creation site
         with pytest.raises(AssertionError, match="self-deadlock"):
             witness.assert_clean(under="src/")
+
+
+class TestConditionWaitChurn:
+    """Threads waiting on a ``Condition`` while others notify it hand its
+    ``RLock`` back and forth inside ``wait``.  A thread that takes the lock
+    the moment a waiter releases it must see the waiter's depth already
+    updated, or the waiter later restores an inflated depth, its release
+    records nothing, and the lock stays on its held stack for good: every
+    lock it takes afterwards gets a false edge."""
+
+    SOURCE = """
+        import threading
+
+        cv = threading.Condition()
+        other = threading.Lock()
+
+
+        def wait_then_take_other(rounds):
+            for _ in range(rounds):
+                with cv:
+                    cv.wait(1e-4)
+                with other:
+                    pass
+
+
+        def notify(stop):
+            while not stop.is_set():
+                with cv:
+                    cv.notify_all()
+
+
+        def nest():
+            with other:
+                with cv:
+                    pass
+    """
+
+    def test_waiters_leave_no_held_entry_behind(self, tmp_path):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with LockSanitizer(root=str(tmp_path)) as witness:
+                module = _load(tmp_path, "src/pkg/churn.py", self.SOURCE)
+                stop = threading.Event()
+                waiters = [threading.Thread(target=module.wait_then_take_other,
+                                            args=(3000,)) for _ in range(2)]
+                notifiers = [threading.Thread(target=module.notify, args=(stop,))
+                             for _ in range(2)]
+                for thread in waiters + notifiers:
+                    thread.start()
+                for thread in waiters:
+                    thread.join(60.0)
+                stop.set()
+                for thread in notifiers:
+                    thread.join(60.0)
+                module.nest()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in waiters + notifiers)
+        assert [(edge["held"], edge["acquired"])
+                for edge in witness.report()["edges"]] == [
+            ("src/pkg/churn.py:4", "src/pkg/churn.py:3")]  # other -> cv
+        assert witness.inversions(under="src/") == []
 
 
 class TestRepoLockGraph:

@@ -11,7 +11,8 @@ that make the query cache and async maintenance shippable:
   (the maintainer's read/write lock, per-query quiesces and scheduler
   drains can never wait on each other cyclically);
 - **no stale reads**: engine epochs only ever move forward, and a query
-  issued after ``ingest()`` returns always observes the new table;
+  issued after ``ingest()`` returns always observes the new table; after
+  the storm, union search answers as an index built from scratch;
 - **drain() completes** while queries keep arriving;
 - **zero unhandled exceptions**: injected faults surface as
   ``DataLakeError`` (handled) — never as a raw crash from a worker.
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core.errors import DataLakeError
 from repro.core.lake import DataLake
+from repro.discovery.table_union import TableUnionSearch
 from repro.faults import FaultInjector, FaultSchedule, FaultSpec, ResilienceConfig
 from repro.runtime.jobs import RetryPolicy
 from repro.storage.polystore import Polystore
@@ -157,6 +159,13 @@ def test_discover_batch_vs_async_ingest_with_faults():
     related = lake.discover_related(seeded[0], k=50)
     assert {name for name, _ in related} >= set(seeded[1:3]), (
         "post-storm related-table answer is missing seed tables")
+    # the union index, applied by batches racing the ingests, lost no table
+    fresh = TableUnionSearch()
+    for table in lake.tables():
+        fresh.add_table(table)
+    assert lake.discover_union(seeded[0], k=100, min_score=0.0) == fresh.top_k(
+        lake.table(seeded[0]), k=100, min_score=0.0), (
+        "post-storm union answer differs from a fresh build")
 
     # the runtime is fully drained and nothing died on the floor
     assert lake.runtime.outstanding() == 0

@@ -1,16 +1,14 @@
 """Regression: index accessors must not pay maintenance costs when clean.
 
 Before the fast path existed, every ``DataLake.discovery`` /
-``_keyword_searcher()`` access ran the traced ``refresh()`` even when
-nothing was dirty — so a read-heavy workload burned maintenance spans
-per query.
+keyword-searcher access ran the traced ``refresh()`` even when nothing
+was dirty — so a read-heavy workload burned maintenance spans per
+query.
 These tests pin the fixed behavior through the observability layer:
 span counts for the maintenance paths stay flat across repeated clean
 queries while the ``runtime.index.clean_accesses`` counter grows.  Each
 test runs under a recorder that keeps every span.
 """
-
-import threading
 
 import pytest
 
@@ -37,18 +35,20 @@ def test_clean_incremental_access_skips_refresh():
     # each index applies its own pending changes when first read
     lake.discover_related("orders")
     lake.keyword_search("city")
+    lake.discover_union("orders")
     refreshes = _span_count("maintenance.runtime.refresh")
     clean_before = get_registry().counter("runtime.index.clean_accesses").value
     for _ in range(5):
         lake.discover_related("orders")
         lake.keyword_search("city")
+        lake.discover_union("orders")
     assert _span_count("maintenance.runtime.refresh") == refreshes, (
         "clean accessor re-ran refresh() with an empty dirty set")
     clean_after = get_registry().counter("runtime.index.clean_accesses").value
-    assert clean_after - clean_before >= 10
+    assert clean_after - clean_before >= 15
 
-    # a write applies its own Aurum delta and leaves the keyword index's
-    # for the next keyword query
+    # a write applies its own Aurum delta and leaves the keyword and union
+    # indexes' for their next queries
     lake.ingest_table("late", {"id": [9], "city": ["z"]})
     assert _span_count("maintenance.runtime.refresh") == refreshes + 1
     assert lake.maintainer.dirty() == ["late"] and "late" in lake.maintainer
@@ -56,6 +56,9 @@ def test_clean_incremental_access_skips_refresh():
     assert _span_count("maintenance.runtime.refresh") == refreshes + 1
     lake.keyword_search("late")
     assert _span_count("maintenance.runtime.refresh") == refreshes + 2
+    lake.discover_union("late")
+    assert _span_count("maintenance.runtime.refresh") == refreshes + 3
+    assert lake.maintainer.dirty() == []
 
 
 def test_idle_async_queries_do_not_drain():
@@ -75,82 +78,33 @@ def test_idle_async_queries_do_not_drain():
         lake.close()
 
 
-def test_union_index_rebuilds_only_on_epoch_move():
+def test_union_queries_apply_only_the_tables_written_since(monkeypatch):
+    """Union search is kept by deltas: repeated union queries on a clean
+    lake apply nothing, and after one write the next union query
+    profiles that table alone."""
     reset()
     lake = _populate(DataLake(cache=False))
+    profiled = []
+    add_table = TableUnionSearch.add_table
+
+    def counted(self, table):
+        profiled.append(table.name)
+        add_table(self, table)
+
+    monkeypatch.setattr(TableUnionSearch, "add_table", counted)
+    lake.discover_union("orders")  # the first union query applies the backlog
+    assert profiled == ["orders", "users"]
+    refreshes = _span_count("maintenance.runtime.refresh")
     for _ in range(4):
         lake.discover_union("orders")
-    assert _span_count("maintenance.union.index_build") == 1
+    assert _span_count("maintenance.runtime.refresh") == refreshes
     lake.ingest_table("late", {"id": [9], "city": ["z"]})
     lake.discover_union("orders")
     lake.discover_union("users")
-    assert _span_count("maintenance.union.index_build") == 2
-
-
-def test_older_union_build_never_replaces_a_newer_one(monkeypatch):
-    """A build that started before an ingest must not publish over the
-    index built after it: the lake would lose the ingested table and
-    rebuild again on the next query."""
-    reset()
-    lake = _populate(DataLake(cache=False))
-    parked, release = threading.Event(), threading.Event()
-    add_table = TableUnionSearch.add_table
-
-    def park_once(self, table):
-        if threading.current_thread().name == "stale-build" and not parked.is_set():
-            parked.set()
-            release.wait(10)
-        add_table(self, table)
-
-    monkeypatch.setattr(TableUnionSearch, "add_table", park_once)
-    stale = threading.Thread(target=lake.discover_union, args=("orders",),
-                             name="stale-build")
-    stale.start()
-    try:
-        assert parked.wait(10)
-        lake.ingest_table("late", {"id": [9], "city": ["z"]})
-        lake.discover_union("orders")  # builds and publishes the newer index
-    finally:
-        release.set()
-        stale.join(10)
-    assert not stale.is_alive()
-    builds = _span_count("maintenance.union.index_build")
-    assert "late" in lake._union_search().tables()
-    assert _span_count("maintenance.union.index_build") == builds, (
-        "the stale build replaced the newer index, so the query rebuilt it")
-
-
-def test_reader_of_an_older_epoch_takes_the_newer_index(monkeypatch):
-    """A reader that read epoch E, then saw E+1's index published, uses
-    that index: building E's would be thrown away unpublished."""
-    reset()
-    lake = _populate(DataLake(cache=False))
-    lake.discover_union("orders")
-    read, go = threading.Event(), threading.Event()
-    epoch = lake._epochs.epoch
-
-    def pause_after_read():
-        value = epoch()
-        if threading.current_thread().name == "late-reader":
-            read.set()
-            go.wait(10)
-        return value
-
-    monkeypatch.setattr(lake._epochs, "epoch", pause_after_read)
-    reader = threading.Thread(target=lake.discover_union, args=("orders",),
-                              name="late-reader")
-    reader.start()
-    try:
-        assert read.wait(10)
-        lake.ingest_table("late", {"id": [9], "city": ["z"]})
-        lake.discover_union("orders")  # builds and publishes the newer index
-        builds = _span_count("maintenance.union.index_build")
-    finally:
-        go.set()
-        reader.join(10)
-    assert not reader.is_alive()
-    assert _span_count("maintenance.union.index_build") == builds, (
-        "the late reader built an index for an epoch already superseded")
+    assert profiled == ["orders", "users", "late"]
+    (applied,) = [span.tags["delta_tables"] for span in get_recorder().all_spans()
+                  if span.name == "maintenance.runtime.refresh"][refreshes:]
+    assert applied == 1
 
 
 def test_reset_keeps_the_instruments_a_live_lake_holds():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import Dataset, Table
-from repro.core.errors import DatasetNotFound, DeadlineExceeded
+from repro.core.errors import DatasetNotFound, DeadlineExceeded, SchemaError
 from repro.core.lake import DataLake
 from repro.discovery.aurum import Aurum
 from repro.discovery.profiles import TableProfiler
+from repro.discovery.table_union import TableUnionSearch
 from repro.exploration.keyword import KeywordSearch
 from repro.obs import request_context
 from repro.runtime import DirtySet, IncrementalIndexMaintainer
@@ -149,8 +150,11 @@ class TestIncrementalMaintainer:
         assert maintainer.engine().table_names() == ["venues"]
         assert "events" not in maintainer and len(maintainer) == 1
         maintainer.note_removed("never-indexed")
-        assert maintainer.refresh() == 1  # applied, and changes nothing
+        # applied, and changes nothing; union search, which no query read,
+        # applies the removal of "events" too
+        assert maintainer.refresh() == 2
         assert maintainer.engine().table_names() == ["venues"]
+        assert maintainer.union_index().tables() == ["venues"]
 
 
 class TestQueryRefreshDeadline:
@@ -180,7 +184,7 @@ class TestQueryRefreshDeadline:
         with request_context(timeout=0.0):
             lake.ingest_table("orders", make_columns("orders"))  # returns
         assert "orders" in lake and "orders" not in lake.maintainer
-        assert lake.maintainer._aurum_dirty.peek() == ["orders"]
+        assert lake.maintainer._dirty[lake.maintainer._aurum].peek() == ["orders"]
         hits = lake.discover_joinable("orders", "customer_id", k=1)
         assert hits[0][0] == ("customers", "customer_id")
         assert "orders" in lake.maintainer
@@ -260,7 +264,7 @@ class TestFailedRefresh:
             lake.ingest_table("other", self.TABLES["other"])
         assert lake.dataset("other").format == "table"  # committed
         assert "other" not in lake.maintainer
-        assert lake.maintainer._aurum_dirty.peek() == ["other"]
+        assert lake.maintainer._dirty[lake.maintainer._aurum].peek() == ["other"]
         assert self._answers(lake) == self._answers(clean)
         assert lake.maintainer.dirty() == []
 
@@ -284,7 +288,7 @@ class TestFailedRefresh:
             # the retry resumed at the apply: no write was registered twice
             assert [len(lake.provenance.events_about(name))
                     for name in ("big", "other", "third")] == [2, 1, 1]
-            assert lake.maintainer._aurum_dirty.peek() == []
+            assert lake.maintainer._dirty[lake.maintainer._aurum].peek() == []
             assert "other" in lake.maintainer
             assert self._answers(lake) == expected
         finally:
@@ -338,8 +342,11 @@ class TestKeywordUpkeepFollowsItsReaders:
         lake = DataLake(cache=False)
         lake.ingest_table("events", make_columns("events"))
         lake.keyword_search("customer")
-        assert lake.maintainer.dirty() == []
         assert "events" in lake.maintainer
+        # only union search's set, which a union query applies, still holds it
+        assert lake.maintainer.dirty() == ["events"]
+        lake.discover_union("events")
+        assert lake.maintainer.dirty() == []
 
 
 class EagerMaintainer:
@@ -534,6 +541,47 @@ class TestWritersApplyAurum:
             write((asking, quiet), contents, op, name, arg)
             ask(asking, "related", name)
         assert final_answers(asking) == final_answers(quiet)
+
+
+def union_answer(lake, name, fresh=False):
+    """*name*'s whole union ranking from the lake, or, when *fresh*, from
+    a :class:`TableUnionSearch` built from scratch over ``lake.tables()``."""
+    try:
+        if not fresh:
+            return lake.discover_union(name, k=len(NAMES), min_score=0.0)
+        index = TableUnionSearch()
+        for table in lake.tables():
+            index.add_table(table)
+        return index.top_k(lake.table(name), k=len(NAMES), min_score=0.0)
+    except (DatasetNotFound, SchemaError) as exc:  # absent, or a text document
+        return type(exc).__name__
+
+
+class TestMaintainedUnionSearch:
+    """Union search kept by deltas answers as a fresh build over the
+    lake's tables, through new versions, key edits and replacement by a
+    text document, whenever its queries run."""
+
+    @given(seeds=st.lists(st.integers(0, 5), min_size=len(NAMES), max_size=len(NAMES)),
+           ops=st.lists(st.one_of(*LAKE_WRITES, st.tuples(
+               st.just("union"), st.sampled_from(NAMES), st.just(0))),
+               min_size=1, max_size=14),
+           mode=st.sampled_from(("sync", "async")))
+    @settings(max_examples=60, deadline=None)
+    def test_answers_equal_a_fresh_build(self, seeds, ops, mode):
+        lake = DataLake(cache=False, async_maintenance=mode == "async")
+        try:
+            contents = {}
+            ops = [("ingest", name, seed) for name, seed in zip(NAMES, seeds)] + ops
+            for op, name, arg in ops:
+                if not write((lake,), contents, op, name, arg):
+                    lake.drain()
+                    assert union_answer(lake, name) == union_answer(lake, name, True)
+            lake.drain()
+            for name in NAMES:
+                assert union_answer(lake, name) == union_answer(lake, name, True)
+        finally:
+            lake.close()
 
 
 class TestDeltaEquivalence:

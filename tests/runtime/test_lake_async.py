@@ -162,9 +162,9 @@ class TestAsyncMode:
         assert job.ok
         # the write's own job applied its Aurum delta; no query has run
         assert "late" in lake.maintainer
-        assert lake.maintainer._aurum_dirty.peek() == []
+        assert lake.maintainer._dirty[lake.maintainer._aurum].peek() == []
         assert len(lake.maintainer._keyword) == 0
-        assert len(lake.maintainer.dirty()) == 7  # the keyword backlog
+        assert len(lake.maintainer.dirty()) == 7  # the keyword and union backlogs
         lake.close()
 
     def test_the_index_maintainer_is_built_on_the_ingesting_thread(self, monkeypatch):
@@ -214,11 +214,11 @@ class TestAsyncMode:
 class TestSyncIncrementalMode:
     def test_keyword_searcher_is_cached_not_rebuilt(self):
         lake = fill(DataLake.in_memory(), count=3)
-        first = lake._keyword_searcher()
-        second = lake._keyword_searcher()
+        first = lake.maintainer.searcher()
+        second = lake.maintainer.searcher()
         assert first is second
         lake.ingest_table("late", {"city": ["berlin"] * 5})
-        third = lake._keyword_searcher()
+        third = lake.maintainer.searcher()
         assert third is first  # same instance, delta-updated
         assert "late" in {h.table for h in lake.keyword_search("berlin")}
 

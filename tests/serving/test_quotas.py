@@ -39,6 +39,14 @@ class TestTenantQuota:
         {"requests_per_sec": -1.0},
         {"burst": 0.5},
         {"max_result_rows": 0},
+        # values that passed the range checks and broke admission
+        {"burst": float("nan")},
+        {"requests_per_sec": float("nan")},
+        {"max_result_rows": float("inf")},
+        {"max_result_rows": 2.0},
+        {"max_result_rows": True},
+        {"max_in_flight": 2.5},
+        {"max_in_flight": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
